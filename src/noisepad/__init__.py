@@ -24,8 +24,6 @@ from .phys import (
     helstrom_error,
     legitimate_error,
     overlap_probability,
-    sample_phase_noise,
-    sigma_phi,
 )
 from .protocol import (
     KeyChain,
@@ -33,6 +31,7 @@ from .protocol import (
     PartyState,
     SessionParams,
     authenticate_tag,
+    pa_output_length,
     privacy_amplify,
     recover_block,
     run_cycle,

@@ -188,7 +188,6 @@ def chain_compromise(transcripts, known_key_index: int, known_key_bits,
     current = np.asarray(known_key_bits, dtype=np.uint8)
     recovered, recovered_raw, gaps = [], [], []
     records = {r.key_index: r for r in pa_records} if pa_records else {}
-    dummy_params = _DecodeOnlyParams(c)
     j = known_key_index
     while True:
         j += 1
@@ -202,33 +201,22 @@ def chain_compromise(transcripts, known_key_index: int, known_key_bits,
             gaps.append(f"transcript Y{j} carries {len(t.symbols)} symbols but "
                         f"K{j - 1} has {len(current)} bits")
             break
-        raw = recover_block(t, current, dummy_params)
+        raw = recover_block(t, current, c)
         recovered_raw.append((j, raw))
         if pa_records:
             rec = records.get(j)
             if rec is None:
                 gaps.append(f"no amplification record for K{j}")
                 break
-            ledger = _LedgerShim(len(raw) - rec.output_bits)
-            current = privacy_amplify(raw, ledger, 0, rec.pa_seed)
+            if not 0 < rec.output_bits <= len(raw):
+                gaps.append(f"amplification record for K{j} asks for "
+                            f"{rec.output_bits} of {len(raw)} bits")
+                break
+            current = privacy_amplify(raw, rec.output_bits, rec.pa_seed)
         else:
             current = raw
         recovered.append((j, current))
     return ChainRecovery(recovered, recovered_raw, gaps)
-
-
-class _DecodeOnlyParams:
-    """Just enough of SessionParams for recover_block."""
-
-    def __init__(self, c: Constellation):
-        self.constellation = c
-
-
-class _LedgerShim:
-    """Fixed charge so privacy_amplify reproduces a known output length."""
-
-    def __init__(self, total: int):
-        self.total = total
 
 
 # ---------------------------------------------------------------------------

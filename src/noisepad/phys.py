@@ -31,11 +31,6 @@ class CoherentStateParams:
         return math.sqrt(2.0 / self.avg_photon_number)
 
 
-def sigma_phi(params: CoherentStateParams) -> float:
-    """Irreducible phase-fluctuation standard deviation sqrt(2/<n>), radians."""
-    return params.sigma_phi
-
-
 def overlap_probability(delta_phi_12: float, sigma: float) -> float:
     """Overlap probability exp(-(dphi12)^2 / (2 sigma^2)) of two phase levels.
 
@@ -141,7 +136,3 @@ class PhaseNoiseModel:
             raise ValueError(f"count must be >= 0, got {count!r}")
         return self._rng.normal(0.0, self.sigma_phi, count)
 
-
-def sample_phase_noise(model: PhaseNoiseModel, count: int) -> np.ndarray:
-    """Draw `count` independent phase-noise samples from the model's stream."""
-    return model.sample(count)

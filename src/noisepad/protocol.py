@@ -4,7 +4,8 @@ One distribution cycle sends fresh random bits from A to B, noise-masked
 under the current shared key (used exactly once as basis material), then
 fresh bits from B back to A under the key that was just delivered.  Each
 direction is parity-reconciled, charged to a leak ledger, and compressed
-with a seeded Toeplitz hash before joining the key chain.
+with a seeded modified Toeplitz hash [I | T] (dual universal, n-1 public
+seed bits) before joining the key chain.
 
 Every chained key is a little shorter than its predecessor (the discarded
 bits pay for disclosed parities, the statistical basis leak, and a safety
@@ -202,14 +203,15 @@ def send_block(fresh_bits, basis_key: ChainKey, params: SessionParams,
     return BlockTranscript(direction, symbols, cycle_index)
 
 
-def recover_block(t: BlockTranscript, basis_bits, params: SessionParams) -> np.ndarray:
+def recover_block(t: BlockTranscript, basis_bits,
+                  constellation: Constellation) -> np.ndarray:
     """Decode a received block with the shared basis key."""
     basis = _as_bits(basis_bits)
     if len(basis) != len(t.symbols):
         raise ProtocolError(
             f"basis key ({len(basis)}) and block ({len(t.symbols)}) lengths differ")
     return np.asarray(
-        decode_with_basis(t.symbols, basis, params.constellation), dtype=np.uint8)
+        decode_with_basis(t.symbols, basis, constellation), dtype=np.uint8)
 
 
 # ---------------------------------------------------------------------------
@@ -318,43 +320,47 @@ def reconcile_sender(bits, channel: Channel, params: SessionParams,
 # Privacy amplification
 # ---------------------------------------------------------------------------
 
-def _gf2_toeplitz(seed_bits: np.ndarray, vec: np.ndarray, m: int) -> np.ndarray:
-    """Multiply the m x n Toeplitz matrix T[i, j] = seed[n-1+i-j] by vec, mod 2."""
-    n = len(vec)
-    if m * n <= 1 << 22:
-        conv = np.convolve(seed_bits.astype(np.int64), vec.astype(np.int64))
-    else:
-        size = 1 << int(math.ceil(math.log2(len(seed_bits) + n - 1)))
-        spectrum = (np.fft.rfft(seed_bits.astype(float), size) *
-                    np.fft.rfft(vec.astype(float), size))
-        raw = np.fft.irfft(spectrum, size)[:len(seed_bits) + n - 1]
-        conv = np.rint(raw).astype(np.int64)
-        if np.abs(raw - conv).max() > 0.25:
-            raise ArithmeticError("FFT convolution lost integer precision")
-    return (conv[n - 1:n - 1 + m] & 1).astype(np.uint8)
+def pa_output_length(n: int, ledger: LeakLedger, safety_bits: int) -> int:
+    """Bits left after charging the ledger and a safety margin to n bits.
 
-
-def privacy_amplify(bits, ledger: LeakLedger, safety_bits: int,
-                    public_seed: int) -> np.ndarray:
-    """Compress bits by the ledger charge plus a safety margin.
-
-    Output length m = len(bits) - ceil(ledger.total) - safety_bits; the
-    output is the product of a Toeplitz matrix drawn from the public seed
-    with the input, over GF(2).  When no compression is needed (m equal to
-    the input length) the input passes through unchanged.
+    Raises KeyExhaustedError when nothing would be left.
     """
-    bits = _as_bits(bits)
-    n = len(bits)
     m = n - math.ceil(ledger.total) - safety_bits
     if m <= 0:
         raise KeyExhaustedError(
             f"privacy amplification would leave {m} bits; a fresh shared "
             f"seed is required")
-    if m == n:
-        return bits.copy()
+    return m
+
+
+def _modified_toeplitz(seed_bits: np.ndarray, vec: np.ndarray, m: int) -> np.ndarray:
+    """h(x) = x[:m] XOR T x[m:] over GF(2), with T[i, j] = seed[k-1+i-j], k = n-m.
+
+    Column j of T is the seed slice starting at k-1-j, so the product is one
+    m-bit XOR per set bit of x[m:].
+    """
+    k = len(vec) - m
+    out = vec[:m].copy()
+    for j in np.flatnonzero(vec[m:]):
+        out ^= seed_bits[k - 1 - j:k - 1 - j + m]
+    return out
+
+
+def privacy_amplify(bits, out_len: int, public_seed: int) -> np.ndarray:
+    """Compress bits to out_len bits with a modified Toeplitz hash [I | T].
+
+    The n-1 seed bits are drawn from the public seed.  The family is
+    dual universal (Hayashi & Tsurumaru, IEEE Trans. IT 2016) and universal_2
+    at the output length, so the leftover-hash bound holds as for a full
+    Toeplitz matrix; at out_len == n it is the identity.
+    """
+    bits = _as_bits(bits)
+    n = len(bits)
+    if not 0 < out_len <= n:
+        raise ValueError(f"out_len must lie in [1, {n}], got {out_len}")
     seed_bits = np.random.default_rng(public_seed).integers(
-        0, 2, m + n - 1, dtype=np.uint8)
-    return _gf2_toeplitz(seed_bits, bits, m)
+        0, 2, n - 1, dtype=np.uint8)
+    return _modified_toeplitz(seed_bits, bits, out_len)
 
 
 # ---------------------------------------------------------------------------
@@ -478,7 +484,8 @@ def _send_direction(state: PartyState, channel: Channel, cycle_index: int,
     delta.add_symbols(n, params.per_symbol_leak)
     reconcile_sender(fresh, channel, params, delta, perm_seed)
     state.ledger.merge(delta)
-    new_bits = privacy_amplify(fresh, delta, params.safety_bits, pa_seed)
+    new_bits = privacy_amplify(
+        fresh, pa_output_length(n, delta, params.safety_bits), pa_seed)
     key = state.chain.append(new_bits)
     record = PaRecord(key.index, cycle_index, direction, perm_seed, pa_seed,
                       len(new_bits))
@@ -497,7 +504,7 @@ def _recv_direction(state: PartyState, channel: Channel, cycle_index: int,
         raise ProtocolError(
             f"expected cycle {cycle_index}, peer sent {got_cycle}")
     t = BlockTranscript(direction, levels, got_cycle)
-    candidate = recover_block(t, basis_bits, params)
+    candidate = recover_block(t, basis_bits, params.constellation)
     _, payload = expect(channel, MessageType.PA_SEED)
     seed_cycle, seed_dir, perm_seed, pa_seed = _PA_SEED.unpack(payload)
     if seed_cycle != cycle_index or seed_dir != direction:
@@ -506,7 +513,9 @@ def _recv_direction(state: PartyState, channel: Channel, cycle_index: int,
     delta.add_symbols(len(levels), params.per_symbol_leak)
     corrected = reconcile_receiver(candidate, channel, params, delta, perm_seed)
     state.ledger.merge(delta)
-    new_bits = privacy_amplify(corrected, delta, params.safety_bits, pa_seed)
+    new_bits = privacy_amplify(
+        corrected, pa_output_length(len(corrected), delta, params.safety_bits),
+        pa_seed)
     key = state.chain.append(new_bits)
     record = PaRecord(key.index, cycle_index, direction, perm_seed, pa_seed,
                       len(new_bits))

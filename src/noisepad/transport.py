@@ -215,22 +215,24 @@ class SocketChannel(Channel):
             raise ChannelError(f"send failed: {exc}") from exc
 
     def _read_exact(self, count: int, what: str) -> bytes:
-        chunks = b""
-        while len(chunks) < count:
+        buf = bytearray(count)
+        view = memoryview(buf)
+        got = 0
+        while got < count:
             try:
-                part = self._sock.recv(count - len(chunks))
+                part = self._sock.recv_into(view[got:])
             except socket.timeout:
                 raise ChannelError(f"timed out reading {what}") from None
             except OSError as exc:
                 raise ChannelError(f"recv failed: {exc}") from exc
             if not part:
-                if chunks:
+                if got:
                     raise TruncatedFrameError(
                         f"connection closed mid-{what} "
-                        f"({len(chunks)}/{count} bytes)")
+                        f"({got}/{count} bytes)")
                 raise ChannelError("connection closed")
-            chunks += part
-        return chunks
+            got += part
+        return bytes(buf)
 
     def _recv_frame(self, timeout: float):
         self._sock.settimeout(timeout)

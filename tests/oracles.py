@@ -74,12 +74,14 @@ def binom_3sigma(p: float, n: int) -> float:
     return 3.0 * np.sqrt(max(p * (1.0 - p), 1e-12) / n)
 
 
-def dense_toeplitz_matvec(seed_bits: np.ndarray, vec: np.ndarray,
-                          m: int) -> np.ndarray:
-    """Explicit m x n Toeplitz product over GF(2): T[i, j] = seed[n-1+i-j]."""
+def dense_modified_toeplitz(seed_bits: np.ndarray, vec: np.ndarray,
+                            m: int) -> np.ndarray:
+    """Explicit m x n product [I | T] x over GF(2), T[i, j] = seed[k-1+i-j], k = n-m."""
     n = len(vec)
-    t = np.empty((m, n), dtype=np.int64)
+    k = n - m
+    h = np.zeros((m, n), dtype=np.int64)
     for i in range(m):
-        for j in range(n):
-            t[i, j] = seed_bits[n - 1 + i - j]
-    return (t @ vec.astype(np.int64)) % 2
+        h[i, i] = 1
+        for j in range(k):
+            h[i, m + j] = seed_bits[k - 1 + i - j]
+    return (h @ vec.astype(np.int64)) % 2

@@ -126,7 +126,7 @@ def test_criterion_5_legitimate_round_trip_and_cycles():
     basis = rng.integers(0, 2, 10_000, dtype=np.uint8)
     t = send_block(fresh, ChainKey(0, basis), params10,
                    PhaseNoiseModel(params10.coherent.sigma_phi, 56))
-    errors = int(np.sum(recover_block(t, basis, params10) != fresh))
+    errors = int(np.sum(recover_block(t, basis, params10.constellation) != fresh))
 
     # 100 full cycles (reconciliation + amplification) in the secure regime
     params30 = SessionParams(1e4, 2.0 ** -30, 40, 10_000)
@@ -186,7 +186,7 @@ def test_criterion_7_boost_claim():
         fresh = fresh_rng.integers(0, 2, 256, dtype=np.uint8)
         t = send_block(fresh, ChainKey(blocks, tip), params, noise_a,
                        cycle_index=blocks + 1)
-        recovered = recover_block(t, tip, params)
+        recovered = recover_block(t, tip, params.constellation)
         assert np.array_equal(recovered, fresh)     # chain must stay exact
         ledger.add_symbols(len(fresh), per_symbol)
         delivered += len(fresh)

@@ -20,9 +20,8 @@ from noisepad.protocol import (
     A_TO_B,
     BlockTranscript,
     ChainKey,
-    LeakLedger,
+    PaRecord,
     SessionParams,
-    privacy_amplify,
     send_block,
     simulate_session,
 )
@@ -205,6 +204,13 @@ def test_chain_compromise_amplified_session(tmp_path):
         assert [i for i, _ in rec.recovered] == [2, 3, 4, 5, 6]
         for idx, bits in rec.recovered:
             assert np.array_equal(bits, res_a.chain.keys[idx].bits)
+    # a record asking for more bits than the block holds ends recovery
+    records = [PaRecord(r.key_index, r.cycle_index, r.direction, r.perm_seed,
+                        r.pa_seed, 2048 if r.key_index == 3 else r.output_bits)
+               for r in res_a.pa_records]
+    rec = chain_compromise(res_a.transcripts, 1, known, c, records)
+    assert [i for i, _ in rec.recovered] == [2]
+    assert any("K3" in g and "2048" in g for g in rec.gaps)
 
 
 def test_basis_attack_report_fields():

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from noisepad.analysis import entropy_leak, min_leak_length, security_point
-from noisepad.phys import CoherentStateParams, sigma_phi
+from noisepad.phys import CoherentStateParams
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 
@@ -26,7 +26,7 @@ def test_analyze_json_matches_library():
     assert res.returncode == 0
     doc = json.loads(res.stdout)
     p = CoherentStateParams(1e4)
-    assert doc["sigma_phi"] == sigma_phi(p)
+    assert doc["sigma_phi"] == p.sigma_phi
     assert doc["entropy_leak"] == entropy_leak(p, 2.0 ** -10)
     assert doc["min_leak_length"] == min_leak_length(p, 2.0 ** -10)
     assert doc["validation"]["ok"] is True

@@ -14,8 +14,6 @@ from noisepad.phys import (
     legitimate_error,
     overlap_probability,
     q_gaussian,
-    sample_phase_noise,
-    sigma_phi,
 )
 
 import oracles
@@ -31,11 +29,11 @@ PE_1E4_EXP6 = 0.08018535523830366
 
 @pytest.mark.parametrize("n,expected", [(2.0, 1.0), (8.0, 0.5), (1e4, SIGMA_1E4)])
 def test_sigma_phi_values(n, expected):
-    assert sigma_phi(CoherentStateParams(n)) == pytest.approx(expected, rel=1e-12)
+    assert CoherentStateParams(n).sigma_phi == pytest.approx(expected, rel=1e-12)
 
 
 def test_sigma_phi_matches_decimal_oracle():
-    got = sigma_phi(CoherentStateParams(1e4))
+    got = CoherentStateParams(1e4).sigma_phi
     assert abs(got - float(oracles.d_sigma_phi(10_000))) < 1e-15
 
 
@@ -175,7 +173,7 @@ def test_phase_noise_model_validation():
 
 
 def test_phase_noise_empty_and_deterministic():
-    assert sample_phase_noise(PhaseNoiseModel(0.5, 3), 0).shape == (0,)
+    assert PhaseNoiseModel(0.5, 3).sample(0).shape == (0,)
     a = PhaseNoiseModel(0.5, 123)
     b = PhaseNoiseModel(0.5, 123)
     assert np.array_equal(a.sample(1000), b.sample(1000))
@@ -185,6 +183,6 @@ def test_phase_noise_empty_and_deterministic():
 
 def test_phase_noise_statistics():
     count = 1_000_000
-    samples = sample_phase_noise(PhaseNoiseModel(0.5, 2024), count)
+    samples = PhaseNoiseModel(0.5, 2024).sample(count)
     assert abs(samples.std() - 0.5) < 0.002
     assert abs(samples.mean()) < 4.0 * 0.5 / math.sqrt(count)

@@ -19,7 +19,9 @@ from noisepad.protocol import (
     LeakLedger,
     PartyState,
     SessionParams,
+    _modified_toeplitz,
     authenticate_tag,
+    pa_output_length,
     privacy_amplify,
     recover_block,
     reconcile_receiver,
@@ -135,9 +137,9 @@ def test_recover_block_round_trip():
     p = SessionParams(1e4, 2.0 ** -10, 16, n)
     fresh, basis = bits(rng, n), bits(rng, n)
     t = send_block(fresh, ChainKey(0, basis), p, noise_model(p, 9))
-    assert np.array_equal(recover_block(t, basis, p), fresh)
+    assert np.array_equal(recover_block(t, basis, p.constellation), fresh)
     with pytest.raises(ProtocolError):
-        recover_block(t, basis[:10], p)
+        recover_block(t, basis[:10], p.constellation)
 
 
 def test_recover_block_wrong_key_statistics():
@@ -147,10 +149,10 @@ def test_recover_block_wrong_key_statistics():
     fresh, basis = bits(rng, n), bits(rng, n)
     t = send_block(fresh, ChainKey(0, basis), p, noise_model(p, 10))
     # complemented key: decode flips every bit
-    assert np.array_equal(recover_block(t, 1 - basis, p), 1 - fresh)
+    assert np.array_equal(recover_block(t, 1 - basis, p.constellation), 1 - fresh)
     # unrelated key: agreement indistinguishable from a coin flip
     other = bits(np.random.default_rng(5), n)
-    agree = float(np.mean(recover_block(t, other, p) == fresh))
+    agree = float(np.mean(recover_block(t, other, p.constellation) == fresh))
     assert abs(agree - 0.5) < oracles.binom_3sigma(0.5, n)
 
 
@@ -244,45 +246,56 @@ def test_reconcile_residual_mismatch_detected():
 def test_privacy_amplify_lengths():
     rng = np.random.default_rng(31)
     data = bits(rng, 1024)
-    assert len(privacy_amplify(data, LeakLedger(), 0, 5)) == 1024
     # no charge, no safety: identity
-    assert np.array_equal(privacy_amplify(data, LeakLedger(), 0, 5), data)
+    assert pa_output_length(1024, LeakLedger(), 0) == 1024
+    assert np.array_equal(privacy_amplify(data, 1024, 5), data)
     led = LeakLedger(statistical_leak=0.2, disclosed_parity_bits=10)
-    assert len(privacy_amplify(data, led, 32, 5)) == 1024 - 11 - 32
+    m = pa_output_length(1024, led, 32)
+    assert m == 1024 - 11 - 32
+    assert len(privacy_amplify(data, m, 5)) == m
     with pytest.raises(KeyExhaustedError):
-        privacy_amplify(bits(rng, 40), led, 32, 5)
+        pa_output_length(40, led, 32)
+    for bad in (0, 1025):
+        with pytest.raises(ValueError):
+            privacy_amplify(data, bad, 5)
+
+
+def _dense_check(n, k, seed, data_seed):
+    data = bits(np.random.default_rng(data_seed), n)
+    m = n - k
+    out = privacy_amplify(data, m, seed)
+    seed_bits = np.random.default_rng(seed).integers(0, 2, n - 1,
+                                                     dtype=np.uint8)
+    assert np.array_equal(out, oracles.dense_modified_toeplitz(seed_bits, data, m))
 
 
 def test_privacy_amplify_matches_dense_toeplitz():
-    rng = np.random.default_rng(32)
-    data = bits(rng, 200)
-    led = LeakLedger(disclosed_parity_bits=20)
-    out = privacy_amplify(data, led, 10, 77)
-    m = 200 - 20 - 10
-    seed_bits = np.random.default_rng(77).integers(0, 2, m + 200 - 1,
-                                                   dtype=np.uint8)
-    assert np.array_equal(out, oracles.dense_toeplitz_matvec(seed_bits, data, m))
+    _dense_check(200, 30, 77, 32)
 
 
-def test_privacy_amplify_fft_path_matches_dense():
-    rng = np.random.default_rng(33)
-    n = 4000                      # big enough to take the FFT route
-    data = bits(rng, n)
-    led = LeakLedger(disclosed_parity_bits=100)
-    out = privacy_amplify(data, led, 0, 13)
-    m = n - 100
-    seed_bits = np.random.default_rng(13).integers(0, 2, m + n - 1,
-                                                   dtype=np.uint8)
-    assert np.array_equal(out, oracles.dense_toeplitz_matvec(seed_bits, data, m))
+def test_privacy_amplify_many_shifts_matches_dense():
+    _dense_check(4000, 100, 13, 33)
+
+
+def test_modified_toeplitz_is_universal2():
+    # n = 8, m = 5: over all 2^7 seeds, each nonzero difference collides
+    # for exactly 2^(7-5) seeds unless it lies in the identity part alone,
+    # where it never does.  Collision probability 2^-m, no weaker.
+    n, m = 8, 5
+    seeds = [np.array([(s >> i) & 1 for i in range(n - 1)], dtype=np.uint8)
+             for s in range(2 ** (n - 1))]
+    for d in range(1, 2 ** n):
+        delta = np.array([(d >> i) & 1 for i in range(n)], dtype=np.uint8)
+        zeros = sum(not _modified_toeplitz(s, delta, m).any() for s in seeds)
+        assert zeros == (0 if not delta[m:].any() else 2 ** (n - 1 - m))
 
 
 def test_privacy_amplify_deterministic_and_seed_sensitive():
     rng = np.random.default_rng(34)
     data = bits(rng, 512)
-    led = LeakLedger(disclosed_parity_bits=4)
-    a = privacy_amplify(data, led, 8, 99)
-    b = privacy_amplify(data, led, 8, 99)
-    c = privacy_amplify(data, led, 8, 100)
+    a = privacy_amplify(data, 500, 99)
+    b = privacy_amplify(data, 500, 99)
+    c = privacy_amplify(data, 500, 100)
     assert np.array_equal(a, b)
     assert not np.array_equal(a, c)
 
@@ -290,10 +303,9 @@ def test_privacy_amplify_deterministic_and_seed_sensitive():
 def test_privacy_amplify_monobit():
     rng = np.random.default_rng(35)
     collected = []
-    led = LeakLedger(disclosed_parity_bits=2)
     for seed in range(13):
         data = bits(rng, 8192)
-        collected.append(privacy_amplify(data, led, 0, seed))
+        collected.append(privacy_amplify(data, 8190, seed))
     out = np.concatenate(collected)
     assert len(out) >= 100_000
     ones = float(np.mean(out))

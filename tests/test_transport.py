@@ -238,6 +238,37 @@ def test_socket_channel_closed_midframe():
     ch_b.close()
 
 
+def test_socket_channel_reassembles_large_frame_from_small_pieces():
+    ch_a, ch_b = socket_pair()
+    payload = np.random.default_rng(7).integers(
+        0, 256, 3 << 20, dtype=np.uint8).tobytes()
+    frame = frame_encode(MessageType.KEYBLOCK, payload)
+
+    def trickle():
+        for i in range(0, len(frame), 4093):
+            ch_a._sock.sendall(frame[i:i + 4093])
+
+    sender = threading.Thread(target=trickle, daemon=True)
+    sender.start()
+    try:
+        assert ch_b.recv(timeout=10.0) == (MessageType.KEYBLOCK, payload)
+    finally:
+        sender.join(timeout=10.0)
+        ch_a.close()
+        ch_b.close()
+    assert not sender.is_alive()
+
+
+def test_socket_channel_truncation_reports_byte_count():
+    ch_a, ch_b = socket_pair()
+    frame = frame_encode(MessageType.HELLO, b"abcdef")
+    ch_a._sock.sendall(frame[:-2])
+    ch_a.close()
+    with pytest.raises(TruncatedFrameError, match=r"mid-payload \(4/6 bytes\)"):
+        ch_b.recv()
+    ch_b.close()
+
+
 def test_expect_error_frame_raises():
     from noisepad.transport import expect
 
