@@ -163,15 +163,7 @@ def known_plaintext_attack_noisy(levels, plaintext_bits,
 @dataclass
 class ChainRecovery:
     recovered: list            # (key_index, bits) pairs, amplified when possible
-    recovered_raw: list        # (key_index, bits) pairs before amplification
     gaps: list                 # human-readable reasons recovery stopped
-
-    def as_dict(self) -> dict:
-        return {
-            "recovered": [(i, "".join(map(str, map(int, b))))
-                          for i, b in self.recovered],
-            "gaps": list(self.gaps),
-        }
 
 
 def chain_compromise(transcripts, known_key_index: int, known_key_bits,
@@ -186,7 +178,7 @@ def chain_compromise(transcripts, known_key_index: int, known_key_bits,
     explicit gap entry.
     """
     current = np.asarray(known_key_bits, dtype=np.uint8)
-    recovered, recovered_raw, gaps = [], [], []
+    recovered, gaps = [], []
     records = {r.key_index: r for r in pa_records} if pa_records else {}
     j = known_key_index
     while True:
@@ -202,7 +194,6 @@ def chain_compromise(transcripts, known_key_index: int, known_key_bits,
                         f"K{j - 1} has {len(current)} bits")
             break
         raw = recover_block(t, current, c)
-        recovered_raw.append((j, raw))
         if pa_records:
             rec = records.get(j)
             if rec is None:
@@ -216,7 +207,7 @@ def chain_compromise(transcripts, known_key_index: int, known_key_bits,
         else:
             current = raw
         recovered.append((j, current))
-    return ChainRecovery(recovered, recovered_raw, gaps)
+    return ChainRecovery(recovered, gaps)
 
 
 # ---------------------------------------------------------------------------

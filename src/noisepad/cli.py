@@ -9,6 +9,7 @@ Set NOISEPAD_LOG=debug|info|... for diagnostics on stderr.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import logging
 import os
@@ -16,6 +17,7 @@ import re
 import socket
 import sys
 import threading
+from pathlib import Path
 
 import numpy as np
 
@@ -52,36 +54,41 @@ def _json_out(doc: dict) -> None:
 
 def _k0_bits(args) -> np.ndarray:
     if getattr(args, "k0_file", None):
-        raw = np.frombuffer(open(args.k0_file, "rb").read(), dtype=np.uint8)
+        raw = np.frombuffer(Path(args.k0_file).read_bytes(), dtype=np.uint8)
         return np.unpackbits(raw)
     # Test-only derivation: a seeded generator is NOT a secret shared key.
     return np.random.default_rng([args.k0_seed, 0]).integers(
         0, 2, args.k0_bits, dtype=np.uint8)
 
 
-def _session_params(args) -> protocol.SessionParams:
+def _session_params(args, block_length: int) -> protocol.SessionParams:
     return protocol.SessionParams(
         avg_photon_number=args.n_avg,
         delta_phi=2.0 ** args.delta_phi_exp,
         resolution_bits=args.resolution_bits,
-        block_length=args.k0_bits,
+        block_length=block_length,
         safety_bits=args.safety_bits,
-        reconciliation_block=args.recon_block,
+        reconciliation_block=getattr(args, "recon_block", None),
     )
 
 
-def _add_session_flags(p: argparse.ArgumentParser, k0_default: int = 1024):
+def _add_key_flags(p: argparse.ArgumentParser):
     p.add_argument("--seed", type=int, default=0, help="party seed")
+    p.add_argument("--k0-bits", type=int, default=1024)
+    p.add_argument("--k0-seed", type=int, default=7,
+                   help="derive K0 from a seed (test only, insecure)")
+    p.add_argument("--k0-file", help="read K0 as raw bytes")
+
+
+def _add_session_flags(p: argparse.ArgumentParser, recon_block: bool = True):
+    _add_key_flags(p)
     p.add_argument("--n-avg", type=float, default=1e4)
     p.add_argument("--delta-phi-exp", type=int, default=-30)
     p.add_argument("--resolution-bits", type=int, default=40)
     p.add_argument("--safety-bits", type=int, default=32)
-    p.add_argument("--recon-block", type=int, default=None,
-                   help="parity block size (default: whole key)")
-    p.add_argument("--k0-bits", type=int, default=k0_default)
-    p.add_argument("--k0-seed", type=int, default=7,
-                   help="derive K0 from a seed (test only, insecure)")
-    p.add_argument("--k0-file", help="read K0 as raw bytes")
+    if recon_block:
+        p.add_argument("--recon-block", type=int, default=None,
+                       help="parity block size (default: whole key)")
 
 
 # ---------------------------------------------------------------------------
@@ -166,7 +173,7 @@ def _summary(result: protocol.SessionResult, extra: dict | None = None) -> dict:
         },
         "confirm_tag": result.confirm_tag.hex(),
         "early_stop": result.early_stop,
-        "pa_records": [r.as_dict() for r in result.pa_records],
+        "pa_records": [dataclasses.asdict(r) for r in result.pa_records],
     }
     if extra:
         doc.update(extra)
@@ -174,12 +181,12 @@ def _summary(result: protocol.SessionResult, extra: dict | None = None) -> dict:
 
 
 def cmd_simulate(args) -> int:
+    k0 = _k0_bits(args)
     try:
-        params = _session_params(args)
+        params = _session_params(args, len(k0))
     except ValueError as exc:
         print(f"invalid session parameters: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    k0 = _k0_bits(args)
     progress_fh = open(args.progress_out, "w") if args.progress_out else None
     progress = None
     if progress_fh is not None:
@@ -261,27 +268,15 @@ def cmd_connect(args) -> int:
     k0 = _k0_bits(args)
     host, port = _host_port(args.addr)
     try:
-        params = protocol.SessionParams(
-            avg_photon_number=args.n_avg,
-            delta_phi=2.0 ** args.delta_phi_exp,
-            resolution_bits=args.resolution_bits,
-            block_length=len(k0),
-            safety_bits=args.safety_bits,
-        )
+        params = _session_params(args, len(k0))
     except ValueError as exc:
         print(f"invalid session parameters: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    proposal = params.hello(len(k0))
     sock = socket.create_connection((host, port), timeout=30.0)
     channel = transport.SocketChannel(sock)
     if args.transcript_out:
         transport.record_transcript(channel, args.transcript_out)
-    proposal = transport.HelloParams(
-        avg_photon_number=args.n_avg,
-        delta_phi_exp=args.delta_phi_exp,
-        resolution_bits=args.resolution_bits,
-        block_length=len(k0),
-        safety_bits=args.safety_bits,
-    )
     try:
         transport.handshake(channel, "A", proposal)
         state = protocol.PartyState.create("A", params, k0, args.seed)
@@ -322,8 +317,8 @@ def cmd_attack_basis(args) -> int:
 
 
 def _demo_session(args, cycles: int):
-    params = _session_params(args)
     k0 = _k0_bits(args)
+    params = _session_params(args, len(k0))
     result_a, result_b = protocol.simulate_session(
         params, k0, seed_a=args.seed, seed_b=args.seed + 1, cycles=cycles,
         keep_transcripts=True)
@@ -335,9 +330,9 @@ def _demo_session(args, cycles: int):
 def cmd_attack_kpa(args) -> int:
     if args.ciphertext_file and args.plaintext_file:
         cipher = np.unpackbits(np.frombuffer(
-            open(args.ciphertext_file, "rb").read(), dtype=np.uint8))
+            Path(args.ciphertext_file).read_bytes(), dtype=np.uint8))
         plain = np.unpackbits(np.frombuffer(
-            open(args.plaintext_file, "rb").read(), dtype=np.uint8))
+            Path(args.plaintext_file).read_bytes(), dtype=np.uint8))
         recovered = attacker.known_plaintext_attack(cipher, plain)
         report = attacker.AttackReport(
             symbols_observed=0,
@@ -371,7 +366,7 @@ def cmd_attack_chain(args) -> int:
         c = Constellation(2.0 ** args.delta_phi_exp, args.resolution_bits)
         transcripts = attacker.load_transcripts(args.transcript,
                                                 args.resolution_bits)
-        record = json.load(open(args.session_record))
+        record = json.loads(Path(args.session_record).read_text())
         pa_records = [protocol.PaRecord.from_dict(d)
                       for d in record["pa_records"]]
         raw = bytes.fromhex(args.known_key_hex)
@@ -431,7 +426,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.set_defaults(fn=cmd_surface)
 
-    p = sub.add_parser("simulate", help="two-party session over a loopback wire")
+    p = sub.add_parser("simulate", help="two-party session in one process")
     _add_session_flags(p)
     p.add_argument("--cycles", type=int, default=10)
     p.add_argument("--transcript-out")
@@ -439,7 +434,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_simulate)
 
     p = sub.add_parser("serve", help="accept sessions on a socket")
-    _add_session_flags(p)
+    _add_key_flags(p)
     p.add_argument("--listen", default="127.0.0.1:0", help="host:port")
     p.add_argument("--once", action="store_true",
                    help="handle one session and exit")
@@ -447,7 +442,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_serve)
 
     p = sub.add_parser("connect", help="run a session against a server")
-    _add_session_flags(p)
+    _add_session_flags(p, recon_block=False)
     p.add_argument("--addr", required=True, help="host:port")
     p.add_argument("--cycles", type=int, default=10)
     p.add_argument("--transcript-out")

@@ -12,6 +12,11 @@ bits pay for disclosed parities, the statistical basis leak, and a safety
 margin), so a chain eventually exhausts and a fresh shared seed must
 restart the process.  All party randomness is drawn from seeded generators
 standing in for physical entropy sources.
+
+Each party's half of the dialogue is a sans-I/O core (see transport): it
+yields frames to send or RECV, and one core serves both roles.  run_session
+drives it over a channel; simulate_session and run_cycle step role B's core
+behind a transport.PeerChannel, so both parties share one thread.
 """
 
 from __future__ import annotations
@@ -19,7 +24,6 @@ from __future__ import annotations
 import hashlib
 import math
 import struct
-import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -40,7 +44,6 @@ A_TO_B = 0
 B_TO_A = 1
 
 TAG_BITS = 256
-WORKER_JOIN_TIMEOUT = 60.0
 
 _PA_SEED = struct.Struct(">IBQQ")
 _BULK_REQ = struct.Struct(">BBI")
@@ -99,6 +102,16 @@ class SessionParams:
     @property
     def per_symbol_leak(self) -> float:
         return analysis.entropy_leak(self.coherent, self.delta_phi) - 0.5
+
+    def hello(self, block_length: int) -> transport.HelloParams:
+        """The HELLO proposal for this operating point; needs delta_phi = 2**k."""
+        exp = round(math.log2(self.delta_phi))
+        if 2.0 ** exp != self.delta_phi:
+            raise ProtocolError("wire sessions carry delta_phi as a power-of-two "
+                                "exponent; use delta_phi = 2**k")
+        return transport.HelloParams(self.avg_photon_number, exp,
+                                     self.resolution_bits, block_length,
+                                     self.safety_bits)
 
 
 @dataclass
@@ -236,14 +249,36 @@ def _digest(bits: np.ndarray) -> bytes:
     return hashlib.sha256(np.packbits(bits).tobytes()).digest()
 
 
+def _unpack(fmt: struct.Struct, payload: bytes, what: str) -> tuple:
+    if len(payload) != fmt.size:
+        raise ProtocolError(
+            f"{what} needs {fmt.size} bytes, peer sent {len(payload)}")
+    return fmt.unpack(payload)
+
+
+def _unpack_mask(payload: bytes, count: int, what: str) -> np.ndarray:
+    if len(payload) != (count + 7) // 8:
+        raise ProtocolError(
+            f"{what} needs {(count + 7) // 8} bytes for {count} parities, "
+            f"peer sent {len(payload)}")
+    return np.unpackbits(np.frombuffer(payload, dtype=np.uint8), count=count)
+
+
 def reconcile_receiver(bits, channel: Channel, params: SessionParams,
                        ledger: LeakLedger, perm_seed: int) -> np.ndarray:
-    """Correct this side's candidate bits toward the sender's reference.
+    """Run reconcile_receiver_core over a channel."""
+    return transport.drive(
+        reconcile_receiver_core(bits, params, ledger, perm_seed), channel)
+
+
+def reconcile_receiver_core(bits, params: SessionParams, ledger: LeakLedger,
+                            perm_seed: int):
+    """Core: correct this side's candidate bits toward the sender's reference.
 
     One sequential parity pass, one pass over a seed-keyed public
     permutation, single-bit binary-search correction inside mismatched
     blocks, then a digest check.  Every parity that crosses the wire
-    increments the ledger.
+    increments the ledger.  Returns the corrected bits.
     """
     bits = _as_bits(bits).copy()
     n = len(bits)
@@ -251,30 +286,30 @@ def reconcile_receiver(bits, channel: Channel, params: SessionParams,
     for pass_id, order in enumerate(_pass_orders(n, perm_seed)):
         mine = _block_parities(bits, order, rb)
         nblocks = len(mine)
-        channel.send(MessageType.PARITY_REQ,
-                     _BULK_REQ.pack(_SUB_BULK, pass_id, nblocks) +
-                     np.packbits(mine).tobytes())
+        yield (MessageType.PARITY_REQ,
+               _BULK_REQ.pack(_SUB_BULK, pass_id, nblocks) +
+               np.packbits(mine).tobytes())
         ledger.add_parities(nblocks)
-        _, payload = expect(channel, MessageType.PARITY_RESP)
-        mismatch = np.unpackbits(
-            np.frombuffer(payload, dtype=np.uint8), count=nblocks)
+        _, payload = yield from expect(MessageType.PARITY_RESP)
+        mismatch = _unpack_mask(payload, nblocks, "bulk parity reply")
         for bi in np.flatnonzero(mismatch):
             lo = int(bi) * rb
             hi = min(lo + rb, n)
             while hi - lo > 1:
                 half = (hi - lo) // 2
-                channel.send(MessageType.PARITY_REQ,
-                             _PROBE_REQ.pack(_SUB_PROBE, pass_id, lo, half))
+                yield (MessageType.PARITY_REQ,
+                       _PROBE_REQ.pack(_SUB_PROBE, pass_id, lo, half))
                 ledger.add_parities(1)
-                _, resp = expect(channel, MessageType.PARITY_RESP)
-                theirs = resp[0]
-                if _parity(bits, order[lo:lo + half]) != theirs:
+                _, resp = yield from expect(MessageType.PARITY_RESP)
+                if resp not in (b"\x00", b"\x01"):
+                    raise ProtocolError("probe reply is not one parity byte")
+                if _parity(bits, order[lo:lo + half]) != resp[0]:
                     hi = lo + half
                 else:
                     lo = lo + half
             bits[order[lo]] ^= 1
-    channel.send(MessageType.PARITY_REQ, bytes([_SUB_VERIFY]) + _digest(bits))
-    _, resp = expect(channel, MessageType.PARITY_RESP)
+    yield MessageType.PARITY_REQ, bytes([_SUB_VERIFY]) + _digest(bits)
+    _, resp = yield from expect(MessageType.PARITY_RESP)
     if resp != b"\x01":
         raise ReconciliationError("keys still differ after both passes")
     return bits
@@ -282,36 +317,51 @@ def reconcile_receiver(bits, channel: Channel, params: SessionParams,
 
 def reconcile_sender(bits, channel: Channel, params: SessionParams,
                      ledger: LeakLedger, perm_seed: int) -> None:
-    """Answer the receiver's parity queries against the reference bits."""
+    """Run reconcile_sender_core over a channel."""
+    transport.drive(reconcile_sender_core(bits, params, ledger, perm_seed),
+                    channel)
+
+
+def reconcile_sender_core(bits, params: SessionParams, ledger: LeakLedger,
+                          perm_seed: int):
+    """Core: answer the receiver's parity queries against the reference bits.
+
+    Returns the reference bits once the receiver's digest matches them.
+    """
     bits = _as_bits(bits)
     n = len(bits)
     rb = min(params.reconciliation_block, n)
     orders = _pass_orders(n, perm_seed)
     while True:
-        _, payload = expect(channel, MessageType.PARITY_REQ)
-        sub = payload[0]
+        _, payload = yield from expect(MessageType.PARITY_REQ)
+        sub = payload[0] if payload else None
         if sub == _SUB_BULK:
-            _, pass_id, nblocks = _BULK_REQ.unpack_from(payload)
-            theirs = np.unpackbits(
-                np.frombuffer(payload[_BULK_REQ.size:], dtype=np.uint8),
-                count=nblocks)
+            _, pass_id, nblocks = _unpack(
+                _BULK_REQ, payload[:_BULK_REQ.size], "bulk parity request")
+            if pass_id >= len(orders):
+                raise ProtocolError(f"unknown parity pass {pass_id}")
             mine = _block_parities(bits, orders[pass_id], rb)
             if len(mine) != nblocks:
                 raise ProtocolError("parity block count mismatch")
+            theirs = _unpack_mask(payload[_BULK_REQ.size:], nblocks,
+                                  "bulk parity request")
             ledger.add_parities(nblocks)
             mask = (mine != theirs).astype(np.uint8)
-            channel.send(MessageType.PARITY_RESP, np.packbits(mask).tobytes())
+            yield MessageType.PARITY_RESP, np.packbits(mask).tobytes()
         elif sub == _SUB_PROBE:
-            _, pass_id, lo, half = _PROBE_REQ.unpack(payload)
+            _, pass_id, lo, half = _unpack(_PROBE_REQ, payload, "parity probe")
+            if pass_id >= len(orders) or half < 1 or lo + half > n:
+                raise ProtocolError(
+                    f"parity probe ({pass_id}, {lo}, {half}) is out of range")
             ledger.add_parities(1)
             par = _parity(bits, orders[pass_id][lo:lo + half])
-            channel.send(MessageType.PARITY_RESP, bytes([par]))
+            yield MessageType.PARITY_RESP, bytes([par])
         elif sub == _SUB_VERIFY:
             ok = payload[1:] == _digest(bits)
-            channel.send(MessageType.PARITY_RESP, b"\x01" if ok else b"\x00")
+            yield MessageType.PARITY_RESP, b"\x01" if ok else b"\x00"
             if not ok:
                 raise ReconciliationError("keys still differ after both passes")
-            return
+            return bits
         else:
             raise ProtocolError(f"unknown reconciliation subtype {sub}")
 
@@ -427,16 +477,6 @@ class PaRecord:
     pa_seed: int
     output_bits: int
 
-    def as_dict(self) -> dict:
-        return {
-            "key_index": self.key_index,
-            "cycle_index": self.cycle_index,
-            "direction": self.direction,
-            "perm_seed": self.perm_seed,
-            "pa_seed": self.pa_seed,
-            "output_bits": self.output_bits,
-        }
-
     @classmethod
     def from_dict(cls, d: dict) -> "PaRecord":
         return cls(d["key_index"], d["cycle_index"], d["direction"],
@@ -460,66 +500,55 @@ class SessionResult:
         return self.chain.total_delivered() / k0
 
 
-def _fresh_tip(state: PartyState) -> ChainKey:
+def _direction(state: PartyState, cycle_index: int, direction: int,
+               keyblock: bytes | None = None):
+    """Core of one direction of a cycle, for the party at either end.
+
+    The direction's sender masks fresh bits under its chain tip and answers
+    the parity dialogue; the receiver decodes the block (`keyblock`, if
+    already received) with its tip and drives the dialogue.  Both charge
+    the ledger, amplify and append the new key.  Returns (transcript, key,
+    PaRecord).
+    """
+    params = state.params
     tip = state.chain.tip
     if tip.used_as_basis:
         raise KeyExhaustedError(
             "key chain exhausted: every key has served as basis material")
-    return tip
-
-
-def _send_direction(state: PartyState, channel: Channel, cycle_index: int,
-                    direction: int):
-    params = state.params
-    tip = _fresh_tip(state)
-    n = len(tip.bits)
-    fresh = state.fresh_rng.integers(0, 2, n, dtype=np.uint8)
-    t = send_block(fresh, tip, params, state.noise, cycle_index, direction)
-    transport.send_keyblock(channel, cycle_index, t.symbols, params.resolution_bits)
-    perm_seed = int(state.pub_rng.integers(0, 2 ** 63))
-    pa_seed = int(state.pub_rng.integers(0, 2 ** 63))
-    channel.send(MessageType.PA_SEED,
-                 _PA_SEED.pack(cycle_index, direction, perm_seed, pa_seed))
+    if (state.role == "A") == (direction == A_TO_B):
+        bits = state.fresh_rng.integers(0, 2, len(tip.bits), dtype=np.uint8)
+        t = send_block(bits, tip, params, state.noise, cycle_index, direction)
+        yield (MessageType.KEYBLOCK, transport.pack_keyblock(
+            cycle_index, t.symbols, params.resolution_bits))
+        perm_seed = int(state.pub_rng.integers(0, 2 ** 63))
+        pa_seed = int(state.pub_rng.integers(0, 2 ** 63))
+        yield (MessageType.PA_SEED,
+               _PA_SEED.pack(cycle_index, direction, perm_seed, pa_seed))
+        reconcile = reconcile_sender_core
+    else:
+        got_cycle, levels = yield from transport.recv_keyblock(
+            params.resolution_bits, len(tip.bits), keyblock)
+        if got_cycle != cycle_index:
+            raise ProtocolError(
+                f"expected cycle {cycle_index}, peer sent {got_cycle}")
+        t = BlockTranscript(direction, levels, got_cycle)
+        bits = recover_block(t, state.chain.use_as_basis(tip),
+                             params.constellation)
+        _, payload = yield from expect(MessageType.PA_SEED)
+        seed_cycle, seed_dir, perm_seed, pa_seed = _unpack(
+            _PA_SEED, payload, "PA_SEED")
+        if seed_cycle != cycle_index or seed_dir != direction:
+            raise ProtocolError("PA_SEED frame does not match the current block")
+        reconcile = reconcile_receiver_core
     delta = LeakLedger()
-    delta.add_symbols(n, params.per_symbol_leak)
-    reconcile_sender(fresh, channel, params, delta, perm_seed)
+    delta.add_symbols(len(bits), params.per_symbol_leak)
+    bits = yield from reconcile(bits, params, delta, perm_seed)
     state.ledger.merge(delta)
     new_bits = privacy_amplify(
-        fresh, pa_output_length(n, delta, params.safety_bits), pa_seed)
+        bits, pa_output_length(len(bits), delta, params.safety_bits), pa_seed)
     key = state.chain.append(new_bits)
-    record = PaRecord(key.index, cycle_index, direction, perm_seed, pa_seed,
-                      len(new_bits))
-    return t, key, record
-
-
-def _recv_direction(state: PartyState, channel: Channel, cycle_index: int,
-                    direction: int, keyblock_payload: bytes | None = None):
-    params = state.params
-    tip = _fresh_tip(state)
-    basis_bits = state.chain.use_as_basis(tip)
-    got_cycle, levels = transport.recv_keyblock(
-        channel, params.resolution_bits, expected_count=len(basis_bits),
-        payload=keyblock_payload)
-    if got_cycle != cycle_index:
-        raise ProtocolError(
-            f"expected cycle {cycle_index}, peer sent {got_cycle}")
-    t = BlockTranscript(direction, levels, got_cycle)
-    candidate = recover_block(t, basis_bits, params.constellation)
-    _, payload = expect(channel, MessageType.PA_SEED)
-    seed_cycle, seed_dir, perm_seed, pa_seed = _PA_SEED.unpack(payload)
-    if seed_cycle != cycle_index or seed_dir != direction:
-        raise ProtocolError("PA_SEED frame does not match the current block")
-    delta = LeakLedger()
-    delta.add_symbols(len(levels), params.per_symbol_leak)
-    corrected = reconcile_receiver(candidate, channel, params, delta, perm_seed)
-    state.ledger.merge(delta)
-    new_bits = privacy_amplify(
-        corrected, pa_output_length(len(corrected), delta, params.safety_bits),
-        pa_seed)
-    key = state.chain.append(new_bits)
-    record = PaRecord(key.index, cycle_index, direction, perm_seed, pa_seed,
-                      len(new_bits))
-    return t, key, record
+    return t, key, PaRecord(key.index, cycle_index, direction, perm_seed,
+                            pa_seed, len(new_bits))
 
 
 def _confirm_message(state: PartyState, cycles_completed: int) -> bytes:
@@ -541,17 +570,27 @@ def _confirm_tag(state: PartyState, cycles_completed: int) -> bytes:
 
 def run_session(channel: Channel, state: PartyState, cycles: int | None = None,
                 progress=None, keep_transcripts: bool = False) -> SessionResult:
-    """Run all distribution cycles plus the confirmation exchange.
+    """Run session_core over a channel."""
+    return transport.drive(
+        session_core(state, cycles, progress, keep_transcripts), channel)
+
+
+def session_core(state: PartyState, cycles: int | None = None, progress=None,
+                 keep_transcripts: bool = False):
+    """Core: all distribution cycles plus the confirmation exchange.
 
     The initiator (role A) drives `cycles` cycles; the responder follows
     the peer's frames.  Key exhaustion stops cycling early on both sides
-    and is reported, not raised.
+    and is reported, not raised.  Returns a SessionResult.
     """
+    initiator = state.role == "A"
+    if initiator and cycles is None:
+        raise ValueError("initiator needs an explicit cycle count")
     delivered = []
     pa_records = []
     transcripts = [] if keep_transcripts else None
-    early_stop = None
-    cycles_completed = 0
+    early_stop = peer_tag = None
+    cycle_index = cycles_completed = 0
 
     def note(t, key, record):
         if transcripts is not None:
@@ -559,46 +598,36 @@ def run_session(channel: Channel, state: PartyState, cycles: int | None = None,
         pa_records.append(record)
         return key
 
-    if state.role == "A":
-        if cycles is None:
-            raise ValueError("initiator needs an explicit cycle count")
-        for cycle_index in range(1, cycles + 1):
-            try:
-                k1 = note(*_send_direction(state, channel, cycle_index, A_TO_B))
-                k2 = note(*_recv_direction(state, channel, cycle_index, B_TO_A))
-            except KeyExhaustedError as exc:
-                early_stop = str(exc)
+    while True:
+        keyblock = None
+        if initiator:
+            if early_stop is not None or cycle_index >= cycles:
                 break
-            cycles_completed = cycle_index
-            delivered.append((len(k1.bits), len(k2.bits)))
-            if progress is not None:
-                progress(_progress_record(state, cycle_index, k1, k2))
-        tag = _confirm_tag(state, cycles_completed)
-        channel.send(MessageType.CONFIRM, tag)
-        _, peer_tag = expect(channel, MessageType.CONFIRM)
-    else:
-        peer_tag = None
-        while True:
-            msg_type, payload = expect(
-                channel, MessageType.KEYBLOCK, MessageType.CONFIRM)
+            cycle_index += 1
+        else:
+            msg_type, keyblock = yield from expect(
+                MessageType.KEYBLOCK, MessageType.CONFIRM)
             if msg_type == MessageType.CONFIRM:
-                peer_tag = payload
+                peer_tag = keyblock
                 break
-            cycle_index = struct.unpack_from(">I", payload)[0]
-            try:
-                k1 = note(*_recv_direction(state, channel, cycle_index, A_TO_B,
-                                           keyblock_payload=payload))
-                k2 = note(*_send_direction(state, channel, cycle_index, B_TO_A))
-            except KeyExhaustedError as exc:
-                early_stop = str(exc)
-                continue
-            cycles_completed = cycle_index
-            delivered.append((len(k1.bits), len(k2.bits)))
-            if progress is not None:
-                progress(_progress_record(state, cycle_index, k1, k2))
-        tag = _confirm_tag(state, cycles_completed)
-        channel.send(MessageType.CONFIRM, tag)
+            if len(keyblock) < 4:
+                raise ProtocolError("KEYBLOCK payload shorter than its cycle index")
+            cycle_index = struct.unpack_from(">I", keyblock)[0]
+        try:
+            k1 = note(*(yield from _direction(state, cycle_index, A_TO_B, keyblock)))
+            k2 = note(*(yield from _direction(state, cycle_index, B_TO_A)))
+        except KeyExhaustedError as exc:
+            early_stop = str(exc)
+            continue
+        cycles_completed = cycle_index
+        delivered.append((len(k1.bits), len(k2.bits)))
+        if progress is not None:
+            progress(_progress_record(state, cycle_index, k1, k2))
 
+    tag = _confirm_tag(state, cycles_completed)
+    yield MessageType.CONFIRM, tag
+    if initiator:
+        _, peer_tag = yield from expect(MessageType.CONFIRM)
     if peer_tag != tag:
         raise ConfirmMismatchError(
             "peers computed different session confirmation tags")
@@ -626,98 +655,58 @@ def _progress_record(state: PartyState, cycle_index: int, k1: ChainKey,
     }
 
 
-class _Worker(threading.Thread):
-    """Run a callable, capturing its result or exception."""
-
-    def __init__(self, fn):
-        super().__init__(daemon=True)
-        self._fn = fn
-        self.result = None
-        self.error = None
-
-    def run(self):
-        try:
-            self.result = self._fn()
-        except BaseException as exc:  # noqa: BLE001 - reraised in the caller
-            self.error = exc
-
-
-def run_cycle(state_a: PartyState, state_b: PartyState,
-              params: SessionParams | None = None):
+def run_cycle(state_a: PartyState, state_b: PartyState):
     """Run one in-process distribution cycle between two party states.
 
     Returns the two freshly delivered key bit arrays (A->B, B->A).
     """
-    if params is not None and params != state_a.params:
-        raise ValueError("params must match the party states")
     if state_a.params != state_b.params:
         raise ValueError("parties disagree on session parameters")
-    for state in (state_a, state_b):
-        if state.chain.tip.used_as_basis:
-            raise KeyExhaustedError(
-                "key chain exhausted: every key has served as basis material")
-    ch_a, ch_b = transport.LoopbackChannel.pair()
     cycle_index = (len(state_a.chain.keys) + 1) // 2
 
-    def b_side():
-        _, k1, _ = _recv_direction(state_b, ch_b, cycle_index, A_TO_B)
-        _, k2, _ = _send_direction(state_b, ch_b, cycle_index, B_TO_A)
-        return k1, k2
+    def cycle(state):
+        _, k1, _ = yield from _direction(state, cycle_index, A_TO_B)
+        _, k2, _ = yield from _direction(state, cycle_index, B_TO_A)
+        return k1.bits, k2.bits
 
-    worker = _Worker(b_side)
-    worker.start()
-    try:
-        _, key1, _ = _send_direction(state_a, ch_a, cycle_index, A_TO_B)
-        _, key2, _ = _recv_direction(state_a, ch_a, cycle_index, B_TO_A)
-    finally:
-        worker.join(timeout=WORKER_JOIN_TIMEOUT)
-    if worker.error is not None:
-        raise worker.error
-    return key1.bits, key2.bits
+    channel = transport.PeerChannel(cycle(state_b))
+    keys = transport.drive(cycle(state_a), channel)
+    if channel.error is not None:
+        raise channel.error
+    return keys
 
 
 def simulate_session(params: SessionParams, k0_bits, seed_a: int, seed_b: int,
                      cycles: int, transcript_path=None, progress=None,
                      keep_transcripts: bool = False):
-    """Drive a full two-party session over an in-process loopback wire.
+    """Drive a full two-party session in process, on the calling thread.
 
     Returns (result_a, result_b).  The handshake, key blocks, parity
-    dialogue and confirmation all cross the loopback exactly as they would
-    a socket; a transcript tap may record the eavesdropper's view.
+    dialogue and confirmation cross a PeerChannel as framed bytes exactly
+    as they would a socket; a transcript tap may record the eavesdropper's
+    view.
     """
-    exp = round(math.log2(params.delta_phi))
-    if 2.0 ** exp != params.delta_phi:
-        raise ProtocolError("wire sessions carry delta_phi as a power-of-two "
-                            "exponent; use delta_phi = 2**k")
     k0 = _as_bits(k0_bits)
-    proposal = transport.HelloParams(
-        avg_photon_number=params.avg_photon_number,
-        delta_phi_exp=exp,
-        resolution_bits=params.resolution_bits,
-        block_length=len(k0),
-        safety_bits=params.safety_bits,
-    )
-    ch_a, ch_b = transport.LoopbackChannel.pair()
+    proposal = params.hello(len(k0))
+
+    def role_b():
+        yield from transport.handshake_core("B", expected_block_length=len(k0))
+        state_b = PartyState.create("B", params, k0, seed_b)
+        return (yield from session_core(state_b, keep_transcripts=keep_transcripts))
+
+    channel = transport.PeerChannel(role_b())
     tap = None
     if transcript_path is not None:
-        tap = transport.record_transcript(ch_a, transcript_path)
-
-    def b_side():
-        transport.handshake(ch_b, "B", expected_block_length=len(k0))
-        state_b = PartyState.create("B", params, k0, seed_b)
-        return run_session(ch_b, state_b, keep_transcripts=keep_transcripts)
-
-    worker = _Worker(b_side)
-    worker.start()
+        tap = transport.record_transcript(channel, transcript_path)
     try:
-        transport.handshake(ch_a, "A", proposal)
+        transport.handshake(channel, "A", proposal)
         state_a = PartyState.create("A", params, k0, seed_a)
-        result_a = run_session(ch_a, state_a, cycles=cycles, progress=progress,
+        result_a = run_session(channel, state_a, cycles=cycles,
+                               progress=progress,
                                keep_transcripts=keep_transcripts)
     finally:
-        worker.join(timeout=WORKER_JOIN_TIMEOUT)
         if tap is not None:
             tap.close()
-    if worker.error is not None:
-        raise worker.error
-    return result_a, worker.result
+    if channel.error is not None:
+        raise channel.error
+    return result_a, channel.result

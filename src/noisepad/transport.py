@@ -12,14 +12,20 @@ Packed symbol levels inside KEYBLOCK payloads are little-endian
 (ceil(R/8) bytes per symbol, see encode.pack_levels); everything else on
 the wire is big-endian.  The channel is deliberately open: no encryption
 beyond the protocol itself.
+
+Each frame exchange is written once, as a generator *core* that does no
+I/O: it yields `(msg_type, payload)` to send a frame, or `RECV` to get the
+next received `(msg_type, payload)` back, and returns its result.
+`drive(core, channel)` runs a core over a blocking channel (a socket);
+`PeerChannel(peer_core)` steps the peer's core in process instead.
 """
 
 from __future__ import annotations
 
-import queue
 import socket
 import struct
 import threading
+from collections import deque
 from dataclasses import dataclass
 from enum import IntEnum
 
@@ -47,6 +53,9 @@ DEFAULT_TIMEOUT = 30.0
 
 _HEADER = struct.Struct(">4sBBI")
 _HELLO = struct.Struct(">dbBIH")
+
+RECV = object()
+"""Yielded by a core to receive a frame; the driver sends back (msg_type, payload)."""
 
 
 class MessageType(IntEnum):
@@ -79,10 +88,8 @@ def frame_decode(buf: bytes) -> tuple[int, bytes]:
     return msg_type, payload
 
 
-def _decode_at(buf: bytes, offset: int) -> tuple[int, bytes, bytes]:
-    if len(buf) - offset < HEADER_LEN:
-        raise TruncatedFrameError(
-            f"need {HEADER_LEN} header bytes, have {len(buf) - offset}")
+def _parse_header(buf: bytes, offset: int = 0) -> tuple[int, int]:
+    """(msg_type, payload length) of the header at offset, checked."""
     magic, version, msg_type, length = _HEADER.unpack_from(buf, offset)
     if magic != MAGIC:
         raise BadMagicError(f"bad magic {magic!r}")
@@ -90,6 +97,14 @@ def _decode_at(buf: bytes, offset: int) -> tuple[int, bytes, bytes]:
         raise BadVersionError(f"unsupported version {version:#04x}")
     if length > MAX_PAYLOAD:
         raise OversizeFrameError(f"declared payload of {length} bytes")
+    return msg_type, length
+
+
+def _decode_at(buf: bytes, offset: int) -> tuple[int, bytes, bytes]:
+    if len(buf) - offset < HEADER_LEN:
+        raise TruncatedFrameError(
+            f"need {HEADER_LEN} header bytes, have {len(buf) - offset}")
+    msg_type, length = _parse_header(buf, offset)
     end = offset + HEADER_LEN + length
     if len(buf) < end:
         raise TruncatedFrameError(
@@ -177,30 +192,46 @@ class Channel:
         pass
 
 
-class LoopbackChannel(Channel):
-    """In-process channel endpoint; create both ends with pair()."""
+class PeerChannel(Channel):
+    """In-process channel whose far end is a core, stepped on the caller's thread.
 
-    def __init__(self, inbox: queue.SimpleQueue, outbox: queue.SimpleQueue):
+    Each frame sent here runs the peer core until it waits for its next
+    frame; the frames it yields pass through the Channel.send of its own
+    end and queue up for recv.  Its result lands on .result, an exception
+    it raised on .error, and frames sent to a stopped peer are dropped.
+    """
+
+    def __init__(self, peer_core):
         super().__init__()
-        self._inbox = inbox
-        self._outbox = outbox
+        self._inbox: deque = deque()
+        self.peer_end = Channel()   # carries the peer's frames into the inbox
+        self.peer_end._send_frame = self._inbox.append
+        self.result = None
+        self.error: Exception | None = None
+        self._core = peer_core
+        self._step(None)
 
-    @classmethod
-    def pair(cls) -> tuple["LoopbackChannel", "LoopbackChannel"]:
-        a_to_b: queue.SimpleQueue = queue.SimpleQueue()
-        b_to_a: queue.SimpleQueue = queue.SimpleQueue()
-        return cls(b_to_a, a_to_b), cls(a_to_b, b_to_a)
+    def _step(self, received) -> None:
+        try:
+            step = self._core.send(received)
+            while step is not RECV:
+                self.peer_end.send(*step)
+                step = next(self._core)
+        except StopIteration as done:
+            self._core, self.result = None, done.value
+        except Exception as exc:  # noqa: BLE001 - the caller re-raises .error
+            self._core, self.error = None, exc
 
     def _send_frame(self, frame: bytes) -> None:
-        self._outbox.put(frame)
+        if self._core is not None:
+            msg_type, payload, _ = _decode_at(frame, 0)
+            self._step((msg_type, payload))
 
     def _recv_frame(self, timeout: float):
-        try:
-            frame = self._inbox.get(timeout=timeout)
-        except queue.Empty:
-            raise ChannelError("loopback receive timed out") from None
-        msg_type, payload, raw = _decode_at(frame, 0)
-        return msg_type, payload, raw
+        if not self._inbox:   # no wait: nothing else can queue a frame
+            state = "has stopped" if self._core is None else "is waiting too"
+            raise ChannelError(f"no frame queued: the peer {state}") from self.error
+        return _decode_at(self._inbox.popleft(), 0)
 
 
 class SocketChannel(Channel):
@@ -237,13 +268,7 @@ class SocketChannel(Channel):
     def _recv_frame(self, timeout: float):
         self._sock.settimeout(timeout)
         header = self._read_exact(HEADER_LEN, "header")
-        magic, version, msg_type, length = _HEADER.unpack(header)
-        if magic != MAGIC:
-            raise BadMagicError(f"bad magic {magic!r}")
-        if version != VERSION:
-            raise BadVersionError(f"unsupported version {version:#04x}")
-        if length > MAX_PAYLOAD:
-            raise OversizeFrameError(f"declared payload of {length} bytes")
+        msg_type, length = _parse_header(header)
         payload = self._read_exact(length, "payload") if length else b""
         return msg_type, payload, header + payload
 
@@ -261,19 +286,32 @@ def record_transcript(channel: Channel, path) -> TranscriptTap:
     return tap
 
 
-def expect(channel: Channel, *want: int) -> tuple[int, bytes]:
-    """Receive a frame, requiring one of the given types.
+def drive(core, channel: Channel):
+    """Run a core to its end over a blocking channel; returns its result."""
+    try:
+        step = next(core)
+        while True:
+            if step is RECV:
+                step = core.send(channel.recv())
+            else:
+                channel.send(*step)
+                step = next(core)
+    except StopIteration as done:
+        return done.value
+
+
+def expect(*want: int):
+    """Core: receive a frame, requiring one of the given types.
 
     A peer ERROR frame raises ProtocolError with the peer's message; any
     other unexpected type is answered with an ERROR frame and raised.
     """
-    msg_type, payload = channel.recv()
+    msg_type, payload = yield RECV
     if msg_type == MessageType.ERROR:
         raise ProtocolError(
             f"peer reported error: {payload.decode('utf-8', 'replace')}")
     if msg_type not in want:
-        channel.send(MessageType.ERROR,
-                     f"unexpected frame type {msg_type:#04x}".encode())
+        yield MessageType.ERROR, f"unexpected frame type {msg_type:#04x}".encode()
         raise ProtocolError(f"unexpected frame type {msg_type:#04x}")
     return msg_type, payload
 
@@ -330,16 +368,24 @@ def _check_proposal(p: HelloParams, expected_block_length: int | None,
 def handshake(channel: Channel, role: str, proposal: HelloParams | None = None,
               expected_block_length: int | None = None,
               ratio: float = 8.0) -> HelloParams:
-    """Negotiate session parameters; initiator proposes, responder validates.
+    """Negotiate session parameters over a channel; see handshake_core."""
+    return drive(handshake_core(role, proposal, expected_block_length, ratio),
+                 channel)
 
-    Raises HandshakeError when the responder (or this side, as responder)
-    rejects the proposal.
+
+def handshake_core(role: str, proposal: HelloParams | None = None,
+                   expected_block_length: int | None = None,
+                   ratio: float = 8.0):
+    """Core: the initiator proposes, the responder validates.
+
+    Returns the agreed HelloParams.  Raises HandshakeError when the
+    responder (or this side, as responder) rejects the proposal.
     """
     if role == "A":
         if proposal is None:
             raise ValueError("initiator needs a proposal")
-        channel.send(MessageType.HELLO, pack_hello(proposal))
-        msg_type, payload = channel.recv()
+        yield MessageType.HELLO, pack_hello(proposal)
+        msg_type, payload = yield RECV
         if msg_type == MessageType.ERROR:
             raise HandshakeError(
                 f"peer rejected session: {payload.decode('utf-8', 'replace')}")
@@ -347,13 +393,13 @@ def handshake(channel: Channel, role: str, proposal: HelloParams | None = None,
             raise ProtocolError(f"expected HELLO_ACK, got {msg_type:#04x}")
         return proposal
     if role == "B":
-        _, payload = expect(channel, MessageType.HELLO)
+        _, payload = yield from expect(MessageType.HELLO)
         offered = unpack_hello(payload)
         reason = _check_proposal(offered, expected_block_length, ratio)
         if reason is not None:
-            channel.send(MessageType.ERROR, reason.encode())
+            yield MessageType.ERROR, reason.encode()
             raise HandshakeError(f"rejected peer session: {reason}")
-        channel.send(MessageType.HELLO_ACK)
+        yield MessageType.HELLO_ACK, b""
         return offered
     raise ValueError(f"role must be 'A' or 'B', got {role!r}")
 
@@ -370,7 +416,10 @@ def unpack_keyblock(payload: bytes, resolution_bits: int):
     if len(payload) < 4:
         raise ProtocolError("KEYBLOCK payload shorter than its cycle index")
     cycle_index = struct.unpack_from(">I", payload)[0]
-    return cycle_index, unpack_levels(payload[4:], resolution_bits)
+    try:
+        return cycle_index, unpack_levels(payload[4:], resolution_bits)
+    except ValueError as exc:
+        raise ProtocolError(f"KEYBLOCK levels: {exc}") from exc
 
 
 def send_keyblock(channel: Channel, cycle_index: int, levels,
@@ -379,16 +428,15 @@ def send_keyblock(channel: Channel, cycle_index: int, levels,
                  pack_keyblock(cycle_index, levels, resolution_bits))
 
 
-def recv_keyblock(channel: Channel, resolution_bits: int,
-                  expected_count: int | None = None,
+def recv_keyblock(resolution_bits: int, expected_count: int | None = None,
                   payload: bytes | None = None):
-    """Receive (or parse an already-received) KEYBLOCK payload."""
+    """Core: receive (or parse an already-received) KEYBLOCK payload."""
     if payload is None:
-        _, payload = expect(channel, MessageType.KEYBLOCK)
+        _, payload = yield from expect(MessageType.KEYBLOCK)
     cycle_index, levels = unpack_keyblock(payload, resolution_bits)
     if expected_count is not None and len(levels) != expected_count:
-        channel.send(MessageType.ERROR,
-                     f"expected {expected_count} symbols, got {len(levels)}".encode())
+        yield (MessageType.ERROR,
+               f"expected {expected_count} symbols, got {len(levels)}".encode())
         raise ProtocolError(
             f"keyblock carries {len(levels)} symbols, expected {expected_count}")
     return cycle_index, levels

@@ -97,6 +97,17 @@ def test_simulate_rejects_bad_operating_point():
     assert "operating condition" in res.stderr
 
 
+def test_serve_and_connect_reject_flags_hello_does_not_carry():
+    # serve takes its operating point from the peer's HELLO, and HELLO
+    # carries no reconciliation block size
+    for command in (["serve"], ["connect", "--addr", "127.0.0.1:9"]):
+        res = run_cli(*command, "--recon-block", "64")
+        assert res.returncode == 1
+        assert "unrecognized arguments: --recon-block" in res.stderr
+    res = run_cli("serve", "--n-avg", "1e4")
+    assert res.returncode == 1
+
+
 def test_simulate_progress_and_transcript(tmp_path):
     transcript = tmp_path / "wire.bin"
     progress = tmp_path / "progress.jsonl"

@@ -1,3 +1,6 @@
+import socket
+import threading
+
 import numpy as np
 import pytest
 
@@ -11,6 +14,10 @@ from noisepad.errors import (
 )
 from noisepad.phys import PhaseNoiseModel
 from noisepad.protocol import (
+    _BULK_REQ,
+    _PROBE_REQ,
+    _SUB_BULK,
+    _SUB_PROBE,
     A_TO_B,
     B_TO_A,
     BlockTranscript,
@@ -25,13 +32,24 @@ from noisepad.protocol import (
     privacy_amplify,
     recover_block,
     reconcile_receiver,
-    reconcile_sender,
+    reconcile_receiver_core,
+    reconcile_sender_core,
     run_cycle,
+    run_session,
     send_block,
+    session_core,
     simulate_session,
     tag_bytes,
 )
-from noisepad.transport import LoopbackChannel
+from noisepad.transport import (
+    Channel,
+    MessageType,
+    PeerChannel,
+    SocketChannel,
+    drive,
+    handshake,
+    pack_keyblock,
+)
 
 import oracles
 
@@ -47,28 +65,19 @@ def noise_model(params, seed=0):
 
 
 def run_both(receiver_bits, sender_bits, params, perm_seed=7):
-    """Drive both reconciliation roles over a loopback pair."""
-    import threading
-    ch_r, ch_s = LoopbackChannel.pair()
+    """Drive both reconciliation roles on this thread; the sender is a peer core."""
     led_r, led_s = LeakLedger(), LeakLedger()
-    out = {}
+    channel = PeerChannel(
+        reconcile_sender_core(sender_bits, params, led_s, perm_seed))
+    out = None
     errs = {}
-
-    def sender():
-        try:
-            reconcile_sender(sender_bits, ch_s, params, led_s, perm_seed)
-        except Exception as exc:  # noqa: BLE001
-            errs["s"] = exc
-
-    t = threading.Thread(target=sender, daemon=True)
-    t.start()
     try:
-        out["bits"] = reconcile_receiver(receiver_bits, ch_r, params, led_r,
-                                         perm_seed)
+        out = reconcile_receiver(receiver_bits, channel, params, led_r, perm_seed)
     except Exception as exc:  # noqa: BLE001
         errs["r"] = exc
-    t.join(timeout=30)
-    return out.get("bits"), led_r, led_s, errs
+    if channel.error is not None:
+        errs["s"] = channel.error
+    return out, led_r, led_s, errs
 
 
 # ---------------------------------------------------------------------------
@@ -418,7 +427,7 @@ def test_hundred_cycles_desk_scale():
 
 
 # ---------------------------------------------------------------------------
-# Full session over loopback
+# Full session in process
 # ---------------------------------------------------------------------------
 
 def test_simulate_session_round_trip(tmp_path):
@@ -458,3 +467,115 @@ def test_simulate_session_progress_records():
     assert [r["cycle"] for r in records] == [1, 2, 3]
     assert all(r["ledger_total"] >= 0 for r in records)
     assert records[-1]["disclosed_parity_bits"] == 12
+
+
+def test_simulate_session_starts_no_thread():
+    params = SessionParams(1e4, 2.0 ** -30, 40, 256)
+    k0 = np.random.default_rng(73).integers(0, 2, 256, dtype=np.uint8)
+    before = threading.active_count()
+    seen = []
+    simulate_session(params, k0, 3, 4, cycles=2,
+                     progress=lambda rec: seen.append(threading.active_count()))
+    assert seen == [before, before]
+
+
+def _record_frames(monkeypatch) -> list:
+    """Log (channel, way, msg_type, payload) for every frame any channel moves."""
+    log = []
+    send, recv = Channel.send, Channel.recv
+
+    def logged_send(self, msg_type, payload=b""):
+        log.append((self, "sent", int(msg_type), payload))
+        send(self, msg_type, payload)
+
+    def logged_recv(self, timeout=None):
+        msg_type, payload = recv(self, timeout)
+        log.append((self, "received", int(msg_type), payload))
+        return msg_type, payload
+
+    monkeypatch.setattr(Channel, "send", logged_send)
+    monkeypatch.setattr(Channel, "recv", logged_recv)
+    return log
+
+
+def _role_a_frames(log: list) -> list:
+    role_a = next(ch for ch, way, msg_type, _ in log
+                  if way == "sent" and msg_type == MessageType.HELLO)
+    return [entry[1:] for entry in log if entry[0] is role_a]
+
+
+def test_role_a_frames_equal_in_process_and_over_a_socketpair(monkeypatch):
+    log = _record_frames(monkeypatch)
+    params = SessionParams(1e4, 2.0 ** -30, 40, 512)
+    k0 = np.random.default_rng(74).integers(0, 2, 512, dtype=np.uint8)
+    res_a, _ = simulate_session(params, k0, 11, 12, cycles=3)
+    in_process = _role_a_frames(log)
+    log.clear()
+
+    sock_a, sock_b = socket.socketpair()
+    ch_a, ch_b = SocketChannel(sock_a), SocketChannel(sock_b)
+
+    def role_b():
+        handshake(ch_b, "B", expected_block_length=len(k0))
+        run_session(ch_b, PartyState.create("B", params, k0, 12))
+
+    peer = threading.Thread(target=role_b, daemon=True)
+    peer.start()
+    try:
+        handshake(ch_a, "A", params.hello(len(k0)))
+        over_socket = run_session(ch_a, PartyState.create("A", params, k0, 11),
+                                  cycles=3)
+    finally:
+        peer.join(timeout=30)
+        ch_a.close()
+        ch_b.close()
+    assert not peer.is_alive()
+    assert over_socket.chain.bits_equal(res_a.chain)
+    frames = _role_a_frames(log)
+    assert len(frames) == 2 + 3 * 16 + 2
+    assert frames == in_process
+
+
+SMALL = SessionParams(1e4, 2.0 ** -30, 40, 64)
+K0_SMALL = np.random.default_rng(75).integers(0, 2, 64, dtype=np.uint8)
+REQ, RESP = MessageType.PARITY_REQ, MessageType.PARITY_RESP
+KEYBLOCK = pack_keyblock(1, np.zeros(64, dtype=np.uint64), 40)
+
+
+def _sender():
+    return reconcile_sender_core(K0_SMALL, SMALL, LeakLedger(), 7)
+
+
+def _receiver():
+    return reconcile_receiver_core(K0_SMALL, SMALL, LeakLedger(), 7)
+
+
+def _responder():
+    return session_core(PartyState.create("B", SMALL, K0_SMALL, 1))
+
+
+HOSTILE_FRAMES = {
+    "empty parity request": (_sender, [(REQ, b"")]),
+    "probe of pass 9": (_sender, [(REQ, _PROBE_REQ.pack(_SUB_PROBE, 9, 0, 1))]),
+    "probe past the key": (_sender, [(REQ, _PROBE_REQ.pack(_SUB_PROBE, 0, 60, 8))]),
+    "short probe": (_sender, [(REQ, bytes([_SUB_PROBE, 0]))]),
+    "2-byte bulk request": (_sender, [(REQ, bytes([_SUB_BULK, 0]))]),
+    "bulk request of pass 9": (_sender, [(REQ, _BULK_REQ.pack(_SUB_BULK, 9, 1) + b"\x00")]),
+    "bulk request without parities": (_sender, [(REQ, _BULK_REQ.pack(_SUB_BULK, 0, 1))]),
+    "empty bulk reply": (_receiver, [(RESP, b"")]),
+    "empty probe reply": (_receiver, [(RESP, b"\x80"), (RESP, b"")]),
+    "probe reply of 2": (_receiver, [(RESP, b"\x80"), (RESP, b"\x02")]),
+    "KEYBLOCK shorter than its cycle index": (_responder, [(MessageType.KEYBLOCK, b"\x00\x00")]),
+    "ragged KEYBLOCK levels": (_responder, [(MessageType.KEYBLOCK, KEYBLOCK[:-1])]),
+    "short PA_SEED": (_responder, [(MessageType.KEYBLOCK, KEYBLOCK),
+                                   (MessageType.PA_SEED, b"\x00" * 5)]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(HOSTILE_FRAMES))
+def test_hostile_peer_frames_raise_protocol_error(case):
+    make_core, frames = HOSTILE_FRAMES[case]
+    # a peer core that sends its frames, then stops
+    channel = PeerChannel(frame for frame in frames)
+    with pytest.raises(ProtocolError):
+        drive(make_core(), channel)

@@ -1,5 +1,6 @@
 import socket
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -15,11 +16,14 @@ from noisepad.errors import (
     TruncatedFrameError,
 )
 from noisepad.transport import (
+    RECV,
     HelloParams,
-    LoopbackChannel,
     MessageType,
+    PeerChannel,
     SocketChannel,
     TranscriptTap,
+    drive,
+    expect,
     frame_decode,
     frame_encode,
     handshake,
@@ -97,29 +101,33 @@ def test_keyblock_payload_layout():
     assert np.array_equal(back, levels)
 
 
-def loopback_call(fn_a, fn_b):
-    ch_a, ch_b = LoopbackChannel.pair()
+def socketpair_call(fn_a, fn_b):
+    """Run fn_a here and fn_b on a thread, each on one end of a socketpair."""
+    sock_a, sock_b = socket.socketpair()
+    ch_a, ch_b = SocketChannel(sock_a), SocketChannel(sock_b)
     out = {}
 
-    def run_b():
+    def run(side, fn, ch):
         try:
-            out["b"] = fn_b(ch_b)
+            out[side] = fn(ch)
         except Exception as exc:  # noqa: BLE001
-            out["b_err"] = exc
+            out[side + "_err"] = exc
 
-    t = threading.Thread(target=run_b, daemon=True)
+    t = threading.Thread(target=run, args=("b", fn_b, ch_b), daemon=True)
     t.start()
     try:
-        out["a"] = fn_a(ch_a)
-    except Exception as exc:  # noqa: BLE001
-        out["a_err"] = exc
-    t.join(timeout=30)
+        run("a", fn_a, ch_a)
+    finally:
+        t.join(timeout=30)
+        ch_a.close()
+        ch_b.close()
+    assert not t.is_alive()
     return out
 
 
 def test_handshake_accepts_valid_proposal():
     proposal = HelloParams(1e4, -30, 40, 1024, 32)
-    out = loopback_call(
+    out = socketpair_call(
         lambda ch: handshake(ch, "A", proposal),
         lambda ch: handshake(ch, "B", expected_block_length=1024))
     assert out["a"] == proposal
@@ -128,7 +136,7 @@ def test_handshake_accepts_valid_proposal():
 
 def test_handshake_rejects_bad_operating_point():
     proposal = HelloParams(1e4, -3, 16, 1024, 32)
-    out = loopback_call(
+    out = socketpair_call(
         lambda ch: handshake(ch, "A", proposal),
         lambda ch: handshake(ch, "B"))
     assert isinstance(out["a_err"], HandshakeError)
@@ -138,7 +146,7 @@ def test_handshake_rejects_bad_operating_point():
 
 def test_handshake_rejects_block_length_mismatch():
     proposal = HelloParams(1e4, -30, 40, 1024, 32)
-    out = loopback_call(
+    out = socketpair_call(
         lambda ch: handshake(ch, "A", proposal),
         lambda ch: handshake(ch, "B", expected_block_length=512))
     assert isinstance(out["a_err"], HandshakeError)
@@ -149,18 +157,21 @@ def test_keyblock_over_loopback_with_tap(tmp_path):
     levels = np.arange(6, dtype=np.uint64)
 
     def side_a(ch):
-        record_transcript(ch, path)
-        send_keyblock(ch, 1, levels, 16)
-        ch.send(MessageType.PA_SEED, b"\x00" * 21)   # non-keyblock: not taped
-        return recv_keyblock(ch, 16)
+        tap = record_transcript(ch, path)
+        try:
+            send_keyblock(ch, 1, levels, 16)
+            ch.send(MessageType.PA_SEED, b"\x00" * 21)   # non-keyblock: not taped
+            return drive(recv_keyblock(16), ch)
+        finally:
+            tap.close()
 
     def side_b(ch):
-        got = recv_keyblock(ch, 16, expected_count=6)
+        got = drive(recv_keyblock(16, expected_count=6), ch)
         ch.recv()
         send_keyblock(ch, 1, levels[::-1], 16)
         return got
 
-    out = loopback_call(side_a, side_b)
+    out = socketpair_call(side_a, side_b)
     assert np.array_equal(out["b"][1], levels)
     assert np.array_equal(out["a"][1], levels[::-1])
     entries = read_transcript_levels(path, 16)
@@ -175,9 +186,9 @@ def test_recv_keyblock_count_mismatch():
         return None
 
     def side_b(ch):
-        return recv_keyblock(ch, 16, expected_count=9)
+        return drive(recv_keyblock(16, expected_count=9), ch)
 
-    out = loopback_call(side_a, side_b)
+    out = socketpair_call(side_a, side_b)
     assert isinstance(out["b_err"], ProtocolError)
 
 
@@ -196,10 +207,21 @@ def test_empty_transcript_file(tmp_path):
     assert read_transcript_levels(path, 16) == []
 
 
-def test_loopback_timeout():
-    ch_a, _ = LoopbackChannel.pair()
-    with pytest.raises(ChannelError):
-        ch_a.recv(timeout=0.05)
+def test_peer_channel_recv_while_peer_waits_raises_at_once():
+    def peer():
+        received = yield RECV
+        yield MessageType.CONFIRM, received[1]
+
+    ch = PeerChannel(peer())
+    start = time.monotonic()
+    with pytest.raises(ChannelError, match="waiting"):
+        ch.recv(timeout=30.0)
+    assert time.monotonic() - start < 1.0
+    ch.send(MessageType.CONFIRM, b"tag")
+    assert ch.recv() == (MessageType.CONFIRM, b"tag")
+    assert ch.error is None
+    with pytest.raises(ChannelError, match="stopped"):
+        ch.recv()
 
 
 def socket_pair():
@@ -270,30 +292,26 @@ def test_socket_channel_truncation_reports_byte_count():
 
 
 def test_expect_error_frame_raises():
-    from noisepad.transport import expect
-
     def side_a(ch):
         ch.send(MessageType.ERROR, b"boom")
         return None
 
     def side_b(ch):
-        return expect(ch, MessageType.KEYBLOCK)
+        return drive(expect(MessageType.KEYBLOCK), ch)
 
-    out = loopback_call(side_a, side_b)
+    out = socketpair_call(side_a, side_b)
     assert isinstance(out["b_err"], ProtocolError)
     assert "boom" in str(out["b_err"])
 
 
 def test_expect_unexpected_type_answers_with_error():
-    from noisepad.transport import expect
-
     def side_a(ch):
         ch.send(MessageType.CONFIRM, b"")
         return ch.recv()
 
     def side_b(ch):
-        return expect(ch, MessageType.KEYBLOCK)
+        return drive(expect(MessageType.KEYBLOCK), ch)
 
-    out = loopback_call(side_a, side_b)
+    out = socketpair_call(side_a, side_b)
     assert isinstance(out["b_err"], ProtocolError)
     assert out["a"][0] == MessageType.ERROR
