@@ -16,7 +16,6 @@ import os
 import re
 import socket
 import sys
-import threading
 from pathlib import Path
 
 import numpy as np
@@ -216,7 +215,26 @@ def _host_port(text: str):
     return host or "127.0.0.1", int(port)
 
 
+def _refuse_spent_k0(conn) -> None:
+    """Answer a connection's HELLO with an ERROR frame: K0 is used up."""
+    channel = transport.SocketChannel(conn)
+    try:
+        transport.drive(transport.expect(transport.MessageType.HELLO), channel)
+        channel.send(transport.MessageType.ERROR,
+                     b"this server's K0 already served a session and is used "
+                     b"up; restart serve with a fresh shared key")
+    except NoisepadError as exc:
+        log.info("refused connection failed: %s", exc)
+    finally:
+        channel.close()
+
+
 def cmd_serve(args) -> int:
+    """Run sessions on K0 one connection at a time; K0 serves at most one.
+
+    Once a session has passed its handshake, K0 has been used as basis
+    material, so every later connection is refused with an ERROR frame.
+    """
     k0 = _k0_bits(args)
     host, port = _host_port(args.listen)
     server = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
@@ -226,14 +244,17 @@ def cmd_serve(args) -> int:
     bound = server.getsockname()
     print(json.dumps({"listening": {"host": bound[0], "port": bound[1]}}),
           flush=True)
+    spent = False
 
     def handle(conn) -> int:
+        nonlocal spent
         channel = transport.SocketChannel(conn)
         if args.transcript_out:
             transport.record_transcript(channel, args.transcript_out)
         try:
             hello = transport.handshake(channel, "B",
                                         expected_block_length=len(k0))
+            spent = True
             params = protocol.SessionParams(
                 avg_photon_number=hello.avg_photon_number,
                 delta_phi=hello.delta_phi,
@@ -257,9 +278,12 @@ def cmd_serve(args) -> int:
         while True:
             conn, peer = server.accept()
             log.info("connection from %s:%s", *peer)
+            if spent:
+                _refuse_spent_k0(conn)
+                continue
+            code = handle(conn)
             if args.once:
-                return handle(conn)
-            threading.Thread(target=handle, args=(conn,), daemon=True).start()
+                return code
     finally:
         server.close()
 

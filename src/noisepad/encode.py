@@ -8,6 +8,15 @@ delta_phi offset through the phase noise is what requires basis knowledge.
 
 Quantized phases are plain integer levels in [0, 2^R); array operations use
 numpy and accept scalars or arrays interchangeably.
+
+Decoding works on levels, not phases.  The bit-1 levels of each basis form
+one circular window of the 2^R-level ring: with q = 2^R/4 and
+o = delta_phi/step, basis 0 decodes to 1 iff q < l < 3q and basis 1 iff
+o - q < l < o + q (ties go to 0).  So a level decodes as
+((l - start) mod 2^R) < width, a few uint64 passes.  For delta_phi = 2^k
+and R <= 48 this equals the float nearest-point rule on every level
+tested; where a float64 phase cannot resolve one level (R > 48), the
+integer rule is the definition.
 """
 
 import math
@@ -46,6 +55,24 @@ class Constellation:
     def step(self) -> float:
         return TWO_PI / self.n_levels
 
+    @property
+    def phases(self) -> np.ndarray:
+        """modulate(bit, basis) at index 2*bit + basis."""
+        return modulate(*np.divmod(np.arange(4), 2), self)
+
+    @property
+    def windows(self) -> tuple:
+        """((start, width) of basis 0, (start, width) of basis 1): the bit-1 levels.
+
+        Basis 1 runs from floor(o) - q + 1 to ceil(o) + q - 1, so it is one
+        level wider than basis 0 unless o is a whole number of levels.
+        """
+        q = self.n_levels // 4
+        o = self.delta_phi / self.step
+        lo, hi = math.floor(o), math.ceil(o)
+        return ((q + 1, 2 * q - 1),
+                ((lo - q + 1) % self.n_levels, hi - lo + 2 * q - 1))
+
 
 def wrap_pi(phase):
     """Wrap phase(s) to [-pi, pi)."""
@@ -64,8 +91,21 @@ def quantize(phase, resolution_bits: int):
     if not 8 <= resolution_bits <= 56:
         raise ValueError(f"resolution_bits must lie in [8, 56], got {resolution_bits!r}")
     n_levels = 1 << resolution_bits
-    frac = np.mod(np.asarray(phase, dtype=float), TWO_PI) / TWO_PI
-    level = np.floor(frac * n_levels + 0.5).astype(np.uint64) % n_levels
+    phase = np.asarray(phase, dtype=float)
+    if phase.size and -TWO_PI < phase.min() and phase.max() < 2.0 * TWO_PI:
+        # np.mod(x, 2pi) is x + 2pi below 0 and x - 2pi (exact, by Sterbenz)
+        # from 2pi on; frac is a new array for the in-place steps below.
+        wraps = (phase >= TWO_PI).view(np.int8) - (phase < 0.0).view(np.int8)
+        frac = np.asarray(TWO_PI * wraps)
+        np.subtract(phase, frac, out=frac)
+    else:
+        frac = np.asarray(np.mod(phase, TWO_PI))
+    frac /= TWO_PI
+    frac *= n_levels
+    frac += 0.5
+    np.floor(frac, out=frac)
+    level = frac.astype(np.uint64)
+    level &= np.uint64(n_levels - 1)
     return int(level) if level.ndim == 0 else level
 
 
@@ -78,7 +118,11 @@ def dequantize(level, resolution_bits: int):
 
 def transmit_symbol(bit, basis, c: Constellation, noise):
     """Quantized on-air phase: quantize(modulate(bit, basis) + noise)."""
-    return quantize(modulate(bit, basis, c) + noise, c.resolution_bits)
+    index = np.multiply(bit, 2, dtype=np.intp)
+    index += basis
+    phase = c.phases[index]
+    phase += noise
+    return quantize(phase, c.resolution_bits)
 
 
 def classify_set(level, c: Constellation):
@@ -96,13 +140,21 @@ def classify_set(level, c: Constellation):
 def decode_with_basis(level, basis, c: Constellation):
     """Bit of the nearest constellation point of the given basis.
 
-    Circular distance; exact ties resolve to bit 0.
+    Circular distance; exact ties resolve to bit 0.  Integer windows (see
+    the module docstring); arrays come back as uint8.
     """
-    phase = dequantize(level, c.resolution_bits)
-    d_bit0 = np.abs(wrap_pi(phase - modulate(0, basis, c)))
-    d_bit1 = np.abs(wrap_pi(phase - modulate(1, basis, c)))
-    out = np.where(d_bit1 < d_bit0, 1, 0)
-    return int(out) if out.ndim == 0 else out
+    (start0, width0), (start1, width1) = c.windows
+    level = np.asarray(level, dtype=np.uint64)
+    basis = np.asarray(basis, dtype=np.uint8)
+    # offset = (level - start[basis]) mod 2^R, in one uint64 buffer
+    offset = np.empty(np.broadcast_shapes(level.shape, basis.shape), np.uint64)
+    np.multiply(basis, np.uint64((start1 - start0) % c.n_levels), out=offset)
+    np.subtract(level, offset, out=offset)
+    offset -= np.uint64(start0)
+    offset &= np.uint64(c.n_levels - 1)
+    out = offset < width0
+    out |= (offset < width1) & (basis != 0)     # width1 >= width0
+    return int(out) if out.ndim == 0 else out.view(np.uint8)
 
 
 def bytes_per_symbol(resolution_bits: int) -> int:

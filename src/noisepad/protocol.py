@@ -21,6 +21,7 @@ behind a transport.PeerChannel, so both parties share one thread.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import math
 import struct
@@ -44,6 +45,7 @@ A_TO_B = 0
 B_TO_A = 1
 
 TAG_BITS = 256
+_PARITY_PASSES = 2
 
 _PA_SEED = struct.Struct(">IBQQ")
 _BULK_REQ = struct.Struct(">BBI")
@@ -235,14 +237,26 @@ def _parity(bits: np.ndarray, idx: np.ndarray) -> int:
     return int(bits[idx].sum()) & 1
 
 
-def _block_parities(bits: np.ndarray, order: np.ndarray, rb: int) -> np.ndarray:
-    pad = (-len(order)) % rb
-    padded = np.concatenate([bits[order], np.zeros(pad, dtype=np.uint8)])
-    return padded.reshape(-1, rb).sum(axis=1).astype(np.uint8) & 1
+def _pass_order(n: int, perm_seed: int, pass_id: int) -> np.ndarray:
+    """Public bit order of a parity pass: identity, then a seed-keyed permutation."""
+    if pass_id == 0:
+        return np.arange(n)
+    return np.random.default_rng(perm_seed).permutation(n)
 
 
 def _pass_orders(n: int, perm_seed: int):
-    return [np.arange(n), np.random.default_rng(perm_seed).permutation(n)]
+    """order(pass_id), each pass's order drawn the first time it is asked for."""
+    return functools.cache(functools.partial(_pass_order, n, perm_seed))
+
+
+def _block_parities(bits: np.ndarray, order, pass_id: int, rb: int) -> np.ndarray:
+    if rb == len(bits):
+        # one block: its parity is the same in every order, so draw none
+        return np.array([bits.sum() & 1], dtype=np.uint8)
+    perm = order(pass_id)
+    pad = (-len(perm)) % rb
+    padded = np.concatenate([bits[perm], np.zeros(pad, dtype=np.uint8)])
+    return padded.reshape(-1, rb).sum(axis=1).astype(np.uint8) & 1
 
 
 def _digest(bits: np.ndarray) -> bytes:
@@ -279,12 +293,16 @@ def reconcile_receiver_core(bits, params: SessionParams, ledger: LeakLedger,
     permutation, single-bit binary-search correction inside mismatched
     blocks, then a digest check.  Every parity that crosses the wire
     increments the ledger.  Returns the corrected bits.
+
+    A pass whose one block is the whole key sends the parity of all bits;
+    its order is drawn only if a probe names it.
     """
     bits = _as_bits(bits).copy()
     n = len(bits)
     rb = min(params.reconciliation_block, n)
-    for pass_id, order in enumerate(_pass_orders(n, perm_seed)):
-        mine = _block_parities(bits, order, rb)
+    order = _pass_orders(n, perm_seed)
+    for pass_id in range(_PARITY_PASSES):
+        mine = _block_parities(bits, order, pass_id, rb)
         nblocks = len(mine)
         yield (MessageType.PARITY_REQ,
                _BULK_REQ.pack(_SUB_BULK, pass_id, nblocks) +
@@ -303,11 +321,11 @@ def reconcile_receiver_core(bits, params: SessionParams, ledger: LeakLedger,
                 _, resp = yield from expect(MessageType.PARITY_RESP)
                 if resp not in (b"\x00", b"\x01"):
                     raise ProtocolError("probe reply is not one parity byte")
-                if _parity(bits, order[lo:lo + half]) != resp[0]:
+                if _parity(bits, order(pass_id)[lo:lo + half]) != resp[0]:
                     hi = lo + half
                 else:
                     lo = lo + half
-            bits[order[lo]] ^= 1
+            bits[order(pass_id)[lo]] ^= 1
     yield MessageType.PARITY_REQ, bytes([_SUB_VERIFY]) + _digest(bits)
     _, resp = yield from expect(MessageType.PARITY_RESP)
     if resp != b"\x01":
@@ -331,16 +349,16 @@ def reconcile_sender_core(bits, params: SessionParams, ledger: LeakLedger,
     bits = _as_bits(bits)
     n = len(bits)
     rb = min(params.reconciliation_block, n)
-    orders = _pass_orders(n, perm_seed)
+    order = _pass_orders(n, perm_seed)
     while True:
         _, payload = yield from expect(MessageType.PARITY_REQ)
         sub = payload[0] if payload else None
         if sub == _SUB_BULK:
             _, pass_id, nblocks = _unpack(
                 _BULK_REQ, payload[:_BULK_REQ.size], "bulk parity request")
-            if pass_id >= len(orders):
+            if pass_id >= _PARITY_PASSES:
                 raise ProtocolError(f"unknown parity pass {pass_id}")
-            mine = _block_parities(bits, orders[pass_id], rb)
+            mine = _block_parities(bits, order, pass_id, rb)
             if len(mine) != nblocks:
                 raise ProtocolError("parity block count mismatch")
             theirs = _unpack_mask(payload[_BULK_REQ.size:], nblocks,
@@ -350,11 +368,11 @@ def reconcile_sender_core(bits, params: SessionParams, ledger: LeakLedger,
             yield MessageType.PARITY_RESP, np.packbits(mask).tobytes()
         elif sub == _SUB_PROBE:
             _, pass_id, lo, half = _unpack(_PROBE_REQ, payload, "parity probe")
-            if pass_id >= len(orders) or half < 1 or lo + half > n:
+            if pass_id >= _PARITY_PASSES or half < 1 or lo + half > n:
                 raise ProtocolError(
                     f"parity probe ({pass_id}, {lo}, {half}) is out of range")
             ledger.add_parities(1)
-            par = _parity(bits, orders[pass_id][lo:lo + half])
+            par = _parity(bits, order(pass_id)[lo:lo + half])
             yield MessageType.PARITY_RESP, bytes([par])
         elif sub == _SUB_VERIFY:
             ok = payload[1:] == _digest(bits)

@@ -85,3 +85,39 @@ def dense_modified_toeplitz(seed_bits: np.ndarray, vec: np.ndarray,
         for j in range(k):
             h[i, m + j] = seed_bits[k - 1 + i - j]
     return (h @ vec.astype(np.int64)) % 2
+
+
+# Float phase arithmetic of the symbol layer, as encode computed it before it
+# moved to integer levels: the kernels must return the same levels and bits.
+_PI = np.pi
+_TWO_PI = 2.0 * np.pi
+
+
+def float_wrap_pi(phase):
+    return np.mod(np.asarray(phase, dtype=float) + _PI, _TWO_PI) - _PI
+
+
+def float_modulate(bit, basis, delta_phi):
+    bit, basis = np.asarray(bit), np.asarray(basis)
+    return basis * delta_phi + np.bitwise_xor(bit, basis) * _PI
+
+
+def float_quantize(phase, resolution_bits):
+    n_levels = 1 << resolution_bits
+    frac = np.mod(np.asarray(phase, dtype=float), _TWO_PI) / _TWO_PI
+    level = np.floor(frac * n_levels + 0.5).astype(np.uint64) % n_levels
+    return int(level) if level.ndim == 0 else level
+
+
+def float_transmit_symbol(bit, basis, delta_phi, resolution_bits, noise):
+    return float_quantize(float_modulate(bit, basis, delta_phi) + noise,
+                          resolution_bits)
+
+
+def float_decode_with_basis(level, basis, delta_phi, resolution_bits):
+    """Nearest of the basis's two points by circular distance; ties give 0."""
+    phase = np.asarray(level, dtype=float) * (_TWO_PI / (1 << resolution_bits))
+    d_bit0 = np.abs(float_wrap_pi(phase - float_modulate(0, basis, delta_phi)))
+    d_bit1 = np.abs(float_wrap_pi(phase - float_modulate(1, basis, delta_phi)))
+    out = np.where(d_bit1 < d_bit0, 1, 0)
+    return int(out) if out.ndim == 0 else out

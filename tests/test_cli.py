@@ -178,12 +178,12 @@ def test_attack_chain_from_files(tmp_path):
 
 
 class ServeProc:
-    def __init__(self, *extra):
+    def __init__(self, *extra, once=True):
         env = dict(os.environ)
         env["PYTHONPATH"] = SRC + os.pathsep + env.get("PYTHONPATH", "")
         self.proc = subprocess.Popen(
             [sys.executable, "-m", "noisepad", "serve",
-             "--listen", "127.0.0.1:0", "--once", *extra],
+             "--listen", "127.0.0.1:0", *(["--once"] if once else []), *extra],
             stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=env)
         line = self.proc.stdout.readline()
         self.port = json.loads(line)["listening"]["port"]
@@ -227,6 +227,28 @@ def test_loopback_and_socket_transcripts_identical(tmp_path):
     server.finish()
     assert res.returncode == 0
     assert sim_ts.read_bytes() == sock_ts.read_bytes()
+
+
+def test_serve_refuses_a_second_session_on_one_k0(tmp_path):
+    transcript = tmp_path / "server.bin"
+    server = ServeProc("--seed", "100", "--k0-seed", "9", "--k0-bits", "1024",
+                       "--transcript-out", str(transcript), once=False)
+    connect = ("connect", "--addr", f"127.0.0.1:{server.port}", "--seed", "200",
+               "--k0-seed", "9", "--cycles", "2", "--k0-bits")
+    try:
+        # a rejected handshake leaves K0 unused
+        mismatched = run_cli(*connect, "512")
+        first = run_cli(*connect, "1024")
+        recorded = transcript.read_bytes()
+        second = run_cli(*connect, "1024")
+    finally:
+        server.proc.kill()
+        server.finish()
+    assert mismatched.returncode == 2 and "rejected" in mismatched.stderr
+    assert first.returncode == 0
+    assert second.returncode == 2
+    assert "already served a session" in second.stderr
+    assert transcript.read_bytes() == recorded
 
 
 def test_serve_connect_with_k0_file(tmp_path):

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from noisepad.encode import (
     Constellation,
@@ -16,8 +17,16 @@ from noisepad.encode import (
     unpack_levels,
 )
 
+import oracles
+
 PI = math.pi
 C16 = Constellation(2.0 ** -6, 16)
+
+
+def admissible_exponents(r):
+    """Every k with Constellation(2**k, r) valid."""
+    return [k for k in range(-2, -r - 1, -1)
+            if 2.0 * PI / (1 << r) <= 2.0 ** k / 2.0]
 
 
 def test_constellation_invariants():
@@ -169,3 +178,135 @@ def test_pack_sizes_and_errors():
         pack_levels(np.array([1 << 20], dtype=np.uint64), 16)
     with pytest.raises(ValueError):
         unpack_levels(b"\x00\x01\x02", 16)
+
+
+# ---------------------------------------------------------------------------
+# Integer kernels against the float phase arithmetic they replace
+# ---------------------------------------------------------------------------
+
+def assert_decode_matches_float(levels, r, k):
+    c = Constellation(2.0 ** k, r)
+    for basis in (0, 1):
+        want = oracles.float_decode_with_basis(levels, basis, c.delta_phi, r)
+        got = decode_with_basis(levels, np.full(len(levels), basis, np.uint8), c)
+        bad = np.flatnonzero(got != want)
+        assert bad.size == 0, (r, k, basis, levels[bad[:5]])
+
+
+@pytest.mark.parametrize("r", range(8, 17))
+def test_decode_matches_float_on_every_level(r):
+    levels = np.arange(1 << r, dtype=np.uint64)
+    for k in admissible_exponents(r):
+        assert_decode_matches_float(levels, r, k)
+
+
+def test_decode_ties_go_to_zero():
+    # o = delta_phi/step = 100 levels: o - q and o + q are equidistant from
+    # both points of basis 1, like q and 3q in basis 0
+    r = 16
+    c = Constellation(100 * 2.0 * PI / (1 << r), r)
+    assert c.delta_phi / c.step == 100.0
+    q = 1 << (r - 2)
+    ties = {0: [q, 3 * q], 1: [100 - q + (1 << r), 100 + q]}
+    levels = np.arange(1 << r, dtype=np.uint64)
+    for basis in (0, 1):
+        got = decode_with_basis(levels, basis, c)
+        want = oracles.float_decode_with_basis(levels, basis, c.delta_phi, r)
+        for tie in ties[basis]:
+            assert got[tie] == 0 and got[tie - 1] + got[tie + 1] == 1
+        others = np.setdiff1d(levels, ties[basis])
+        assert np.array_equal(got[others], want[others])
+
+
+@pytest.mark.parametrize("r", [32, 40, 44, 48])
+def test_decode_matches_float_around_the_decision_edges(r):
+    n_levels = 1 << r
+    q = n_levels // 4
+    near = np.arange(-5000, 5001)
+    random_levels = np.random.default_rng(r).integers(
+        0, n_levels, 1 << 20, dtype=np.uint64)
+    exponents = admissible_exponents(r)
+    for k in exponents:
+        c = Constellation(2.0 ** k, r)
+        o = math.floor(c.delta_phi / c.step)
+        edges = [q, 3 * q, o - q, o + q]
+        levels = np.concatenate(
+            [(e + near) % n_levels for e in edges]).astype(np.uint64)
+        assert_decode_matches_float(levels, r, k)
+    for k in (exponents[0], exponents[len(exponents) // 2], exponents[-1]):
+        assert_decode_matches_float(random_levels, r, k)
+
+
+@pytest.mark.parametrize("r", [8, 16, 40, 48])
+def test_transmit_symbol_matches_float_across_the_wrap(r):
+    # sigma = 1.5 puts phases below 0 and at or above 2pi; chunks of 256
+    # take the in-range path unless one phase lies beyond [-2pi, 4pi)
+    c = Constellation(2.0 ** -3, r)
+    rng = np.random.default_rng(r)
+    bits = rng.integers(0, 2, 1 << 16, dtype=np.uint8)
+    basis = rng.integers(0, 2, 1 << 16, dtype=np.uint8)
+    noise = rng.normal(0.0, 1.5, 1 << 16)
+    noise[::4099] *= 5.0                      # a few chunks beyond one turn
+    phases = oracles.float_modulate(bits, basis, c.delta_phi) + noise
+    assert phases.min() < -2.0 * PI and phases.max() >= 2.0 * PI
+    in_range = 0
+    for chunk in np.split(np.arange(1 << 16), 256):
+        want = oracles.float_transmit_symbol(
+            bits[chunk], basis[chunk], c.delta_phi, r, noise[chunk])
+        got = transmit_symbol(bits[chunk], basis[chunk], c, noise[chunk])
+        assert np.array_equal(got, want)
+        in_range += -2.0 * PI < phases[chunk].min()
+    assert 0 < in_range < 256
+
+
+def test_quantize_matches_float_at_the_wrap_points():
+    two_pi = 2.0 * PI
+    phases = np.array([0.0, -0.0, two_pi, -two_pi, 2.0 * two_pi, -2.0 * two_pi,
+                       np.nextafter(two_pi, 0.0), np.nextafter(0.0, -1.0),
+                       np.nextafter(-two_pi, 0.0), np.nextafter(2.0 * two_pi, 0.0),
+                       np.nextafter(-two_pi, -10.0), 100.0, -100.0])
+    for r in (8, 16, 40, 56):
+        for phase in phases:
+            assert quantize(phase, r) == oracles.float_quantize(phase, r)
+        for part in (phases[:10], phases):   # in-range and np.mod paths
+            assert np.array_equal(quantize(part, r),
+                                  oracles.float_quantize(part, r))
+
+
+def test_kernels_take_and_return_scalars():
+    c = Constellation(2.0 ** -30, 40)
+    for bit in (0, 1):
+        for basis in (0, 1):
+            for noise in (0.0, 0.3, -0.3, -7.0):
+                level = transmit_symbol(bit, basis, c, noise)
+                assert type(level) is int
+                assert level == oracles.float_transmit_symbol(
+                    bit, basis, c.delta_phi, 40, noise)
+                got = decode_with_basis(level, basis, c)
+                assert type(got) is int
+                assert got == oracles.float_decode_with_basis(
+                    level, basis, c.delta_phi, 40)
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(st.data())
+def test_kernels_match_float_property(data):
+    r = data.draw(st.integers(8, 48), label="r")
+    k = data.draw(st.sampled_from(admissible_exponents(r)), label="k")
+    c = Constellation(2.0 ** k, r)
+    size = data.draw(st.integers(1, 64), label="size")
+    levels = np.array(data.draw(st.lists(st.integers(0, (1 << r) - 1),
+                                         min_size=size, max_size=size)),
+                      dtype=np.uint64)
+    basis = np.array(data.draw(st.lists(st.integers(0, 1), min_size=size,
+                                        max_size=size)), dtype=np.uint8)
+    bits = np.array(data.draw(st.lists(st.integers(0, 1), min_size=size,
+                                       max_size=size)), dtype=np.uint8)
+    noise = np.array(data.draw(st.lists(
+        st.floats(-20.0, 20.0, allow_nan=False), min_size=size, max_size=size)))
+    assert np.array_equal(
+        decode_with_basis(levels, basis, c),
+        oracles.float_decode_with_basis(levels, basis, c.delta_phi, r))
+    assert np.array_equal(
+        transmit_symbol(bits, basis, c, noise),
+        oracles.float_transmit_symbol(bits, basis, c.delta_phi, r, noise))

@@ -1,10 +1,11 @@
+import hashlib
 import socket
 import threading
 
 import numpy as np
 import pytest
 
-from noisepad import analysis
+from noisepad import analysis, protocol
 from noisepad.encode import quantize
 from noisepad.errors import (
     KeyExhaustedError,
@@ -18,6 +19,7 @@ from noisepad.protocol import (
     _PROBE_REQ,
     _SUB_BULK,
     _SUB_PROBE,
+    _SUB_VERIFY,
     A_TO_B,
     B_TO_A,
     BlockTranscript,
@@ -42,6 +44,7 @@ from noisepad.protocol import (
     tag_bytes,
 )
 from noisepad.transport import (
+    RECV,
     Channel,
     MessageType,
     PeerChannel,
@@ -246,6 +249,60 @@ def test_reconcile_residual_mismatch_detected():
     assert out is None
     assert isinstance(errs.get("r"), ReconciliationError)
     assert isinstance(errs.get("s"), ReconciliationError)
+
+
+def _count_orders(monkeypatch) -> list:
+    drawn = []
+
+    def counting(n, perm_seed, pass_id):
+        drawn.append(pass_id)
+        return original(n, perm_seed, pass_id)
+
+    original = protocol._pass_order
+    monkeypatch.setattr(protocol, "_pass_order", counting)
+    return drawn
+
+
+def test_one_block_passes_draw_no_permutation(monkeypatch):
+    drawn = _count_orders(monkeypatch)
+    rng = np.random.default_rng(25)
+    reference = bits(rng, 1024)
+    out, led_r, led_s, errs = run_both(reference.copy(), reference, PARAMS)
+    assert not errs and np.array_equal(out, reference)
+    assert drawn == []
+    assert led_r.disclosed_parity_bits == led_s.disclosed_parity_bits == 2
+    # one error: pass 0 bisects in key order; pass 1 still draws nothing
+    corrupted = reference.copy()
+    corrupted[700] ^= 1
+    out, led_r, _, errs = run_both(corrupted, reference, PARAMS)
+    assert not errs and np.array_equal(out, reference)
+    assert 1 not in drawn
+    assert led_r.disclosed_parity_bits == 2 + 10
+
+
+def test_probe_of_a_one_block_pass_gets_the_permuted_parity(monkeypatch):
+    drawn = _count_orders(monkeypatch)
+    rng = np.random.default_rng(26)
+    key = bits(rng, 1024)
+    probes = [(0, 512), (100, 7), (1000, 24), (3, 1)]
+
+    def prober():
+        answers = []
+        for lo, half in probes:
+            yield MessageType.PARITY_REQ, _PROBE_REQ.pack(_SUB_PROBE, 1, lo, half)
+            _, resp = yield RECV
+            answers.append(resp[0])
+        digest = hashlib.sha256(np.packbits(key).tobytes()).digest()
+        yield MessageType.PARITY_REQ, bytes([_SUB_VERIFY]) + digest
+        yield RECV
+        return answers
+
+    channel = PeerChannel(prober())
+    drive(reconcile_sender_core(key, PARAMS, LeakLedger(), 99), channel)
+    perm = np.random.default_rng(99).permutation(1024)
+    assert channel.result == [int(key[perm[lo:lo + half]].sum()) & 1
+                              for lo, half in probes]
+    assert drawn == [1]
 
 
 # ---------------------------------------------------------------------------
