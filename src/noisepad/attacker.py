@@ -239,6 +239,8 @@ def simulate_double_emission(params: CoherentStateParams, c: Constellation,
 def basis_attack_report(params: CoherentStateParams, c: Constellation,
                         n_bits: int, seed: int) -> AttackReport:
     """Empirical ML basis attack vs. the discrimination floor."""
+    if n_bits < 1:
+        raise ValueError(f"n_bits must be >= 1, got {n_bits}")
     msg_levels, reuse_levels, true_basis = simulate_double_emission(
         params, c, n_bits, seed)
     guesses = eve_ml_basis_guess(msg_levels, reuse_levels, c, params.sigma_phi)

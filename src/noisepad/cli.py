@@ -67,7 +67,6 @@ def _session_params(args, block_length: int) -> protocol.SessionParams:
         resolution_bits=args.resolution_bits,
         block_length=block_length,
         safety_bits=args.safety_bits,
-        reconciliation_block=getattr(args, "recon_block", None),
     )
 
 
@@ -79,15 +78,12 @@ def _add_key_flags(p: argparse.ArgumentParser):
     p.add_argument("--k0-file", help="read K0 as raw bytes")
 
 
-def _add_session_flags(p: argparse.ArgumentParser, recon_block: bool = True):
+def _add_session_flags(p: argparse.ArgumentParser):
     _add_key_flags(p)
     p.add_argument("--n-avg", type=float, default=1e4)
     p.add_argument("--delta-phi-exp", type=int, default=-30)
     p.add_argument("--resolution-bits", type=int, default=40)
     p.add_argument("--safety-bits", type=int, default=32)
-    if recon_block:
-        p.add_argument("--recon-block", type=int, default=None,
-                       help="parity block size (default: whole key)")
 
 
 # ---------------------------------------------------------------------------
@@ -181,11 +177,7 @@ def _summary(result: protocol.SessionResult, extra: dict | None = None) -> dict:
 
 def cmd_simulate(args) -> int:
     k0 = _k0_bits(args)
-    try:
-        params = _session_params(args, len(k0))
-    except ValueError as exc:
-        print(f"invalid session parameters: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    params = _session_params(args, len(k0))
     progress_fh = open(args.progress_out, "w") if args.progress_out else None
     progress = None
     if progress_fh is not None:
@@ -211,7 +203,10 @@ def cmd_simulate(args) -> int:
 
 
 def _host_port(text: str):
+    """argparse type for host:port (an empty host means 127.0.0.1)."""
     host, _, port = text.rpartition(":")
+    if not (port.isdigit() and int(port) < 65536):
+        raise argparse.ArgumentTypeError(f"expected host:port, got {text!r}")
     return host or "127.0.0.1", int(port)
 
 
@@ -236,7 +231,7 @@ def cmd_serve(args) -> int:
     material, so every later connection is refused with an ERROR frame.
     """
     k0 = _k0_bits(args)
-    host, port = _host_port(args.listen)
+    host, port = args.listen
     server = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
     server.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
     server.bind((host, port))
@@ -255,14 +250,8 @@ def cmd_serve(args) -> int:
             hello = transport.handshake(channel, "B",
                                         expected_block_length=len(k0))
             spent = True
-            params = protocol.SessionParams(
-                avg_photon_number=hello.avg_photon_number,
-                delta_phi=hello.delta_phi,
-                resolution_bits=hello.resolution_bits,
-                block_length=hello.block_length,
-                safety_bits=hello.safety_bits,
-            )
-            state = protocol.PartyState.create("B", params, k0, args.seed)
+            state = protocol.PartyState.create(
+                "B", protocol.SessionParams.from_hello(hello), k0, args.seed)
             result = protocol.run_session(channel, state)
             _json_out(_summary(result, {"seed": args.seed, "k0_bits": len(k0)}))
             return EXIT_OK
@@ -290,14 +279,9 @@ def cmd_serve(args) -> int:
 
 def cmd_connect(args) -> int:
     k0 = _k0_bits(args)
-    host, port = _host_port(args.addr)
-    try:
-        params = _session_params(args, len(k0))
-    except ValueError as exc:
-        print(f"invalid session parameters: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    params = _session_params(args, len(k0))
     proposal = params.hello(len(k0))
-    sock = socket.create_connection((host, port), timeout=30.0)
+    sock = socket.create_connection(args.addr, timeout=30.0)
     channel = transport.SocketChannel(sock)
     if args.transcript_out:
         transport.record_transcript(channel, args.transcript_out)
@@ -402,6 +386,10 @@ def cmd_attack_chain(args) -> int:
         truth_notes = {}
     else:
         params, result = _demo_session(args, cycles=max(3, args.cycles))
+        if not 0 <= args.known_key_index < len(result.chain.keys):
+            raise ValueError(
+                f"--known-key-index {args.known_key_index} is outside the demo "
+                f"chain K0..K{len(result.chain.keys) - 1}")
         c = params.constellation
         known = result.chain.keys[args.known_key_index].bits
         recovery = attacker.chain_compromise(
@@ -459,15 +447,16 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("serve", help="accept sessions on a socket")
     _add_key_flags(p)
-    p.add_argument("--listen", default="127.0.0.1:0", help="host:port")
+    p.add_argument("--listen", type=_host_port, default="127.0.0.1:0",
+                   help="host:port")
     p.add_argument("--once", action="store_true",
                    help="handle one session and exit")
     p.add_argument("--transcript-out")
     p.set_defaults(fn=cmd_serve)
 
     p = sub.add_parser("connect", help="run a session against a server")
-    _add_session_flags(p, recon_block=False)
-    p.add_argument("--addr", required=True, help="host:port")
+    _add_session_flags(p)
+    p.add_argument("--addr", type=_host_port, required=True, help="host:port")
     p.add_argument("--cycles", type=int, default=10)
     p.add_argument("--transcript-out")
     p.set_defaults(fn=cmd_connect)
@@ -512,10 +501,10 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except NoisepadError as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_RUNTIME
-    except OSError as exc:
+        return EXIT_USAGE
+    except (NoisepadError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
 

@@ -7,6 +7,12 @@ direction is parity-reconciled, charged to a leak ledger, and compressed
 with a seeded modified Toeplitz hash [I | T] (dual universal, n-1 public
 seed bits) before joining the key chain.
 
+The whole key is the one parity block: the handshake admits a legitimate
+bit-error rate of at most 2Q(8) ~ 1e-15.  Cascade's permuted pass 1 stays
+on the wire as one whole-key parity, which always matches after pass 0, and
+its perm_seed is still drawn and sent in PA_SEED, since skipping the draw
+would shift every PA seed and key.  Probes of pass 1 use key order.
+
 Every chained key is a little shorter than its predecessor (the discarded
 bits pay for disclosed parities, the statistical basis leak, and a safety
 margin), so a chain eventually exhausts and a fresh shared seed must
@@ -21,7 +27,6 @@ behind a transport.PeerChannel, so both parties share one thread.
 
 from __future__ import annotations
 
-import functools
 import hashlib
 import math
 import struct
@@ -50,6 +55,7 @@ _PARITY_PASSES = 2
 _PA_SEED = struct.Struct(">IBQQ")
 _BULK_REQ = struct.Struct(">BBI")
 _PROBE_REQ = struct.Struct(">BBII")
+_MASK = struct.Struct(">B")   # one parity in the top bit
 _SUB_BULK, _SUB_PROBE, _SUB_VERIFY = 0, 1, 2
 
 
@@ -66,7 +72,7 @@ def _as_bits(bits) -> np.ndarray:
 
 @dataclass(frozen=True)
 class SessionParams:
-    """Operating point and block configuration for one session.
+    """Operating point and block length for one session.
 
     Construction fails unless the operating condition holds at ratio 8 and
     the quantization grid resolves the basis offset.
@@ -77,21 +83,28 @@ class SessionParams:
     resolution_bits: int = 16
     block_length: int = 1024
     safety_bits: int = 32
-    reconciliation_block: int | None = None
 
     def __post_init__(self):
-        if self.reconciliation_block is None:
-            object.__setattr__(self, "reconciliation_block", self.block_length)
-        if not self.block_length >= self.reconciliation_block >= 8:
+        if self.block_length < 8:
             raise ValueError(
-                f"need block_length >= reconciliation_block >= 8, got "
-                f"{self.block_length} / {self.reconciliation_block}")
+                f"block_length must be >= 8, got {self.block_length}")
         if self.safety_bits < 0:
             raise ValueError("safety_bits must be >= 0")
         Constellation(self.delta_phi, self.resolution_bits)  # grid invariant
         report = analysis.validate_params(self.coherent, self.delta_phi)
         if not report.ok:
             raise ValueError(f"operating condition violated: {report.describe()}")
+
+    @classmethod
+    def from_hello(cls, hello: transport.HelloParams) -> "SessionParams":
+        """The responder's parameters: the operating point a HELLO proposed."""
+        return cls(hello.avg_photon_number, hello.delta_phi,
+                   hello.resolution_bits, hello.block_length, hello.safety_bits)
+
+    @property
+    def reconciliation_block(self) -> int:
+        """The one parity block of reconciliation: the whole key."""
+        return self.block_length
 
     @property
     def coherent(self) -> CoherentStateParams:
@@ -129,6 +142,14 @@ class ChainKey:
     def status(self) -> str:
         return "consumed" if self.used_as_basis else "basis-available"
 
+    def consume(self) -> np.ndarray:
+        """Use this key as basis material, once; returns its bits."""
+        if self.used_as_basis:
+            raise OneTimeViolationError(
+                f"key K{self.index} was already used as basis material")
+        self.used_as_basis = True
+        return self.bits
+
 
 class KeyChain:
     """Ordered keys K0, K1, K2, ... shared by one party."""
@@ -146,11 +167,7 @@ class KeyChain:
         return key
 
     def use_as_basis(self, key: ChainKey) -> np.ndarray:
-        if key.used_as_basis:
-            raise OneTimeViolationError(
-                f"key K{key.index} was already used as basis material")
-        key.used_as_basis = True
-        return key.bits
+        return key.consume()
 
     def total_delivered(self) -> int:
         return sum(len(k.bits) for k in self.keys[1:])
@@ -209,12 +226,9 @@ def send_block(fresh_bits, basis_key: ChainKey, params: SessionParams,
         raise ProtocolError(
             f"fresh bits ({len(fresh)}) and basis key ({len(basis_key.bits)}) "
             f"lengths differ")
-    if basis_key.used_as_basis:
-        raise OneTimeViolationError(
-            f"key K{basis_key.index} was already used as basis material")
-    basis_key.used_as_basis = True
+    basis = basis_key.consume()
     noise = noise_model.sample(len(fresh))
-    symbols = transmit_symbol(fresh, basis_key.bits, params.constellation, noise)
+    symbols = transmit_symbol(fresh, basis, params.constellation, noise)
     return BlockTranscript(direction, symbols, cycle_index)
 
 
@@ -230,33 +244,11 @@ def recover_block(t: BlockTranscript, basis_bits,
 
 
 # ---------------------------------------------------------------------------
-# Reconciliation: two parity passes with binary-search correction
+# Reconciliation: whole-key parity passes with binary-search correction
 # ---------------------------------------------------------------------------
 
-def _parity(bits: np.ndarray, idx: np.ndarray) -> int:
-    return int(bits[idx].sum()) & 1
-
-
-def _pass_order(n: int, perm_seed: int, pass_id: int) -> np.ndarray:
-    """Public bit order of a parity pass: identity, then a seed-keyed permutation."""
-    if pass_id == 0:
-        return np.arange(n)
-    return np.random.default_rng(perm_seed).permutation(n)
-
-
-def _pass_orders(n: int, perm_seed: int):
-    """order(pass_id), each pass's order drawn the first time it is asked for."""
-    return functools.cache(functools.partial(_pass_order, n, perm_seed))
-
-
-def _block_parities(bits: np.ndarray, order, pass_id: int, rb: int) -> np.ndarray:
-    if rb == len(bits):
-        # one block: its parity is the same in every order, so draw none
-        return np.array([bits.sum() & 1], dtype=np.uint8)
-    perm = order(pass_id)
-    pad = (-len(perm)) % rb
-    padded = np.concatenate([bits[perm], np.zeros(pad, dtype=np.uint8)])
-    return padded.reshape(-1, rb).sum(axis=1).astype(np.uint8) & 1
+def _parity(bits: np.ndarray) -> int:
+    return int(bits.sum()) & 1
 
 
 def _digest(bits: np.ndarray) -> bytes:
@@ -270,62 +262,41 @@ def _unpack(fmt: struct.Struct, payload: bytes, what: str) -> tuple:
     return fmt.unpack(payload)
 
 
-def _unpack_mask(payload: bytes, count: int, what: str) -> np.ndarray:
-    if len(payload) != (count + 7) // 8:
-        raise ProtocolError(
-            f"{what} needs {(count + 7) // 8} bytes for {count} parities, "
-            f"peer sent {len(payload)}")
-    return np.unpackbits(np.frombuffer(payload, dtype=np.uint8), count=count)
-
-
-def reconcile_receiver(bits, channel: Channel, params: SessionParams,
-                       ledger: LeakLedger, perm_seed: int) -> np.ndarray:
+def reconcile_receiver(bits, channel: Channel, ledger: LeakLedger) -> np.ndarray:
     """Run reconcile_receiver_core over a channel."""
-    return transport.drive(
-        reconcile_receiver_core(bits, params, ledger, perm_seed), channel)
+    return transport.drive(reconcile_receiver_core(bits, ledger), channel)
 
 
-def reconcile_receiver_core(bits, params: SessionParams, ledger: LeakLedger,
-                            perm_seed: int):
+def reconcile_receiver_core(bits, ledger: LeakLedger):
     """Core: correct this side's candidate bits toward the sender's reference.
 
-    One sequential parity pass, one pass over a seed-keyed public
-    permutation, single-bit binary-search correction inside mismatched
-    blocks, then a digest check.  Every parity that crosses the wire
-    increments the ledger.  Returns the corrected bits.
-
-    A pass whose one block is the whole key sends the parity of all bits;
-    its order is drawn only if a probe names it.
+    Each of the two passes sends the parity of the whole key; a mismatch
+    is bisected in key order down to one bit, which is flipped.  A digest
+    check follows.  Every parity that crosses the wire increments the
+    ledger.  Returns the corrected bits.
     """
     bits = _as_bits(bits).copy()
-    n = len(bits)
-    rb = min(params.reconciliation_block, n)
-    order = _pass_orders(n, perm_seed)
     for pass_id in range(_PARITY_PASSES):
-        mine = _block_parities(bits, order, pass_id, rb)
-        nblocks = len(mine)
         yield (MessageType.PARITY_REQ,
-               _BULK_REQ.pack(_SUB_BULK, pass_id, nblocks) +
-               np.packbits(mine).tobytes())
-        ledger.add_parities(nblocks)
+               _BULK_REQ.pack(_SUB_BULK, pass_id, 1) + _MASK.pack(_parity(bits) << 7))
+        ledger.add_parities(1)
         _, payload = yield from expect(MessageType.PARITY_RESP)
-        mismatch = _unpack_mask(payload, nblocks, "bulk parity reply")
-        for bi in np.flatnonzero(mismatch):
-            lo = int(bi) * rb
-            hi = min(lo + rb, n)
-            while hi - lo > 1:
-                half = (hi - lo) // 2
-                yield (MessageType.PARITY_REQ,
-                       _PROBE_REQ.pack(_SUB_PROBE, pass_id, lo, half))
-                ledger.add_parities(1)
-                _, resp = yield from expect(MessageType.PARITY_RESP)
-                if resp not in (b"\x00", b"\x01"):
-                    raise ProtocolError("probe reply is not one parity byte")
-                if _parity(bits, order(pass_id)[lo:lo + half]) != resp[0]:
-                    hi = lo + half
-                else:
-                    lo = lo + half
-            bits[order(pass_id)[lo]] ^= 1
+        if not _unpack(_MASK, payload, "bulk parity reply")[0] >> 7:
+            continue
+        lo, hi = 0, len(bits)
+        while hi - lo > 1:
+            half = (hi - lo) // 2
+            yield (MessageType.PARITY_REQ,
+                   _PROBE_REQ.pack(_SUB_PROBE, pass_id, lo, half))
+            ledger.add_parities(1)
+            _, resp = yield from expect(MessageType.PARITY_RESP)
+            if resp not in (b"\x00", b"\x01"):
+                raise ProtocolError("probe reply is not one parity byte")
+            if _parity(bits[lo:lo + half]) != resp[0]:
+                hi = lo + half
+            else:
+                lo = lo + half
+        bits[lo] ^= 1
     yield MessageType.PARITY_REQ, bytes([_SUB_VERIFY]) + _digest(bits)
     _, resp = yield from expect(MessageType.PARITY_RESP)
     if resp != b"\x01":
@@ -333,23 +304,18 @@ def reconcile_receiver_core(bits, params: SessionParams, ledger: LeakLedger,
     return bits
 
 
-def reconcile_sender(bits, channel: Channel, params: SessionParams,
-                     ledger: LeakLedger, perm_seed: int) -> None:
+def reconcile_sender(bits, channel: Channel, ledger: LeakLedger) -> None:
     """Run reconcile_sender_core over a channel."""
-    transport.drive(reconcile_sender_core(bits, params, ledger, perm_seed),
-                    channel)
+    transport.drive(reconcile_sender_core(bits, ledger), channel)
 
 
-def reconcile_sender_core(bits, params: SessionParams, ledger: LeakLedger,
-                          perm_seed: int):
+def reconcile_sender_core(bits, ledger: LeakLedger):
     """Core: answer the receiver's parity queries against the reference bits.
 
     Returns the reference bits once the receiver's digest matches them.
     """
     bits = _as_bits(bits)
     n = len(bits)
-    rb = min(params.reconciliation_block, n)
-    order = _pass_orders(n, perm_seed)
     while True:
         _, payload = yield from expect(MessageType.PARITY_REQ)
         sub = payload[0] if payload else None
@@ -358,22 +324,20 @@ def reconcile_sender_core(bits, params: SessionParams, ledger: LeakLedger,
                 _BULK_REQ, payload[:_BULK_REQ.size], "bulk parity request")
             if pass_id >= _PARITY_PASSES:
                 raise ProtocolError(f"unknown parity pass {pass_id}")
-            mine = _block_parities(bits, order, pass_id, rb)
-            if len(mine) != nblocks:
-                raise ProtocolError("parity block count mismatch")
-            theirs = _unpack_mask(payload[_BULK_REQ.size:], nblocks,
-                                  "bulk parity request")
-            ledger.add_parities(nblocks)
-            mask = (mine != theirs).astype(np.uint8)
-            yield MessageType.PARITY_RESP, np.packbits(mask).tobytes()
+            if nblocks != 1:
+                raise ProtocolError(f"bulk request of {nblocks} blocks; "
+                                    f"the one parity block is the whole key")
+            theirs = _unpack(_MASK, payload[_BULK_REQ.size:],
+                             "bulk parity request")[0] >> 7
+            ledger.add_parities(1)
+            yield MessageType.PARITY_RESP, _MASK.pack((_parity(bits) ^ theirs) << 7)
         elif sub == _SUB_PROBE:
             _, pass_id, lo, half = _unpack(_PROBE_REQ, payload, "parity probe")
             if pass_id >= _PARITY_PASSES or half < 1 or lo + half > n:
                 raise ProtocolError(
                     f"parity probe ({pass_id}, {lo}, {half}) is out of range")
             ledger.add_parities(1)
-            par = _parity(bits, order(pass_id)[lo:lo + half])
-            yield MessageType.PARITY_RESP, bytes([par])
+            yield MessageType.PARITY_RESP, bytes([_parity(bits[lo:lo + half])])
         elif sub == _SUB_VERIFY:
             ok = payload[1:] == _digest(bits)
             yield MessageType.PARITY_RESP, b"\x01" if ok else b"\x00"
@@ -560,7 +524,7 @@ def _direction(state: PartyState, cycle_index: int, direction: int,
         reconcile = reconcile_receiver_core
     delta = LeakLedger()
     delta.add_symbols(len(bits), params.per_symbol_leak)
-    bits = yield from reconcile(bits, params, delta, perm_seed)
+    bits = yield from reconcile(bits, delta)
     state.ledger.merge(delta)
     new_bits = privacy_amplify(
         bits, pa_output_length(len(bits), delta, params.safety_bits), pa_seed)
@@ -708,8 +672,10 @@ def simulate_session(params: SessionParams, k0_bits, seed_a: int, seed_b: int,
     proposal = params.hello(len(k0))
 
     def role_b():
-        yield from transport.handshake_core("B", expected_block_length=len(k0))
-        state_b = PartyState.create("B", params, k0, seed_b)
+        hello = yield from transport.handshake_core(
+            "B", expected_block_length=len(k0))
+        state_b = PartyState.create("B", SessionParams.from_hello(hello), k0,
+                                    seed_b)
         return (yield from session_core(state_b, keep_transcripts=keep_transcripts))
 
     channel = transport.PeerChannel(role_b())

@@ -99,13 +99,34 @@ def test_simulate_rejects_bad_operating_point():
 
 def test_serve_and_connect_reject_flags_hello_does_not_carry():
     # serve takes its operating point from the peer's HELLO, and HELLO
-    # carries no reconciliation block size
-    for command in (["serve"], ["connect", "--addr", "127.0.0.1:9"]):
+    # carries no reconciliation block size; nor does any other command
+    for command in (["serve"], ["connect", "--addr", "127.0.0.1:9"],
+                    ["simulate"], ["attack-kpa"], ["attack-chain"]):
         res = run_cli(*command, "--recon-block", "64")
         assert res.returncode == 1
         assert "unrecognized arguments: --recon-block" in res.stderr
     res = run_cli("serve", "--n-avg", "1e4")
     assert res.returncode == 1
+
+
+@pytest.mark.parametrize("args", [
+    ("connect", "--addr", "localhost"),
+    ("serve", "--listen", "nohost"),
+    ("simulate", "--k0-bits", "-5"),
+    ("surface", "--quantity", "delta_h", "--n-grid", "abc", "--exp-grid", "-10",
+     "--out", os.devnull),
+    ("surface", "--quantity", "delta_h", "--n-grid", "0", "--exp-grid", "-10",
+     "--out", os.devnull),
+    ("analyze", "--n-avg", "-1", "--delta-phi-exp", "-10"),
+    ("attack-basis", "--n-avg", "0", "--delta-phi-exp", "-6"),
+    ("attack-basis", "--n-avg", "1e4", "--delta-phi-exp", "-6", "--bits", "0"),
+    ("attack-chain", "--known-key-index", "9", "--cycles", "3"),
+], ids=" ".join)
+def test_bad_operator_input_exits_1_without_traceback(args):
+    res = run_cli(*args)
+    assert res.returncode == 1
+    assert "Traceback" not in res.stderr
+    assert "error:" in res.stderr.splitlines()[-1]
 
 
 def test_simulate_progress_and_transcript(tmp_path):

@@ -1,11 +1,13 @@
 import hashlib
+import math
 import socket
 import threading
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from noisepad import analysis, protocol
+from noisepad import analysis
 from noisepad.encode import quantize
 from noisepad.errors import (
     KeyExhaustedError,
@@ -67,20 +69,38 @@ def noise_model(params, seed=0):
     return PhaseNoiseModel(params.coherent.sigma_phi, seed)
 
 
-def run_both(receiver_bits, sender_bits, params, perm_seed=7):
-    """Drive both reconciliation roles on this thread; the sender is a peer core."""
+def logging_probes(core, probes: list):
+    """The core, logging the (pass, lo, half) of every parity probe it receives."""
+    frame = None
+    while True:
+        try:
+            step = core.send(frame)
+        except StopIteration as done:
+            return done.value
+        frame = yield step
+        if step is RECV and frame[1][:1] == bytes([_SUB_PROBE]):
+            probes.append(_PROBE_REQ.unpack(frame[1])[1:])
+
+
+def run_both(receiver_bits, sender_bits):
+    """Drive both reconciliation roles on this thread; the sender is a peer core.
+
+    Returns (receiver's bits or None, receiver ledger, sender ledger, errors
+    by side, probes the sender answered).
+    """
     led_r, led_s = LeakLedger(), LeakLedger()
+    probes = []
     channel = PeerChannel(
-        reconcile_sender_core(sender_bits, params, led_s, perm_seed))
+        logging_probes(reconcile_sender_core(sender_bits, led_s), probes))
     out = None
     errs = {}
     try:
-        out = reconcile_receiver(receiver_bits, channel, params, led_r, perm_seed)
+        out = reconcile_receiver(receiver_bits, channel, led_r)
     except Exception as exc:  # noqa: BLE001
         errs["r"] = exc
     if channel.error is not None:
         errs["s"] = channel.error
-    return out, led_r, led_s, errs
+    return out, led_r, led_s, errs, probes
 
 
 # ---------------------------------------------------------------------------
@@ -95,12 +115,17 @@ def test_session_params_validation():
     with pytest.raises(ValueError):
         SessionParams(1e4, 2.0 ** -30, 16, 1024)       # grid cannot resolve
     with pytest.raises(ValueError):
-        SessionParams(1e4, 2.0 ** -30, 40, 1024, reconciliation_block=4)
-    with pytest.raises(ValueError):
-        SessionParams(1e4, 2.0 ** -30, 40, 64, reconciliation_block=128)
+        SessionParams(1e4, 2.0 ** -30, 40, 7)          # block shorter than 8
     p = SessionParams(1e4, 2.0 ** -30, 40, 1024)
-    assert p.reconciliation_block == 1024
+    assert p.reconciliation_block == 1024               # always the whole key
     assert p.per_symbol_leak == analysis.entropy_leak(p.coherent, p.delta_phi) - 0.5
+
+
+def test_session_params_from_hello_round_trip():
+    for p in (PARAMS,
+              SessionParams(1e4, 2.0 ** -10, 16, 8, safety_bits=0),
+              SessionParams(1e6, 2.0 ** -20, 32, 1 << 18, safety_bits=64)):
+        assert SessionParams.from_hello(p.hello(p.block_length)) == p
 
 
 # ---------------------------------------------------------------------------
@@ -202,86 +227,81 @@ def test_ledger_accounting():
 
 def test_reconcile_identical_inputs_parity_count():
     rng = np.random.default_rng(21)
-    p = SessionParams(1e4, 2.0 ** -30, 40, 1024, reconciliation_block=64)
     data = bits(rng, 1024)
-    out, led_r, led_s, errs = run_both(data.copy(), data, p)
+    out, led_r, led_s, errs, probes = run_both(data.copy(), data)
     assert not errs
     assert np.array_equal(out, data)
-    assert led_r.disclosed_parity_bits == 2 * (1024 // 64)
-    assert led_s.disclosed_parity_bits == led_r.disclosed_parity_bits
+    # one whole-key parity per pass, no probe
+    assert probes == []
+    assert led_r.disclosed_parity_bits == led_s.disclosed_parity_bits == 2
 
 
 def test_reconcile_single_error_bisection_cost():
     rng = np.random.default_rng(22)
-    p = SessionParams(1e4, 2.0 ** -30, 40, 1024, reconciliation_block=64)
     reference = bits(rng, 1024)
     corrupted = reference.copy()
     corrupted[500] ^= 1
-    out, led_r, _, errs = run_both(corrupted, reference, p)
+    out, led_r, led_s, errs, probes = run_both(corrupted, reference)
     assert not errs
     assert np.array_equal(out, reference)
-    # one mismatched 64-bit block costs exactly log2(64) = 6 probe parities
-    assert led_r.disclosed_parity_bits == 2 * (1024 // 64) + 6
+    # pass 0 bisects the whole key in log2(1024) = 10 probes; pass 1 matches
+    assert [pass_id for pass_id, _, _ in probes] == [0] * 10
+    assert led_r.disclosed_parity_bits == led_s.disclosed_parity_bits == 2 + 10
 
 
 def test_reconcile_scattered_errors():
+    # three errors: pass 0 corrects one, the other two hide from both
+    # parities, and the digest check ends the dialogue on both sides
     rng = np.random.default_rng(23)
-    p = SessionParams(1e4, 2.0 ** -30, 40, 2048, reconciliation_block=128)
     reference = bits(rng, 2048)
     corrupted = reference.copy()
     for i in (17, 300, 1999):
         corrupted[i] ^= 1
-    out, _, _, errs = run_both(corrupted, reference, p)
-    assert not errs
-    assert np.array_equal(out, reference)
-
-
-def test_reconcile_residual_mismatch_detected():
-    # two errors in the one and only block stay parity-invisible in both
-    # passes; the digest check must catch them
-    rng = np.random.default_rng(24)
-    p = SessionParams(1e4, 2.0 ** -30, 40, 64, reconciliation_block=64)
-    reference = bits(rng, 64)
-    corrupted = reference.copy()
-    corrupted[3] ^= 1
-    corrupted[40] ^= 1
-    out, _, _, errs = run_both(corrupted, reference, p)
+    out, _, _, errs, _ = run_both(corrupted, reference)
     assert out is None
     assert isinstance(errs.get("r"), ReconciliationError)
     assert isinstance(errs.get("s"), ReconciliationError)
 
 
-def _count_orders(monkeypatch) -> list:
-    drawn = []
-
-    def counting(n, perm_seed, pass_id):
-        drawn.append(pass_id)
-        return original(n, perm_seed, pass_id)
-
-    original = protocol._pass_order
-    monkeypatch.setattr(protocol, "_pass_order", counting)
-    return drawn
-
-
-def test_one_block_passes_draw_no_permutation(monkeypatch):
-    drawn = _count_orders(monkeypatch)
-    rng = np.random.default_rng(25)
-    reference = bits(rng, 1024)
-    out, led_r, led_s, errs = run_both(reference.copy(), reference, PARAMS)
-    assert not errs and np.array_equal(out, reference)
-    assert drawn == []
-    assert led_r.disclosed_parity_bits == led_s.disclosed_parity_bits == 2
-    # one error: pass 0 bisects in key order; pass 1 still draws nothing
+def test_reconcile_residual_mismatch_detected():
+    # two errors stay parity-invisible in both passes; the digest check
+    # must catch them
+    rng = np.random.default_rng(24)
+    reference = bits(rng, 64)
     corrupted = reference.copy()
-    corrupted[700] ^= 1
-    out, led_r, _, errs = run_both(corrupted, reference, PARAMS)
-    assert not errs and np.array_equal(out, reference)
-    assert 1 not in drawn
-    assert led_r.disclosed_parity_bits == 2 + 10
+    corrupted[3] ^= 1
+    corrupted[40] ^= 1
+    out, _, _, errs, probes = run_both(corrupted, reference)
+    assert out is None and probes == []
+    assert isinstance(errs.get("r"), ReconciliationError)
+    assert isinstance(errs.get("s"), ReconciliationError)
 
 
-def test_probe_of_a_one_block_pass_gets_the_permuted_parity(monkeypatch):
-    drawn = _count_orders(monkeypatch)
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(st.data())
+def test_whole_key_reconciliation_property(data):
+    n = data.draw(st.integers(8, 4096), label="n")
+    errors = data.draw(st.sets(st.sampled_from([0, n - 1]) | st.integers(0, n - 1),
+                               max_size=3), label="errors")
+    reference = bits(np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1),
+                                                     label="key seed")), n)
+    corrupted = reference.copy()
+    corrupted[sorted(errors)] ^= 1
+    out, led_r, led_s, errs, probes = run_both(corrupted, reference)
+    if len(errors) <= 1:
+        assert not errs
+        assert np.array_equal(out, reference)
+        assert led_r.disclosed_parity_bits == led_s.disclosed_parity_bits == \
+            2 + len(probes)
+        assert len(probes) <= math.ceil(math.log2(n))
+    else:
+        # unequal keys are never returned
+        assert out is None
+        assert isinstance(errs.get("r"), ReconciliationError)
+        assert isinstance(errs.get("s"), ReconciliationError)
+
+
+def test_probe_of_pass_1_is_answered_in_key_order():
     rng = np.random.default_rng(26)
     key = bits(rng, 1024)
     probes = [(0, 512), (100, 7), (1000, 24), (3, 1)]
@@ -298,11 +318,9 @@ def test_probe_of_a_one_block_pass_gets_the_permuted_parity(monkeypatch):
         return answers
 
     channel = PeerChannel(prober())
-    drive(reconcile_sender_core(key, PARAMS, LeakLedger(), 99), channel)
-    perm = np.random.default_rng(99).permutation(1024)
-    assert channel.result == [int(key[perm[lo:lo + half]].sum()) & 1
+    drive(reconcile_sender_core(key, LeakLedger()), channel)
+    assert channel.result == [int(key[lo:lo + half].sum()) & 1
                               for lo, half in probes]
-    assert drawn == [1]
 
 
 # ---------------------------------------------------------------------------
@@ -600,11 +618,11 @@ KEYBLOCK = pack_keyblock(1, np.zeros(64, dtype=np.uint64), 40)
 
 
 def _sender():
-    return reconcile_sender_core(K0_SMALL, SMALL, LeakLedger(), 7)
+    return reconcile_sender_core(K0_SMALL, LeakLedger())
 
 
 def _receiver():
-    return reconcile_receiver_core(K0_SMALL, SMALL, LeakLedger(), 7)
+    return reconcile_receiver_core(K0_SMALL, LeakLedger())
 
 
 def _responder():
@@ -619,6 +637,7 @@ HOSTILE_FRAMES = {
     "2-byte bulk request": (_sender, [(REQ, bytes([_SUB_BULK, 0]))]),
     "bulk request of pass 9": (_sender, [(REQ, _BULK_REQ.pack(_SUB_BULK, 9, 1) + b"\x00")]),
     "bulk request without parities": (_sender, [(REQ, _BULK_REQ.pack(_SUB_BULK, 0, 1))]),
+    "bulk request of 2 blocks": (_sender, [(REQ, _BULK_REQ.pack(_SUB_BULK, 0, 2) + b"\x00")]),
     "empty bulk reply": (_receiver, [(RESP, b"")]),
     "empty probe reply": (_receiver, [(RESP, b"\x80"), (RESP, b"")]),
     "probe reply of 2": (_receiver, [(RESP, b"\x80"), (RESP, b"\x02")]),
