@@ -70,9 +70,16 @@ def _session_params(args, block_length: int) -> protocol.SessionParams:
     )
 
 
+def _positive_int(text: str) -> int:
+    """argparse type for a count of at least 1."""
+    if not text.isdigit() or int(text) < 1:
+        raise argparse.ArgumentTypeError(f"expected an integer >= 1, got {text!r}")
+    return int(text)
+
+
 def _add_key_flags(p: argparse.ArgumentParser):
     p.add_argument("--seed", type=int, default=0, help="party seed")
-    p.add_argument("--k0-bits", type=int, default=1024)
+    p.add_argument("--k0-bits", type=_positive_int, default=1024)
     p.add_argument("--k0-seed", type=int, default=7,
                    help="derive K0 from a seed (test only, insecure)")
     p.add_argument("--k0-file", help="read K0 as raw bytes")
@@ -244,9 +251,9 @@ def cmd_serve(args) -> int:
     def handle(conn) -> int:
         nonlocal spent
         channel = transport.SocketChannel(conn)
-        if args.transcript_out:
-            transport.record_transcript(channel, args.transcript_out)
         try:
+            if args.transcript_out:
+                transport.record_transcript(channel, args.transcript_out)
             hello = transport.handshake(channel, "B",
                                         expected_block_length=len(k0))
             spent = True
@@ -254,13 +261,13 @@ def cmd_serve(args) -> int:
                 "B", protocol.SessionParams.from_hello(hello), k0, args.seed)
             result = protocol.run_session(channel, state)
             _json_out(_summary(result, {"seed": args.seed, "k0_bits": len(k0)}))
+            if channel.tap is not None:
+                channel.tap.finish()
             return EXIT_OK
         except NoisepadError as exc:
             print(f"session failed: {exc}", file=sys.stderr)
             return EXIT_RUNTIME
         finally:
-            if channel.tap is not None:
-                channel.tap.close()
             channel.close()
 
     try:
@@ -281,15 +288,19 @@ def cmd_connect(args) -> int:
     k0 = _k0_bits(args)
     params = _session_params(args, len(k0))
     proposal = params.hello(len(k0))
+    tap = None
+    if args.transcript_out:     # before connecting, to spare the server
+        tap = transport.TranscriptTap(args.transcript_out)
     sock = socket.create_connection(args.addr, timeout=30.0)
     channel = transport.SocketChannel(sock)
-    if args.transcript_out:
-        transport.record_transcript(channel, args.transcript_out)
+    channel.tap = tap
     try:
         transport.handshake(channel, "A", proposal)
         state = protocol.PartyState.create("A", params, k0, args.seed)
         result = protocol.run_session(channel, state, cycles=args.cycles)
         _json_out(_summary(result, {"seed": args.seed, "k0_bits": len(k0)}))
+        if channel.tap is not None:
+            channel.tap.finish()
         return EXIT_OK
     except HandshakeError as exc:
         print(f"handshake rejected: {exc}", file=sys.stderr)
@@ -298,8 +309,6 @@ def cmd_connect(args) -> int:
         print(f"session failed: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
     finally:
-        if channel.tap is not None:
-            channel.tap.close()
         channel.close()
 
 
@@ -350,7 +359,7 @@ def cmd_attack_kpa(args) -> int:
         return EXIT_OK
     # Demo: run a session, let A and B encrypt a plaintext Eve knows with
     # their freshly delivered K1, and recover K1 from the public XOR.
-    params, result = _demo_session(args, cycles=max(1, args.cycles))
+    params, result = _demo_session(args, cycles=args.cycles)
     k1 = result.chain.keys[1].bits
     plain = np.random.default_rng([args.seed, 99]).integers(
         0, 2, len(k1), dtype=np.uint8)
@@ -425,7 +434,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--delta-phi-exp", type=int, required=True)
     p.add_argument("--ratio", type=float, default=8.0)
     p.add_argument("--resolution-bits", type=int, default=40)
-    p.add_argument("--k0-bits", type=int, default=256)
+    p.add_argument("--k0-bits", type=_positive_int, default=256)
     p.add_argument("--json", action="store_true")
     p.set_defaults(fn=cmd_analyze)
 
@@ -440,7 +449,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("simulate", help="two-party session in one process")
     _add_session_flags(p)
-    p.add_argument("--cycles", type=int, default=10)
+    p.add_argument("--cycles", type=_positive_int, default=10)
     p.add_argument("--transcript-out")
     p.add_argument("--progress-out", help="per-cycle JSON lines")
     p.set_defaults(fn=cmd_simulate)
@@ -457,7 +466,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("connect", help="run a session against a server")
     _add_session_flags(p)
     p.add_argument("--addr", type=_host_port, required=True, help="host:port")
-    p.add_argument("--cycles", type=int, default=10)
+    p.add_argument("--cycles", type=_positive_int, default=10)
     p.add_argument("--transcript-out")
     p.set_defaults(fn=cmd_connect)
 
@@ -465,13 +474,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n-avg", type=float, required=True)
     p.add_argument("--delta-phi-exp", type=int, required=True)
     p.add_argument("--resolution-bits", type=int, default=24)
-    p.add_argument("--bits", type=int, default=100_000)
+    p.add_argument("--bits", type=_positive_int, default=100_000)
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(fn=cmd_attack_basis)
 
     p = sub.add_parser("attack-kpa", help="known-plaintext key recovery")
     _add_session_flags(p)
-    p.add_argument("--cycles", type=int, default=1)
+    p.add_argument("--cycles", type=_positive_int, default=1)
     p.add_argument("--ciphertext-file")
     p.add_argument("--plaintext-file")
     p.add_argument("--known-key-index", type=int, default=1)
@@ -479,7 +488,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("attack-chain", help="chain compromise from one key")
     _add_session_flags(p)
-    p.add_argument("--cycles", type=int, default=3)
+    p.add_argument("--cycles", type=_positive_int, default=3)
     p.add_argument("--known-key-index", type=int, default=1)
     p.add_argument("--transcript", help="recorded transcript file")
     p.add_argument("--session-record", help="session summary JSON")

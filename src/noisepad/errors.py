@@ -14,7 +14,7 @@ class OneTimeViolationError(ProtocolError):
 
 
 class ReconciliationError(ProtocolError):
-    """Residual key mismatch survived both reconciliation passes."""
+    """Residual key mismatch survived reconciliation."""
 
 
 class KeyExhaustedError(ProtocolError):

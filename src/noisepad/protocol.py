@@ -8,10 +8,11 @@ with a seeded modified Toeplitz hash [I | T] (dual universal, n-1 public
 seed bits) before joining the key chain.
 
 The whole key is the one parity block: the handshake admits a legitimate
-bit-error rate of at most 2Q(8) ~ 1e-15.  Cascade's permuted pass 1 stays
-on the wire as one whole-key parity, which always matches after pass 0, and
-its perm_seed is still drawn and sent in PA_SEED, since skipping the draw
-would shift every PA seed and key.  Probes of pass 1 use key order.
+bit-error rate of at most 2Q(8) ~ 1e-15.  On a parity mismatch the sender's
+Hamming syndrome (XOR of the 1-based indices of its set bits) locates the one
+error in one round trip (Winnow: Buttler et al., PRA 67, 052303, 2003); a
+digest check turns two or more errors into ReconciliationError.  PA_SEED
+carries the cycle, the direction and the PA seed.
 
 Every chained key is a little shorter than its predecessor (the discarded
 bits pay for disclosed parities, the statistical basis leak, and a safety
@@ -50,12 +51,10 @@ A_TO_B = 0
 B_TO_A = 1
 
 TAG_BITS = 256
-_PARITY_PASSES = 2
 
-_PA_SEED = struct.Struct(">IBQQ")
-_BULK_REQ = struct.Struct(">BBI")
-_PROBE_REQ = struct.Struct(">BBII")
-_MASK = struct.Struct(">B")   # one parity in the top bit
+_PA_SEED = struct.Struct(">IBQ")
+_BULK_REQ = struct.Struct(">BB")   # (subtype, parity of the whole key)
+_SYNDROME = struct.Struct(">I")
 _SUB_BULK, _SUB_PROBE, _SUB_VERIFY = 0, 1, 2
 
 
@@ -166,9 +165,6 @@ class KeyChain:
         self.keys.append(key)
         return key
 
-    def use_as_basis(self, key: ChainKey) -> np.ndarray:
-        return key.consume()
-
     def total_delivered(self) -> int:
         return sum(len(k.bits) for k in self.keys[1:])
 
@@ -244,11 +240,16 @@ def recover_block(t: BlockTranscript, basis_bits,
 
 
 # ---------------------------------------------------------------------------
-# Reconciliation: whole-key parity passes with binary-search correction
+# Reconciliation: one whole-key parity, a Hamming syndrome on mismatch
 # ---------------------------------------------------------------------------
 
 def _parity(bits: np.ndarray) -> int:
     return int(bits.sum()) & 1
+
+
+def _syndrome(bits: np.ndarray) -> int:
+    """XOR of the 1-based indices of the set bits."""
+    return int(np.bitwise_xor.reduce(np.flatnonzero(bits) + 1))
 
 
 def _digest(bits: np.ndarray) -> bytes:
@@ -270,37 +271,29 @@ def reconcile_receiver(bits, channel: Channel, ledger: LeakLedger) -> np.ndarray
 def reconcile_receiver_core(bits, ledger: LeakLedger):
     """Core: correct this side's candidate bits toward the sender's reference.
 
-    Each of the two passes sends the parity of the whole key; a mismatch
-    is bisected in key order down to one bit, which is flipped.  A digest
-    check follows.  Every parity that crosses the wire increments the
-    ledger.  Returns the corrected bits.
+    On a whole-key parity mismatch, the XOR of the sender's syndrome and
+    its own names the bit to flip, if it lies in the key.  A digest check
+    follows.  Both sides charge 1 bit per parity and n.bit_length() bits
+    per syndrome.  Returns the corrected bits.
     """
     bits = _as_bits(bits).copy()
-    for pass_id in range(_PARITY_PASSES):
-        yield (MessageType.PARITY_REQ,
-               _BULK_REQ.pack(_SUB_BULK, pass_id, 1) + _MASK.pack(_parity(bits) << 7))
-        ledger.add_parities(1)
+    n = len(bits)
+    yield MessageType.PARITY_REQ, _BULK_REQ.pack(_SUB_BULK, _parity(bits))
+    ledger.add_parities(1)
+    _, resp = yield from expect(MessageType.PARITY_RESP)
+    if resp not in (b"\x00", b"\x01"):
+        raise ProtocolError("bulk parity reply is not one 0 or 1 byte")
+    if resp == b"\x01":
+        yield MessageType.PARITY_REQ, bytes([_SUB_PROBE])
+        ledger.add_parities(n.bit_length())
         _, payload = yield from expect(MessageType.PARITY_RESP)
-        if not _unpack(_MASK, payload, "bulk parity reply")[0] >> 7:
-            continue
-        lo, hi = 0, len(bits)
-        while hi - lo > 1:
-            half = (hi - lo) // 2
-            yield (MessageType.PARITY_REQ,
-                   _PROBE_REQ.pack(_SUB_PROBE, pass_id, lo, half))
-            ledger.add_parities(1)
-            _, resp = yield from expect(MessageType.PARITY_RESP)
-            if resp not in (b"\x00", b"\x01"):
-                raise ProtocolError("probe reply is not one parity byte")
-            if _parity(bits[lo:lo + half]) != resp[0]:
-                hi = lo + half
-            else:
-                lo = lo + half
-        bits[lo] ^= 1
+        pos = _unpack(_SYNDROME, payload, "syndrome reply")[0] ^ _syndrome(bits)
+        if 0 < pos <= n:
+            bits[pos - 1] ^= 1
     yield MessageType.PARITY_REQ, bytes([_SUB_VERIFY]) + _digest(bits)
     _, resp = yield from expect(MessageType.PARITY_RESP)
     if resp != b"\x01":
-        raise ReconciliationError("keys still differ after both passes")
+        raise ReconciliationError("keys still differ after reconciliation")
     return bits
 
 
@@ -310,42 +303,31 @@ def reconcile_sender(bits, channel: Channel, ledger: LeakLedger) -> None:
 
 
 def reconcile_sender_core(bits, ledger: LeakLedger):
-    """Core: answer the receiver's parity queries against the reference bits.
+    """Core: answer the receiver's parity, locate and verify requests.
 
-    Returns the reference bits once the receiver's digest matches them.
+    A locate request is answered only after a parity mismatch.  Returns
+    the reference bits once the receiver's digest matches them.
     """
     bits = _as_bits(bits)
-    n = len(bits)
-    while True:
+    _, payload = yield from expect(MessageType.PARITY_REQ)
+    sub, theirs = _unpack(_BULK_REQ, payload, "bulk parity request")
+    if sub != _SUB_BULK or theirs > 1:
+        raise ProtocolError(f"bad bulk parity request {payload.hex()}")
+    mismatch = _parity(bits) ^ theirs
+    ledger.add_parities(1)
+    yield MessageType.PARITY_RESP, bytes([mismatch])
+    _, payload = yield from expect(MessageType.PARITY_REQ)
+    if mismatch and payload == bytes([_SUB_PROBE]):
+        ledger.add_parities(len(bits).bit_length())
+        yield MessageType.PARITY_RESP, _SYNDROME.pack(_syndrome(bits))
         _, payload = yield from expect(MessageType.PARITY_REQ)
-        sub = payload[0] if payload else None
-        if sub == _SUB_BULK:
-            _, pass_id, nblocks = _unpack(
-                _BULK_REQ, payload[:_BULK_REQ.size], "bulk parity request")
-            if pass_id >= _PARITY_PASSES:
-                raise ProtocolError(f"unknown parity pass {pass_id}")
-            if nblocks != 1:
-                raise ProtocolError(f"bulk request of {nblocks} blocks; "
-                                    f"the one parity block is the whole key")
-            theirs = _unpack(_MASK, payload[_BULK_REQ.size:],
-                             "bulk parity request")[0] >> 7
-            ledger.add_parities(1)
-            yield MessageType.PARITY_RESP, _MASK.pack((_parity(bits) ^ theirs) << 7)
-        elif sub == _SUB_PROBE:
-            _, pass_id, lo, half = _unpack(_PROBE_REQ, payload, "parity probe")
-            if pass_id >= _PARITY_PASSES or half < 1 or lo + half > n:
-                raise ProtocolError(
-                    f"parity probe ({pass_id}, {lo}, {half}) is out of range")
-            ledger.add_parities(1)
-            yield MessageType.PARITY_RESP, bytes([_parity(bits[lo:lo + half])])
-        elif sub == _SUB_VERIFY:
-            ok = payload[1:] == _digest(bits)
-            yield MessageType.PARITY_RESP, b"\x01" if ok else b"\x00"
-            if not ok:
-                raise ReconciliationError("keys still differ after both passes")
-            return bits
-        else:
-            raise ProtocolError(f"unknown reconciliation subtype {sub}")
+    if payload[:1] != bytes([_SUB_VERIFY]):
+        raise ProtocolError(f"unexpected reconciliation request {payload[:8].hex()}")
+    ok = payload[1:] == _digest(bits)
+    yield MessageType.PARITY_RESP, b"\x01" if ok else b"\x00"
+    if not ok:
+        raise ReconciliationError("keys still differ after reconciliation")
+    return bits
 
 
 # ---------------------------------------------------------------------------
@@ -455,14 +437,14 @@ class PaRecord:
     key_index: int
     cycle_index: int
     direction: int
-    perm_seed: int
     pa_seed: int
     output_bits: int
 
     @classmethod
     def from_dict(cls, d: dict) -> "PaRecord":
+        """Read a record; ignores unknown keys, which older records carry."""
         return cls(d["key_index"], d["cycle_index"], d["direction"],
-                   d["perm_seed"], d["pa_seed"], d["output_bits"])
+                   d["pa_seed"], d["output_bits"])
 
 
 @dataclass
@@ -502,10 +484,8 @@ def _direction(state: PartyState, cycle_index: int, direction: int,
         t = send_block(bits, tip, params, state.noise, cycle_index, direction)
         yield (MessageType.KEYBLOCK, transport.pack_keyblock(
             cycle_index, t.symbols, params.resolution_bits))
-        perm_seed = int(state.pub_rng.integers(0, 2 ** 63))
         pa_seed = int(state.pub_rng.integers(0, 2 ** 63))
-        yield (MessageType.PA_SEED,
-               _PA_SEED.pack(cycle_index, direction, perm_seed, pa_seed))
+        yield MessageType.PA_SEED, _PA_SEED.pack(cycle_index, direction, pa_seed)
         reconcile = reconcile_sender_core
     else:
         got_cycle, levels = yield from transport.recv_keyblock(
@@ -514,11 +494,9 @@ def _direction(state: PartyState, cycle_index: int, direction: int,
             raise ProtocolError(
                 f"expected cycle {cycle_index}, peer sent {got_cycle}")
         t = BlockTranscript(direction, levels, got_cycle)
-        bits = recover_block(t, state.chain.use_as_basis(tip),
-                             params.constellation)
+        bits = recover_block(t, tip.consume(), params.constellation)
         _, payload = yield from expect(MessageType.PA_SEED)
-        seed_cycle, seed_dir, perm_seed, pa_seed = _unpack(
-            _PA_SEED, payload, "PA_SEED")
+        seed_cycle, seed_dir, pa_seed = _unpack(_PA_SEED, payload, "PA_SEED")
         if seed_cycle != cycle_index or seed_dir != direction:
             raise ProtocolError("PA_SEED frame does not match the current block")
         reconcile = reconcile_receiver_core
@@ -529,8 +507,8 @@ def _direction(state: PartyState, cycle_index: int, direction: int,
     new_bits = privacy_amplify(
         bits, pa_output_length(len(bits), delta, params.safety_bits), pa_seed)
     key = state.chain.append(new_bits)
-    return t, key, PaRecord(key.index, cycle_index, direction, perm_seed,
-                            pa_seed, len(new_bits))
+    return t, key, PaRecord(key.index, cycle_index, direction, pa_seed,
+                            len(new_bits))
 
 
 def _confirm_message(state: PartyState, cycles_completed: int) -> bytes:
@@ -666,7 +644,7 @@ def simulate_session(params: SessionParams, k0_bits, seed_a: int, seed_b: int,
     Returns (result_a, result_b).  The handshake, key blocks, parity
     dialogue and confirmation cross a PeerChannel as framed bytes exactly
     as they would a socket; a transcript tap may record the eavesdropper's
-    view.
+    view, and raises OSError after the session if it lost a frame.
     """
     k0 = _as_bits(k0_bits)
     proposal = params.hello(len(k0))
@@ -679,9 +657,8 @@ def simulate_session(params: SessionParams, k0_bits, seed_a: int, seed_b: int,
         return (yield from session_core(state_b, keep_transcripts=keep_transcripts))
 
     channel = transport.PeerChannel(role_b())
-    tap = None
     if transcript_path is not None:
-        tap = transport.record_transcript(channel, transcript_path)
+        transport.record_transcript(channel, transcript_path)
     try:
         transport.handshake(channel, "A", proposal)
         state_a = PartyState.create("A", params, k0, seed_a)
@@ -689,8 +666,9 @@ def simulate_session(params: SessionParams, k0_bits, seed_a: int, seed_b: int,
                                progress=progress,
                                keep_transcripts=keep_transcripts)
     finally:
-        if tap is not None:
-            tap.close()
+        channel.close()
     if channel.error is not None:
         raise channel.error
+    if channel.tap is not None:
+        channel.tap.finish()
     return result_a, channel.result

@@ -129,18 +129,15 @@ class TranscriptTap:
     """Records raw KEYBLOCK frames, in wire order, to a file.
 
     This is the eavesdropper's perfect record of every noisy key block.
-    Storage failures are captured on .error and never disturb the session.
+    A file that cannot be opened raises OSError at once; a later storage
+    failure is captured on .error and never disturbs the session.
     """
 
     def __init__(self, path):
         self.path = path
         self.error = None
         self._lock = threading.Lock()
-        try:
-            self._fh = open(path, "wb")
-        except OSError as exc:
-            self._fh = None
-            self.error = exc
+        self._fh = open(path, "wb")
 
     def observe(self, frame_bytes: bytes, msg_type: int) -> None:
         if msg_type != MessageType.KEYBLOCK or self._fh is None:
@@ -160,9 +157,15 @@ class TranscriptTap:
                 self.error = exc
             self._fh = None
 
+    def finish(self) -> None:
+        """Close the file; raise OSError if the transcript lost a frame."""
+        self.close()
+        if self.error is not None:
+            raise OSError(f"transcript {self.path} is incomplete: {self.error}")
+
 
 class Channel:
-    """Framed message channel; attach at most one tap per wire."""
+    """Framed message channel with at most one tap, which close() also closes."""
 
     def __init__(self):
         self.tap: TranscriptTap | None = None
@@ -189,7 +192,8 @@ class Channel:
         raise NotImplementedError
 
     def close(self) -> None:
-        pass
+        if self.tap is not None:
+            self.tap.close()
 
 
 class PeerChannel(Channel):
@@ -273,6 +277,7 @@ class SocketChannel(Channel):
         return msg_type, payload, header + payload
 
     def close(self) -> None:
+        super().close()
         try:
             self._sock.close()
         except OSError:
@@ -346,15 +351,15 @@ def unpack_hello(payload: bytes) -> HelloParams:
     return HelloParams(*_HELLO.unpack(payload))
 
 
-def _check_proposal(p: HelloParams, expected_block_length: int | None,
-                    ratio: float) -> str | None:
+def _check_proposal(p: HelloParams,
+                    expected_block_length: int | None) -> str | None:
     """Reason string if the proposal is unacceptable, else None."""
     try:
         params = CoherentStateParams(p.avg_photon_number)
         Constellation(p.delta_phi, p.resolution_bits)
     except ValueError as exc:
         return str(exc)
-    report = analysis.validate_params(params, p.delta_phi, ratio)
+    report = analysis.validate_params(params, p.delta_phi)
     if not report.ok:
         return report.describe()
     if p.block_length < 8:
@@ -366,16 +371,13 @@ def _check_proposal(p: HelloParams, expected_block_length: int | None,
 
 
 def handshake(channel: Channel, role: str, proposal: HelloParams | None = None,
-              expected_block_length: int | None = None,
-              ratio: float = 8.0) -> HelloParams:
+              expected_block_length: int | None = None) -> HelloParams:
     """Negotiate session parameters over a channel; see handshake_core."""
-    return drive(handshake_core(role, proposal, expected_block_length, ratio),
-                 channel)
+    return drive(handshake_core(role, proposal, expected_block_length), channel)
 
 
 def handshake_core(role: str, proposal: HelloParams | None = None,
-                   expected_block_length: int | None = None,
-                   ratio: float = 8.0):
+                   expected_block_length: int | None = None):
     """Core: the initiator proposes, the responder validates.
 
     Returns the agreed HelloParams.  Raises HandshakeError when the
@@ -395,7 +397,7 @@ def handshake_core(role: str, proposal: HelloParams | None = None,
     if role == "B":
         _, payload = yield from expect(MessageType.HELLO)
         offered = unpack_hello(payload)
-        reason = _check_proposal(offered, expected_block_length, ratio)
+        reason = _check_proposal(offered, expected_block_length)
         if reason is not None:
             yield MessageType.ERROR, reason.encode()
             raise HandshakeError(f"rejected peer session: {reason}")

@@ -205,8 +205,8 @@ def test_chain_compromise_amplified_session(tmp_path):
         for idx, bits in rec.recovered:
             assert np.array_equal(bits, res_a.chain.keys[idx].bits)
     # a record asking for more bits than the block holds ends recovery
-    records = [PaRecord(r.key_index, r.cycle_index, r.direction, r.perm_seed,
-                        r.pa_seed, 2048 if r.key_index == 3 else r.output_bits)
+    records = [PaRecord(r.key_index, r.cycle_index, r.direction, r.pa_seed,
+                        2048 if r.key_index == 3 else r.output_bits)
                for r in res_a.pa_records]
     rec = chain_compromise(res_a.transcripts, 1, known, c, records)
     assert [i for i, _ in rec.recovered] == [2]

@@ -121,12 +121,48 @@ def test_serve_and_connect_reject_flags_hello_does_not_carry():
     ("attack-basis", "--n-avg", "0", "--delta-phi-exp", "-6"),
     ("attack-basis", "--n-avg", "1e4", "--delta-phi-exp", "-6", "--bits", "0"),
     ("attack-chain", "--known-key-index", "9", "--cycles", "3"),
+    ("simulate", "--cycles", "-1"),
+    ("connect", "--addr", "127.0.0.1:9", "--cycles", "0"),
+    ("attack-kpa", "--cycles", "0"),
 ], ids=" ".join)
 def test_bad_operator_input_exits_1_without_traceback(args):
     res = run_cli(*args)
     assert res.returncode == 1
     assert "Traceback" not in res.stderr
     assert "error:" in res.stderr.splitlines()[-1]
+    if args[-2] in ("--cycles", "--k0-bits", "--bits") and int(args[-1]) < 1:
+        assert f"argument {args[-2]}:" in res.stderr.splitlines()[-1]
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+def test_lost_transcript_exits_2(tmp_path):
+    missing = str(tmp_path / "no" / "dir" / "x.bin")
+    session = ("--seed", "3", "--k0-bits", "256", "--cycles", "1")
+    # a tap that cannot be opened stops the command before any handshake
+    res = run_cli("simulate", *session, "--transcript-out", missing)
+    assert res.returncode == 2 and res.stdout == ""
+    assert res.stderr.splitlines() == [
+        f"error: [Errno 2] No such file or directory: '{missing}'"]
+    server = ServeProc("--seed", "1", "--k0-bits", "256", "--transcript-out",
+                       missing, once=False)
+    client = run_cli("connect", "--addr", f"127.0.0.1:{server.port}", *session)
+    code, out, err = server.finish()
+    assert code == 2 and out == "" and client.returncode == 2
+    assert err.splitlines()[-1].startswith("error: [Errno 2]")
+    server = ServeProc("--seed", "1", "--k0-bits", "256")
+    connect = ("connect", "--addr", f"127.0.0.1:{server.port}", *session)
+    assert run_cli(*connect, "--transcript-out", missing).returncode == 2
+    assert run_cli(*connect).returncode == 0     # serve --once was not spent
+    assert server.finish()[0] == 0
+    # a write error does not stop the session, but fails the command after it
+    progress = tmp_path / "progress.jsonl"
+    res = run_cli("simulate", *session, "--transcript-out", "/dev/full",
+                  "--progress-out", str(progress))
+    assert res.returncode == 2 and res.stdout == ""
+    assert len(progress.read_text().splitlines()) == 1
+    assert res.stderr.splitlines() == [
+        "error: transcript /dev/full is incomplete: "
+        "[Errno 28] No space left on device"]
 
 
 def test_simulate_progress_and_transcript(tmp_path):

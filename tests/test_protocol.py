@@ -1,5 +1,3 @@
-import hashlib
-import math
 import socket
 import threading
 
@@ -18,7 +16,6 @@ from noisepad.errors import (
 from noisepad.phys import PhaseNoiseModel
 from noisepad.protocol import (
     _BULK_REQ,
-    _PROBE_REQ,
     _SUB_BULK,
     _SUB_PROBE,
     _SUB_VERIFY,
@@ -70,7 +67,7 @@ def noise_model(params, seed=0):
 
 
 def logging_probes(core, probes: list):
-    """The core, logging the (pass, lo, half) of every parity probe it receives."""
+    """The core, logging the payload of every locate request it receives."""
     frame = None
     while True:
         try:
@@ -79,14 +76,14 @@ def logging_probes(core, probes: list):
             return done.value
         frame = yield step
         if step is RECV and frame[1][:1] == bytes([_SUB_PROBE]):
-            probes.append(_PROBE_REQ.unpack(frame[1])[1:])
+            probes.append(frame[1])
 
 
 def run_both(receiver_bits, sender_bits):
     """Drive both reconciliation roles on this thread; the sender is a peer core.
 
     Returns (receiver's bits or None, receiver ledger, sender ledger, errors
-    by side, probes the sender answered).
+    by side, locate requests the sender received).
     """
     led_r, led_s = LeakLedger(), LeakLedger()
     probes = []
@@ -201,10 +198,10 @@ def test_keychain_discipline():
     chain = KeyChain(np.ones(16, dtype=np.uint8))
     k0 = chain.tip
     assert k0.status == "basis-available"
-    chain.use_as_basis(k0)
+    k0.consume()
     assert k0.status == "consumed"
     with pytest.raises(OneTimeViolationError):
-        chain.use_as_basis(k0)
+        k0.consume()
     k1 = chain.append(np.zeros(12, dtype=np.uint8))
     assert chain.tip is k1 and k1.index == 1
     assert chain.total_delivered() == 12
@@ -231,12 +228,12 @@ def test_reconcile_identical_inputs_parity_count():
     out, led_r, led_s, errs, probes = run_both(data.copy(), data)
     assert not errs
     assert np.array_equal(out, data)
-    # one whole-key parity per pass, no probe
+    # one whole-key parity, no locate request
     assert probes == []
-    assert led_r.disclosed_parity_bits == led_s.disclosed_parity_bits == 2
+    assert led_r.disclosed_parity_bits == led_s.disclosed_parity_bits == 1
 
 
-def test_reconcile_single_error_bisection_cost():
+def test_reconcile_single_error_syndrome_cost():
     rng = np.random.default_rng(22)
     reference = bits(rng, 1024)
     corrupted = reference.copy()
@@ -244,28 +241,28 @@ def test_reconcile_single_error_bisection_cost():
     out, led_r, led_s, errs, probes = run_both(corrupted, reference)
     assert not errs
     assert np.array_equal(out, reference)
-    # pass 0 bisects the whole key in log2(1024) = 10 probes; pass 1 matches
-    assert [pass_id for pass_id, _, _ in probes] == [0] * 10
-    assert led_r.disclosed_parity_bits == led_s.disclosed_parity_bits == 2 + 10
+    # one locate request, answered by an 11-bit syndrome (1024 .bit_length())
+    assert probes == [bytes([_SUB_PROBE])]
+    assert led_r.disclosed_parity_bits == led_s.disclosed_parity_bits == 1 + 11
 
 
 def test_reconcile_scattered_errors():
-    # three errors: pass 0 corrects one, the other two hide from both
-    # parities, and the digest check ends the dialogue on both sides
+    # three errors: the syndrome names a wrong bit, and the digest check
+    # ends the dialogue on both sides
     rng = np.random.default_rng(23)
     reference = bits(rng, 2048)
     corrupted = reference.copy()
     for i in (17, 300, 1999):
         corrupted[i] ^= 1
-    out, _, _, errs, _ = run_both(corrupted, reference)
-    assert out is None
+    out, _, _, errs, probes = run_both(corrupted, reference)
+    assert out is None and len(probes) == 1
     assert isinstance(errs.get("r"), ReconciliationError)
     assert isinstance(errs.get("s"), ReconciliationError)
 
 
 def test_reconcile_residual_mismatch_detected():
-    # two errors stay parity-invisible in both passes; the digest check
-    # must catch them
+    # two errors leave the whole-key parity equal; the digest check must
+    # catch them
     rng = np.random.default_rng(24)
     reference = bits(rng, 64)
     corrupted = reference.copy()
@@ -291,36 +288,14 @@ def test_whole_key_reconciliation_property(data):
     if len(errors) <= 1:
         assert not errs
         assert np.array_equal(out, reference)
+        assert len(probes) == len(errors)
         assert led_r.disclosed_parity_bits == led_s.disclosed_parity_bits == \
-            2 + len(probes)
-        assert len(probes) <= math.ceil(math.log2(n))
+            1 + len(errors) * n.bit_length()
     else:
         # unequal keys are never returned
         assert out is None
         assert isinstance(errs.get("r"), ReconciliationError)
         assert isinstance(errs.get("s"), ReconciliationError)
-
-
-def test_probe_of_pass_1_is_answered_in_key_order():
-    rng = np.random.default_rng(26)
-    key = bits(rng, 1024)
-    probes = [(0, 512), (100, 7), (1000, 24), (3, 1)]
-
-    def prober():
-        answers = []
-        for lo, half in probes:
-            yield MessageType.PARITY_REQ, _PROBE_REQ.pack(_SUB_PROBE, 1, lo, half)
-            _, resp = yield RECV
-            answers.append(resp[0])
-        digest = hashlib.sha256(np.packbits(key).tobytes()).digest()
-        yield MessageType.PARITY_REQ, bytes([_SUB_VERIFY]) + digest
-        yield RECV
-        return answers
-
-    channel = PeerChannel(prober())
-    drive(reconcile_sender_core(key, LeakLedger()), channel)
-    assert channel.result == [int(key[lo:lo + half].sum()) & 1
-                              for lo, half in probes]
 
 
 # ---------------------------------------------------------------------------
@@ -440,9 +415,9 @@ def test_run_cycle_agreement():
     k1, k2 = run_cycle(a, b)
     assert a.chain.bits_equal(b.chain)
     assert len(a.chain.keys) == 3
-    # shrink = ceil(2 parities + statistical) + safety
-    assert len(k1) == 1024 - 3 - 32
-    assert len(k2) == len(k1) - 35
+    # shrink = ceil(1 parity + statistical) + safety
+    assert len(k1) == 1024 - 2 - 32
+    assert len(k2) == len(k1) - 34
 
 
 def test_run_cycle_ledger_matches_analysis():
@@ -453,13 +428,13 @@ def test_run_cycle_ledger_matches_analysis():
     for _ in range(cycles):
         run_cycle(a, b)
         symbols += 2 * n
-        n -= 2 * 35
+        n -= 2 * 34
     per = PARAMS.per_symbol_leak
     # sum of per-block contributions; identical accumulation order on B
     assert a.ledger.statistical_leak == b.ledger.statistical_leak
     total_symbols = sum(len(k.bits) for k in a.chain.keys[:-1])
     assert a.ledger.statistical_leak == pytest.approx(total_symbols * per, rel=1e-12)
-    assert a.ledger.disclosed_parity_bits == 4 * cycles
+    assert a.ledger.disclosed_parity_bits == 2 * cycles
 
 
 def test_run_cycle_shrinkage_invariant():
@@ -468,7 +443,7 @@ def test_run_cycle_shrinkage_invariant():
     for _ in range(4):
         run_cycle(a, b)
     sizes = [len(k.bits) for k in a.chain.keys]
-    assert all(s1 - s2 == 35 for s1, s2 in zip(sizes, sizes[1:]))
+    assert all(s1 - s2 == 34 for s1, s2 in zip(sizes, sizes[1:]))
     assert all(len(k.bits) <= len(prev.bits)
                for prev, k in zip(a.chain.keys, a.chain.keys[1:]))
 
@@ -498,7 +473,7 @@ def test_hundred_cycles_desk_scale():
         run_cycle(a, b)
     assert a.chain.bits_equal(b.chain)
     assert len(a.chain.keys) == 201
-    assert len(a.chain.tip.bits) == 8192 - 200 * 35
+    assert len(a.chain.tip.bits) == 8192 - 200 * 34
 
 
 # ---------------------------------------------------------------------------
@@ -541,7 +516,7 @@ def test_simulate_session_progress_records():
     simulate_session(params, k0, 3, 4, cycles=3, progress=records.append)
     assert [r["cycle"] for r in records] == [1, 2, 3]
     assert all(r["ledger_total"] >= 0 for r in records)
-    assert records[-1]["disclosed_parity_bits"] == 12
+    assert records[-1]["disclosed_parity_bits"] == 6
 
 
 def test_simulate_session_starts_no_thread():
@@ -607,8 +582,35 @@ def test_role_a_frames_equal_in_process_and_over_a_socketpair(monkeypatch):
     assert not peer.is_alive()
     assert over_socket.chain.bits_equal(res_a.chain)
     frames = _role_a_frames(log)
-    assert len(frames) == 2 + 3 * 16 + 2
+    assert len(frames) == 2 + 3 * 12 + 2
     assert frames == in_process
+
+
+def test_direction_frame_sequence(monkeypatch):
+    # B's K0 differs from A's in one bit, so B decodes the A->B block with
+    # exactly one error and the corrected key makes B->A error-free
+    a, _ = fresh_pair()
+    k0_b = a.chain.tip.bits.copy()
+    k0_b[700] ^= 1
+    b = PartyState.create("B", PARAMS, k0_b, 2)
+    log = _record_frames(monkeypatch)
+    k1, k2 = run_cycle(a, b)
+    assert np.array_equal(k1, b.chain.keys[1].bits)
+    assert np.array_equal(k2, b.chain.keys[2].bits)
+    assert len(k1) == 1024 - 13 - 32        # ceil(1 + 11 + statistical) + safety
+    ours = [(way, msg_type, payload) for ch, way, msg_type, payload in log
+            if isinstance(ch, PeerChannel)]
+    kb, seed = MessageType.KEYBLOCK, MessageType.PA_SEED
+    one_error = [("sent", kb, 5124), ("sent", seed, 13),
+                 ("received", REQ, 2), ("sent", RESP, 1),       # bulk parity
+                 ("received", REQ, 1), ("sent", RESP, 4),       # locate
+                 ("received", REQ, 33), ("sent", RESP, 1)]      # verify
+    no_error = [("received", kb, 4 + 5 * len(k1)), ("received", seed, 13),
+                ("sent", REQ, 2), ("received", RESP, 1),
+                ("sent", REQ, 33), ("received", RESP, 1)]
+    assert [(way, t, len(p)) for way, t, p in ours] == one_error + no_error
+    assert [p[0] for _, t, p in ours if t == REQ] == \
+        [_SUB_BULK, _SUB_PROBE, _SUB_VERIFY, _SUB_BULK, _SUB_VERIFY]
 
 
 SMALL = SessionParams(1e4, 2.0 ** -30, 40, 64)
@@ -631,16 +633,19 @@ def _responder():
 
 HOSTILE_FRAMES = {
     "empty parity request": (_sender, [(REQ, b"")]),
-    "probe of pass 9": (_sender, [(REQ, _PROBE_REQ.pack(_SUB_PROBE, 9, 0, 1))]),
-    "probe past the key": (_sender, [(REQ, _PROBE_REQ.pack(_SUB_PROBE, 0, 60, 8))]),
-    "short probe": (_sender, [(REQ, bytes([_SUB_PROBE, 0]))]),
-    "2-byte bulk request": (_sender, [(REQ, bytes([_SUB_BULK, 0]))]),
-    "bulk request of pass 9": (_sender, [(REQ, _BULK_REQ.pack(_SUB_BULK, 9, 1) + b"\x00")]),
-    "bulk request without parities": (_sender, [(REQ, _BULK_REQ.pack(_SUB_BULK, 0, 1))]),
-    "bulk request of 2 blocks": (_sender, [(REQ, _BULK_REQ.pack(_SUB_BULK, 0, 2) + b"\x00")]),
+    "bulk request without parities": (_sender, [(REQ, bytes([_SUB_BULK]))]),
+    "bulk parity of 2": (_sender, [(REQ, _BULK_REQ.pack(_SUB_BULK, 2))]),
+    "locate request with trailing bytes": (_sender, [
+        (REQ, _BULK_REQ.pack(_SUB_BULK, 1 - int(K0_SMALL.sum()) % 2)),
+        (REQ, bytes([_SUB_PROBE, 0]))]),
+    "locate request after equal parities": (_sender, [
+        (REQ, _BULK_REQ.pack(_SUB_BULK, int(K0_SMALL.sum()) % 2)),
+        (REQ, bytes([_SUB_PROBE]))]),
     "empty bulk reply": (_receiver, [(RESP, b"")]),
-    "empty probe reply": (_receiver, [(RESP, b"\x80"), (RESP, b"")]),
-    "probe reply of 2": (_receiver, [(RESP, b"\x80"), (RESP, b"\x02")]),
+    "bulk reply of 2": (_receiver, [(RESP, b"\x02")]),
+    "empty probe reply": (_receiver, [(RESP, b"\x01"), (RESP, b"")]),
+    "probe reply of 2": (_receiver, [(RESP, b"\x01"), (RESP, b"\x02")]),
+    "3-byte syndrome reply": (_receiver, [(RESP, b"\x01"), (RESP, b"\x00" * 3)]),
     "KEYBLOCK shorter than its cycle index": (_responder, [(MessageType.KEYBLOCK, b"\x00\x00")]),
     "ragged KEYBLOCK levels": (_responder, [(MessageType.KEYBLOCK, KEYBLOCK[:-1])]),
     "short PA_SEED": (_responder, [(MessageType.KEYBLOCK, KEYBLOCK),

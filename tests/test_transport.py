@@ -1,3 +1,4 @@
+import os
 import socket
 import threading
 import time
@@ -192,11 +193,16 @@ def test_recv_keyblock_count_mismatch():
     assert isinstance(out["b_err"], ProtocolError)
 
 
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
 def test_tap_failure_does_not_break_sessions(tmp_path):
-    tap = TranscriptTap(tmp_path / "no" / "such" / "dir" / "f.bin")
-    assert tap.error is not None
+    # a file that cannot be opened fails before any frame is sent
+    with pytest.raises(OSError):
+        TranscriptTap(tmp_path / "no" / "such" / "dir" / "f.bin")
+    tap = TranscriptTap("/dev/full")             # every flush fails
     tap.observe(b"data", MessageType.KEYBLOCK)  # swallowed
-    tap.close()
+    assert tap.error is not None
+    with pytest.raises(OSError, match="/dev/full is incomplete"):
+        tap.finish()
 
 
 def test_empty_transcript_file(tmp_path):
