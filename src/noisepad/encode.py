@@ -21,11 +21,15 @@ integer rule is the definition.
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 TWO_PI = 2.0 * math.pi
 PI = math.pi
+# A little-endian uint64 slot seen as one opaque field of its low n bytes.
+_SLOTS = {n: np.dtype({"names": ["low"], "formats": [f"V{n}"], "offsets": [0],
+                       "itemsize": 8}) for n in range(1, 9)}
 
 
 @dataclass(frozen=True)
@@ -55,12 +59,14 @@ class Constellation:
     def step(self) -> float:
         return TWO_PI / self.n_levels
 
-    @property
+    @cached_property
     def phases(self) -> np.ndarray:
-        """modulate(bit, basis) at index 2*bit + basis."""
-        return modulate(*np.divmod(np.arange(4), 2), self)
+        """modulate(bit, basis) at index 2*bit + basis; read-only, computed once."""
+        phases = modulate(*np.divmod(np.arange(4), 2), self)
+        phases.flags.writeable = False
+        return phases
 
-    @property
+    @cached_property
     def windows(self) -> tuple:
         """((start, width) of basis 0, (start, width) of basis 1): the bit-1 levels.
 
@@ -164,20 +170,18 @@ def bytes_per_symbol(resolution_bits: int) -> int:
 def pack_levels(levels, resolution_bits: int) -> bytes:
     """Serialize levels as ceil(R/8) little-endian bytes each, concatenated."""
     nbytes = bytes_per_symbol(resolution_bits)
-    arr = np.ascontiguousarray(np.asarray(levels, dtype=np.uint64).reshape(-1))
+    arr = np.ascontiguousarray(levels, dtype="<u8").reshape(-1)
     if arr.size and int(arr.max()) >> resolution_bits:
         raise ValueError("level out of range for resolution_bits")
-    as_bytes = arr.astype("<u8").view(np.uint8).reshape(-1, 8)
-    return as_bytes[:, :nbytes].tobytes()
+    return arr.view(_SLOTS[nbytes])["low"].tobytes()
 
 
-def unpack_levels(data: bytes, resolution_bits: int) -> np.ndarray:
-    """Inverse of pack_levels."""
+def unpack_levels(data, resolution_bits: int) -> np.ndarray:
+    """Inverse of pack_levels; data is any bytes-like object."""
     nbytes = bytes_per_symbol(resolution_bits)
     if len(data) % nbytes:
         raise ValueError(
             f"packed data length {len(data)} is not a multiple of {nbytes}")
-    raw = np.frombuffer(data, dtype=np.uint8).reshape(-1, nbytes)
-    padded = np.zeros((raw.shape[0], 8), dtype=np.uint8)
-    padded[:, :nbytes] = raw
-    return padded.view("<u8").reshape(-1).astype(np.uint64)
+    levels = np.zeros(len(data) // nbytes, dtype="<u8")
+    levels.view(_SLOTS[nbytes])["low"] = np.frombuffer(data, dtype=f"V{nbytes}")
+    return levels

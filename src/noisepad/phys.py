@@ -134,5 +134,7 @@ class PhaseNoiseModel:
     def sample(self, count: int) -> np.ndarray:
         if count < 0:
             raise ValueError(f"count must be >= 0, got {count!r}")
-        return self._rng.normal(0.0, self.sigma_phi, count)
+        noise = self._rng.standard_normal(count)
+        noise *= self.sigma_phi
+        return noise
 

@@ -4,8 +4,11 @@ One distribution cycle sends fresh random bits from A to B, noise-masked
 under the current shared key (used exactly once as basis material), then
 fresh bits from B back to A under the key that was just delivered.  Each
 direction is parity-reconciled, charged to a leak ledger, and compressed
-with a seeded modified Toeplitz hash [I | T] (dual universal, n-1 public
-seed bits) before joining the key chain.
+with a seeded modified Toeplitz hash [I | T] (dual universal) before joining
+the key chain.  Its n-1 public seed bits, default_rng(seed).integers(0, 2),
+are the top bits of the bytes of PCG64(seed).random_raw (Lemire's method
+with range 2); packed into one Python int, they make T x[m:] one shift and
+XOR per set bit.
 
 The whole key is the one parity block: the handshake admits a legitimate
 bit-error rate of at most 2Q(8) ~ 1e-15.  On a parity mismatch the sender's
@@ -32,6 +35,7 @@ import hashlib
 import math
 import struct
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -89,7 +93,7 @@ class SessionParams:
                 f"block_length must be >= 8, got {self.block_length}")
         if self.safety_bits < 0:
             raise ValueError("safety_bits must be >= 0")
-        Constellation(self.delta_phi, self.resolution_bits)  # grid invariant
+        self.constellation  # grid invariant
         report = analysis.validate_params(self.coherent, self.delta_phi)
         if not report.ok:
             raise ValueError(f"operating condition violated: {report.describe()}")
@@ -105,15 +109,15 @@ class SessionParams:
         """The one parity block of reconciliation: the whole key."""
         return self.block_length
 
-    @property
+    @cached_property
     def coherent(self) -> CoherentStateParams:
         return CoherentStateParams(self.avg_photon_number)
 
-    @property
+    @cached_property
     def constellation(self) -> Constellation:
         return Constellation(self.delta_phi, self.resolution_bits)
 
-    @property
+    @cached_property
     def per_symbol_leak(self) -> float:
         return analysis.entropy_leak(self.coherent, self.delta_phi) - 0.5
 
@@ -151,7 +155,7 @@ class ChainKey:
 
 
 class KeyChain:
-    """Ordered keys K0, K1, K2, ... shared by one party."""
+    """Ordered keys K0, K1, K2, ... of one party; append() takes PA output unchecked."""
 
     def __init__(self, k0_bits):
         self.keys = [ChainKey(0, _as_bits(k0_bits))]
@@ -160,8 +164,8 @@ class KeyChain:
     def tip(self) -> ChainKey:
         return self.keys[-1]
 
-    def append(self, bits) -> ChainKey:
-        key = ChainKey(len(self.keys), _as_bits(bits))
+    def append(self, bits: np.ndarray) -> ChainKey:
+        key = ChainKey(len(self.keys), bits)
         self.keys.append(key)
         return key
 
@@ -235,8 +239,7 @@ def recover_block(t: BlockTranscript, basis_bits,
     if len(basis) != len(t.symbols):
         raise ProtocolError(
             f"basis key ({len(basis)}) and block ({len(t.symbols)}) lengths differ")
-    return np.asarray(
-        decode_with_basis(t.symbols, basis, constellation), dtype=np.uint8)
+    return decode_with_basis(t.symbols, basis, constellation)
 
 
 # ---------------------------------------------------------------------------
@@ -274,9 +277,12 @@ def reconcile_receiver_core(bits, ledger: LeakLedger):
     On a whole-key parity mismatch, the XOR of the sender's syndrome and
     its own names the bit to flip, if it lies in the key.  A digest check
     follows.  Both sides charge 1 bit per parity and n.bit_length() bits
-    per syndrome.  Returns the corrected bits.
+    per syndrome.  Returns the corrected bits, a copy.
     """
-    bits = _as_bits(bits).copy()
+    return _receiver_core(_as_bits(bits).copy(), ledger)
+
+
+def _receiver_core(bits: np.ndarray, ledger: LeakLedger):   # corrects in place
     n = len(bits)
     yield MessageType.PARITY_REQ, _BULK_REQ.pack(_SUB_BULK, _parity(bits))
     ledger.add_parities(1)
@@ -308,7 +314,10 @@ def reconcile_sender_core(bits, ledger: LeakLedger):
     A locate request is answered only after a parity mismatch.  Returns
     the reference bits once the receiver's digest matches them.
     """
-    bits = _as_bits(bits)
+    return _sender_core(_as_bits(bits), ledger)
+
+
+def _sender_core(bits: np.ndarray, ledger: LeakLedger):
     _, payload = yield from expect(MessageType.PARITY_REQ)
     sub, theirs = _unpack(_BULK_REQ, payload, "bulk parity request")
     if sub != _SUB_BULK or theirs > 1:
@@ -347,17 +356,19 @@ def pa_output_length(n: int, ledger: LeakLedger, safety_bits: int) -> int:
     return m
 
 
-def _modified_toeplitz(seed_bits: np.ndarray, vec: np.ndarray, m: int) -> np.ndarray:
+def _modified_toeplitz(seed: int, vec: np.ndarray, m: int) -> np.ndarray:
     """h(x) = x[:m] XOR T x[m:] over GF(2), with T[i, j] = seed[k-1+i-j], k = n-m.
 
-    Column j of T is the seed slice starting at k-1-j, so the product is one
-    m-bit XOR per set bit of x[m:].
+    `seed` packs the n-1 seed bits, bit t = seed[t]; column j of T is the
+    low m bits of seed >> (k-1-j), so the product is one shift and XOR of
+    Python ints per set bit of x[m:].
     """
     k = len(vec) - m
-    out = vec[:m].copy()
-    for j in np.flatnonzero(vec[m:]):
-        out ^= seed_bits[k - 1 - j:k - 1 - j + m]
-    return out
+    acc = int.from_bytes(np.packbits(vec, bitorder="little").tobytes(), "little")
+    for j in np.flatnonzero(vec[m:]).tolist():
+        acc ^= seed >> (k - 1 - j)
+    out = (acc & ((1 << m) - 1)).to_bytes(-(-m // 8), "little")
+    return np.unpackbits(np.frombuffer(out, np.uint8), count=m, bitorder="little")
 
 
 def privacy_amplify(bits, out_len: int, public_seed: int) -> np.ndarray:
@@ -372,9 +383,10 @@ def privacy_amplify(bits, out_len: int, public_seed: int) -> np.ndarray:
     n = len(bits)
     if not 0 < out_len <= n:
         raise ValueError(f"out_len must lie in [1, {n}], got {out_len}")
-    seed_bits = np.random.default_rng(public_seed).integers(
-        0, 2, n - 1, dtype=np.uint8)
-    return _modified_toeplitz(seed_bits, bits, out_len)
+    raw = np.random.PCG64(public_seed).random_raw(-(-(n - 1) // 8))
+    tops = raw.astype("<u8", copy=False).view(np.uint8)[:n - 1] >> 7
+    seed = int.from_bytes(np.packbits(tops, bitorder="little").tobytes(), "little")
+    return _modified_toeplitz(seed, bits, out_len)
 
 
 # ---------------------------------------------------------------------------
@@ -486,7 +498,7 @@ def _direction(state: PartyState, cycle_index: int, direction: int,
             cycle_index, t.symbols, params.resolution_bits))
         pa_seed = int(state.pub_rng.integers(0, 2 ** 63))
         yield MessageType.PA_SEED, _PA_SEED.pack(cycle_index, direction, pa_seed)
-        reconcile = reconcile_sender_core
+        reconcile = _sender_core
     else:
         got_cycle, levels = yield from transport.recv_keyblock(
             params.resolution_bits, len(tip.bits), keyblock)
@@ -499,7 +511,7 @@ def _direction(state: PartyState, cycle_index: int, direction: int,
         seed_cycle, seed_dir, pa_seed = _unpack(_PA_SEED, payload, "PA_SEED")
         if seed_cycle != cycle_index or seed_dir != direction:
             raise ProtocolError("PA_SEED frame does not match the current block")
-        reconcile = reconcile_receiver_core
+        reconcile = _receiver_core
     delta = LeakLedger()
     delta.add_symbols(len(bits), params.per_symbol_leak)
     bits = yield from reconcile(bits, delta)

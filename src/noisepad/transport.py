@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import socket
 import struct
-import threading
 from collections import deque
 from dataclasses import dataclass
 from enum import IntEnum
@@ -136,18 +135,16 @@ class TranscriptTap:
     def __init__(self, path):
         self.path = path
         self.error = None
-        self._lock = threading.Lock()
         self._fh = open(path, "wb")
 
     def observe(self, frame_bytes: bytes, msg_type: int) -> None:
         if msg_type != MessageType.KEYBLOCK or self._fh is None:
             return
-        with self._lock:
-            try:
-                self._fh.write(frame_bytes)
-                self._fh.flush()
-            except OSError as exc:
-                self.error = exc
+        try:
+            self._fh.write(frame_bytes)
+            self._fh.flush()
+        except OSError as exc:
+            self.error = exc
 
     def close(self) -> None:
         if self._fh is not None:
@@ -172,23 +169,22 @@ class Channel:
 
     def send(self, msg_type: int, payload: bytes = b"") -> None:
         frame = frame_encode(msg_type, payload)
-        self._observe(frame, msg_type)
+        if self.tap is not None:
+            self.tap.observe(frame, msg_type)
         self._send_frame(frame)
 
     def recv(self, timeout: float | None = None) -> tuple[int, bytes]:
         msg_type, payload, raw = self._recv_frame(
             DEFAULT_TIMEOUT if timeout is None else timeout)
-        self._observe(raw, msg_type)
-        return msg_type, payload
-
-    def _observe(self, frame_bytes: bytes, msg_type: int) -> None:
         if self.tap is not None:
-            self.tap.observe(frame_bytes, msg_type)
+            self.tap.observe(raw, msg_type)
+        return msg_type, payload
 
     def _send_frame(self, frame: bytes) -> None:
         raise NotImplementedError
 
     def _recv_frame(self, timeout: float):
+        """(msg_type, payload, raw frame); the raw frame may be None without a tap."""
         raise NotImplementedError
 
     def close(self) -> None:
@@ -249,7 +245,7 @@ class SocketChannel(Channel):
         except OSError as exc:
             raise ChannelError(f"send failed: {exc}") from exc
 
-    def _read_exact(self, count: int, what: str) -> bytes:
+    def _read_exact(self, count: int, what: str) -> bytearray:
         buf = bytearray(count)
         view = memoryview(buf)
         got = 0
@@ -267,14 +263,14 @@ class SocketChannel(Channel):
                         f"({got}/{count} bytes)")
                 raise ChannelError("connection closed")
             got += part
-        return bytes(buf)
+        return buf
 
     def _recv_frame(self, timeout: float):
         self._sock.settimeout(timeout)
         header = self._read_exact(HEADER_LEN, "header")
         msg_type, length = _parse_header(header)
         payload = self._read_exact(length, "payload") if length else b""
-        return msg_type, payload, header + payload
+        return msg_type, payload, None if self.tap is None else header + payload
 
     def close(self) -> None:
         super().close()
@@ -419,7 +415,7 @@ def unpack_keyblock(payload: bytes, resolution_bits: int):
         raise ProtocolError("KEYBLOCK payload shorter than its cycle index")
     cycle_index = struct.unpack_from(">I", payload)[0]
     try:
-        return cycle_index, unpack_levels(payload[4:], resolution_bits)
+        return cycle_index, unpack_levels(memoryview(payload)[4:], resolution_bits)
     except ValueError as exc:
         raise ProtocolError(f"KEYBLOCK levels: {exc}") from exc
 

@@ -121,3 +121,30 @@ def float_decode_with_basis(level, basis, delta_phi, resolution_bits):
     d_bit1 = np.abs(float_wrap_pi(phase - float_modulate(1, basis, delta_phi)))
     out = np.where(d_bit1 < d_bit0, 1, 0)
     return int(out) if out.ndim == 0 else out
+
+
+# Kernels as the package computed them before they moved to packed ints and
+# one-copy slots: the new kernels must return the same bits and bytes.
+
+def slice_modified_toeplitz(seed_bits: np.ndarray, vec: np.ndarray,
+                            m: int) -> np.ndarray:
+    """[I | T] x as one XOR of an m-bit uint8 seed slice per set bit of x[m:]."""
+    k = len(vec) - m
+    out = vec[:m].copy()
+    for j in np.flatnonzero(vec[m:]):
+        out ^= seed_bits[k - 1 - j:k - 1 - j + m]
+    return out
+
+
+def strided_pack_levels(levels, resolution_bits: int) -> bytes:
+    nbytes = (resolution_bits + 7) // 8
+    as_bytes = np.asarray(levels, dtype="<u8").view(np.uint8).reshape(-1, 8)
+    return as_bytes[:, :nbytes].tobytes()
+
+
+def strided_unpack_levels(data: bytes, resolution_bits: int) -> np.ndarray:
+    nbytes = (resolution_bits + 7) // 8
+    raw = np.frombuffer(data, dtype=np.uint8).reshape(-1, nbytes)
+    padded = np.zeros((raw.shape[0], 8), dtype=np.uint8)
+    padded[:, :nbytes] = raw
+    return padded.view("<u8").reshape(-1).astype(np.uint64)

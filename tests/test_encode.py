@@ -170,6 +170,39 @@ def test_pack_unpack_round_trip(r):
     assert np.array_equal(unpack_levels(data, r), levels)
 
 
+@pytest.mark.parametrize("r", range(8, 57))
+def test_pack_unpack_match_strided_formula(r):
+    # One V{nbytes} field per 8-byte slot must give the bytes and levels of
+    # the byte-strided uint8 copy it replaced, for every resolution.
+    rng = np.random.default_rng(100 + r)
+    top = (1 << r) - 1
+    levels = np.concatenate([np.array([0, 1, top], dtype=np.uint64),
+                             rng.integers(0, top, 61, dtype=np.uint64,
+                                          endpoint=True)])
+    data = pack_levels(levels, r)
+    assert data == oracles.strided_pack_levels(levels, r)
+    back = unpack_levels(data, r)
+    assert back.dtype == np.uint64 and back.flags.writeable
+    assert np.array_equal(back, oracles.strided_unpack_levels(data, r))
+    assert np.array_equal(back, levels)
+    # any bytes-like view unpacks alike, e.g. a KEYBLOCK past its cycle index
+    assert np.array_equal(unpack_levels(memoryview(b"abcd" + data)[4:], r), levels)
+
+
+def test_constellation_phases_are_shared_and_read_only():
+    c = Constellation(2.0 ** -30, 40)
+    assert c.phases is c.phases and c.windows is c.windows
+    rng = np.random.default_rng(14)
+    bits, basis = rng.integers(0, 2, (2, 512), dtype=np.uint8)
+    noise = rng.normal(0.0, 0.01, 512)
+    before = transmit_symbol(bits, basis, c, noise)
+    with pytest.raises(ValueError):
+        c.phases[1] = 0.0
+    assert np.array_equal(transmit_symbol(bits, basis, c, noise), before)
+    assert np.array_equal(
+        before, oracles.float_transmit_symbol(bits, basis, c.delta_phi, 40, noise))
+
+
 def test_pack_sizes_and_errors():
     assert bytes_per_symbol(16) == 2
     assert len(pack_levels(np.zeros(4, dtype=np.uint64), 16)) == 8

@@ -181,6 +181,16 @@ def test_phase_noise_empty_and_deterministic():
     assert not np.array_equal(a.sample(10), b.sample(5)[:5])
 
 
+def test_phase_noise_stream_equals_scaled_normal():
+    # standard_normal scaled in place is bit-equal to normal(0, sigma, .),
+    # call after call, whatever the sizes.
+    model = PhaseNoiseModel(0.0141, 77)
+    ref = np.random.default_rng(77)
+    for count in (1024, 1, 0, 7, 262_147, 3, 1024):
+        got = model.sample(count)
+        assert got.tobytes() == ref.normal(0.0, 0.0141, count).tobytes()
+
+
 def test_phase_noise_statistics():
     count = 1_000_000
     samples = PhaseNoiseModel(0.5, 2024).sample(count)

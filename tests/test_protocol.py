@@ -336,16 +336,58 @@ def test_privacy_amplify_many_shifts_matches_dense():
     _dense_check(4000, 100, 13, 33)
 
 
+@pytest.mark.parametrize("base", [8, 2 ** 18 + 9])
+def test_pa_seed_bits_equal_default_rng_draw(base):
+    # With only the last of n = c + 1 bits set and out_len = c, the hash is
+    # T's one column: all c seed bits.  They must be exactly the bits
+    # default_rng(s).integers(0, 2, c) draws, for every c mod 8.
+    for c in range(base, base + 8):
+        unit = np.zeros(c + 1, dtype=np.uint8)
+        unit[-1] = 1
+        for s in (0, 5, 2 ** 63 - 1):
+            want = np.random.default_rng(s).integers(0, 2, c, dtype=np.uint8)
+            assert np.array_equal(privacy_amplify(unit, c, s), want), (c, s)
+
+
+@pytest.mark.parametrize("k", [34, 1000])
+def test_privacy_amplify_matches_slice_loop_at_large_n(k):
+    n = 2 ** 18 + 17
+    data = bits(np.random.default_rng(36), n)
+    seed_bits = np.random.default_rng(123).integers(0, 2, n - 1, dtype=np.uint8)
+    want = oracles.slice_modified_toeplitz(seed_bits, data, n - k)
+    assert np.array_equal(privacy_amplify(data, n - k, 123), want)
+
+
+def test_bit_inputs_are_checked_at_the_public_entry_points():
+    bad = np.array([0, 1, 2] + [0] * 13, dtype=np.uint8)
+    good = np.zeros(16, dtype=np.uint8)
+    key = ChainKey(0, good.copy())
+    calls = {
+        "KeyChain": lambda: KeyChain(bad),
+        "send_block": lambda: send_block(bad, key, PARAMS, noise_model(PARAMS)),
+        "privacy_amplify": lambda: privacy_amplify(bad, 8, 1),
+        "reconcile_receiver_core": lambda: next(
+            reconcile_receiver_core(bad, LeakLedger())),
+        "reconcile_sender_core": lambda: next(
+            reconcile_sender_core(bad, LeakLedger())),
+        "tag_bytes": lambda: tag_bytes(bad, b"m"),
+    }
+    for name, call in calls.items():
+        with pytest.raises(ValueError, match="only 0s and 1s"):
+            call()
+    assert not key.used_as_basis   # send_block checked before consuming
+
+
 def test_modified_toeplitz_is_universal2():
-    # n = 8, m = 5: over all 2^7 seeds, each nonzero difference collides
-    # for exactly 2^(7-5) seeds unless it lies in the identity part alone,
-    # where it never does.  Collision probability 2^-m, no weaker.
+    # n = 8, m = 5: over all 2^7 seeds s (seed bit i is bit i of s), each
+    # nonzero difference collides for exactly 2^(7-5) seeds unless it lies
+    # in the identity part alone, where it never does.  Collision
+    # probability 2^-m, no weaker.
     n, m = 8, 5
-    seeds = [np.array([(s >> i) & 1 for i in range(n - 1)], dtype=np.uint8)
-             for s in range(2 ** (n - 1))]
     for d in range(1, 2 ** n):
         delta = np.array([(d >> i) & 1 for i in range(n)], dtype=np.uint8)
-        zeros = sum(not _modified_toeplitz(s, delta, m).any() for s in seeds)
+        zeros = sum(not _modified_toeplitz(s, delta, m).any()
+                    for s in range(2 ** (n - 1)))
         assert zeros == (0 if not delta[m:].any() else 2 ** (n - 1 - m))
 
 
