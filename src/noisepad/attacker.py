@@ -5,7 +5,8 @@ Eve's empirical attack is a classical phase-measurement maximum-likelihood
 discriminator; the quantum discrimination bound is reported alongside as
 the floor no strategy of hers can beat.  Privacy-amplification seeds are
 treated as public (they travel in clear on the wire), so once a chain key
-is revealed, every later key falls from the recorded transcripts alone.
+is revealed, every later key falls from the recorded wire alone: Eve's input
+is the tape of KEYBLOCK frames, one level array per block in wire order.
 """
 
 from __future__ import annotations
@@ -25,30 +26,18 @@ from .encode import (
     wrap_pi,
 )
 from .phys import CoherentStateParams, eavesdropper_error, q_gaussian
-from .protocol import (
-    A_TO_B,
-    B_TO_A,
-    BlockTranscript,
-    PaRecord,
-    privacy_amplify,
-    recover_block,
-)
+from .protocol import PaRecord, privacy_amplify, recover_block
 from .transport import read_transcript_levels
 
 PI = math.pi
 
 
-def load_transcripts(path, resolution_bits: int) -> list[BlockTranscript]:
-    """Rebuild block transcripts from a recorded transcript file.
+def load_transcripts(path, resolution_bits: int) -> list[np.ndarray]:
+    """The level array of every recorded key block, in wire order.
 
-    Directions alternate on the wire: the first block of each cycle runs
-    A to B, the second B to A.
+    Block Y_j (index j-1) carries K_j's raw bits under basis K_{j-1}.
     """
-    out = []
-    for i, (cycle, levels) in enumerate(read_transcript_levels(path, resolution_bits)):
-        direction = A_TO_B if i % 2 == 0 else B_TO_A
-        out.append(BlockTranscript(direction, levels, cycle))
-    return out
+    return [levels for _, levels in read_transcript_levels(path, resolution_bits)]
 
 
 @dataclass
@@ -86,8 +75,7 @@ def _set_deviation(levels, c: Constellation):
     return sets, wrap_pi(phase - sets * PI)
 
 
-def eve_ml_basis_guess(msg_levels, reuse_levels, c: Constellation,
-                       sigma_phi: float) -> np.ndarray:
+def eve_ml_basis_guess(msg_levels, reuse_levels, c: Constellation) -> np.ndarray:
     """Maximum-likelihood basis guess from both emissions of each key bit.
 
     Each key bit shows up twice on the wire: once as a message (where its
@@ -95,10 +83,8 @@ def eve_ml_basis_guess(msg_levels, reuse_levels, c: Constellation,
     deviation onto the key bit) and once as basis material (where the
     deviation is keyed directly).  Folding both deviations and averaging
     halves the noise variance; the threshold sits midway between the basis
-    centers 0 and delta_phi.
-
-    `sigma_phi` is accepted for signature completeness; the ML threshold
-    for equal priors does not depend on it.
+    centers 0 and delta_phi; for equal priors it does not depend on the
+    noise width.
     """
     msg_sets, msg_dev = _set_deviation(msg_levels, c)
     _, reuse_dev = _set_deviation(reuse_levels, c)
@@ -108,8 +94,7 @@ def eve_ml_basis_guess(msg_levels, reuse_levels, c: Constellation,
     return out
 
 
-def eve_bit_guess_rate(transcript: BlockTranscript, c: Constellation,
-                       true_bits, seed: int = 0,
+def eve_bit_guess_rate(levels, c: Constellation, true_bits, seed: int = 0,
                        basis_oracle=None) -> float:
     """Eve's bit-error rate without basis knowledge.
 
@@ -118,7 +103,7 @@ def eve_bit_guess_rate(transcript: BlockTranscript, c: Constellation,
     oracle instead reduces her to the legitimate decoder.
     """
     true_bits = np.asarray(true_bits, dtype=np.uint8)
-    symbols = np.asarray(transcript.symbols, dtype=np.uint64)
+    symbols = np.asarray(levels, dtype=np.uint64)
     if len(symbols) == 0:
         raise ValueError("transcript is empty")
     if len(true_bits) != len(symbols):
@@ -171,12 +156,15 @@ def chain_compromise(transcripts, known_key_index: int, known_key_bits,
                      pa_records: list[PaRecord] | None = None) -> ChainRecovery:
     """Walk the key chain forward from one revealed key.
 
-    Key K_j is the basis of transcript Y_{j+1} (transcripts[j] with Y_1 at
-    index 0), so decoding exactly as the legitimate receiver yields the
-    next raw key; public amplification seeds then reproduce the delivered
-    keys.  A missing or wrong-length transcript ends recovery with an
+    `transcripts` holds one level array per block, as load_transcripts
+    returns them.  Key K_j is the basis of block Y_{j+1} (transcripts[j]
+    with Y_1 at index 0), so decoding exactly as the legitimate receiver
+    yields the next raw key; public amplification seeds then reproduce the
+    delivered keys.  A missing or wrong-length block ends recovery with an
     explicit gap entry.
     """
+    if known_key_index < 0:
+        raise ValueError(f"known key index must be >= 0, got {known_key_index}")
     current = np.asarray(known_key_bits, dtype=np.uint8)
     recovered, gaps = [], []
     records = {r.key_index: r for r in pa_records} if pa_records else {}
@@ -188,12 +176,12 @@ def chain_compromise(transcripts, known_key_index: int, known_key_bits,
             gaps.append(f"no transcript recorded for Y{j}; chain recovery "
                         f"stops at K{j - 1}")
             break
-        t = transcripts[t_index]
-        if len(t.symbols) != len(current):
-            gaps.append(f"transcript Y{j} carries {len(t.symbols)} symbols but "
+        levels = transcripts[t_index]
+        if len(levels) != len(current):
+            gaps.append(f"transcript Y{j} carries {len(levels)} symbols but "
                         f"K{j - 1} has {len(current)} bits")
             break
-        raw = recover_block(t, current, c)
+        raw = recover_block(levels, current, c)
         if pa_records:
             rec = records.get(j)
             if rec is None:
@@ -243,7 +231,7 @@ def basis_attack_report(params: CoherentStateParams, c: Constellation,
         raise ValueError(f"n_bits must be >= 1, got {n_bits}")
     msg_levels, reuse_levels, true_basis = simulate_double_emission(
         params, c, n_bits, seed)
-    guesses = eve_ml_basis_guess(msg_levels, reuse_levels, c, params.sigma_phi)
+    guesses = eve_ml_basis_guess(msg_levels, reuse_levels, c)
     error = float(np.mean(guesses != true_basis))
     floor = eavesdropper_error(params, c.delta_phi, repetitions=2)
     classical = q_gaussian(

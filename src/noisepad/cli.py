@@ -16,6 +16,7 @@ import os
 import re
 import socket
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -287,7 +288,7 @@ def cmd_serve(args) -> int:
 def cmd_connect(args) -> int:
     k0 = _k0_bits(args)
     params = _session_params(args, len(k0))
-    proposal = params.hello(len(k0))
+    proposal = params.hello()
     tap = None
     if args.transcript_out:     # before connecting, to spare the server
         tap = transport.TranscriptTap(args.transcript_out)
@@ -326,22 +327,25 @@ def cmd_attack_basis(args) -> int:
     basis = rng.integers(0, 2, args.bits, dtype=np.uint8)
     levels = transmit_symbol(true_bits, basis, c,
                              rng.normal(0.0, params.sigma_phi, args.bits))
-    t = protocol.BlockTranscript(protocol.A_TO_B, levels, 0)
     report.bit_guess_error_rate = attacker.eve_bit_guess_rate(
-        t, c, true_bits, seed=args.seed + 1)
+        levels, c, true_bits, seed=args.seed + 1)
     print(report.to_json(indent=2))
     return EXIT_OK
 
 
 def _demo_session(args, cycles: int):
+    """Run a session; return its params, role A's result and the recorded tape."""
     k0 = _k0_bits(args)
     params = _session_params(args, len(k0))
-    result_a, result_b = protocol.simulate_session(
-        params, k0, seed_a=args.seed, seed_b=args.seed + 1, cycles=cycles,
-        keep_transcripts=True)
+    with tempfile.TemporaryDirectory() as tmp:
+        tape = os.path.join(tmp, "wire.bin")
+        result_a, result_b = protocol.simulate_session(
+            params, k0, seed_a=args.seed, seed_b=args.seed + 1, cycles=cycles,
+            transcript_path=tape)
+        transcripts = attacker.load_transcripts(tape, params.resolution_bits)
     if not result_a.chain.bits_equal(result_b.chain):
         raise NoisepadError("demo session failed to agree")
-    return params, result_a
+    return params, result_a, transcripts
 
 
 def cmd_attack_kpa(args) -> int:
@@ -359,7 +363,7 @@ def cmd_attack_kpa(args) -> int:
         return EXIT_OK
     # Demo: run a session, let A and B encrypt a plaintext Eve knows with
     # their freshly delivered K1, and recover K1 from the public XOR.
-    params, result = _demo_session(args, cycles=args.cycles)
+    _, result, transcripts = _demo_session(args, cycles=args.cycles)
     k1 = result.chain.keys[1].bits
     plain = np.random.default_rng([args.seed, 99]).integers(
         0, 2, len(k1), dtype=np.uint8)
@@ -367,7 +371,7 @@ def cmd_attack_kpa(args) -> int:
     recovered = attacker.known_plaintext_attack(cipher, plain)
     exact = bool(np.array_equal(recovered, k1))
     report = attacker.AttackReport(
-        symbols_observed=sum(len(t.symbols) for t in result.transcripts),
+        symbols_observed=sum(map(len, transcripts)),
         recovered_keys=[(1, recovered)],
         notes={"mode": "demo", "recovered_exact": exact})
     print(report.to_json(indent=2))
@@ -384,8 +388,12 @@ def cmd_attack_chain(args) -> int:
         transcripts = attacker.load_transcripts(args.transcript,
                                                 args.resolution_bits)
         record = json.loads(Path(args.session_record).read_text())
-        pa_records = [protocol.PaRecord.from_dict(d)
-                      for d in record["pa_records"]]
+        try:
+            pa_records = [protocol.PaRecord.from_dict(d)
+                          for d in record["pa_records"]]
+        except (KeyError, TypeError) as exc:
+            raise ValueError(f"session record {args.session_record} is malformed "
+                             f"({type(exc).__name__}: {exc})") from None
         raw = bytes.fromhex(args.known_key_hex)
         known = np.unpackbits(np.frombuffer(raw, dtype=np.uint8))
         if args.known_key_bits is not None:
@@ -394,7 +402,7 @@ def cmd_attack_chain(args) -> int:
             transcripts, args.known_key_index, known, c, pa_records)
         truth_notes = {}
     else:
-        params, result = _demo_session(args, cycles=max(3, args.cycles))
+        params, result, transcripts = _demo_session(args, max(3, args.cycles))
         if not 0 <= args.known_key_index < len(result.chain.keys):
             raise ValueError(
                 f"--known-key-index {args.known_key_index} is outside the demo "
@@ -402,8 +410,7 @@ def cmd_attack_chain(args) -> int:
         c = params.constellation
         known = result.chain.keys[args.known_key_index].bits
         recovery = attacker.chain_compromise(
-            result.transcripts, args.known_key_index, known, c,
-            result.pa_records)
+            transcripts, args.known_key_index, known, c, result.pa_records)
         truth_notes = {
             "recovered_exact": all(
                 np.array_equal(bits, result.chain.keys[idx].bits)
@@ -493,7 +500,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--transcript", help="recorded transcript file")
     p.add_argument("--session-record", help="session summary JSON")
     p.add_argument("--known-key-hex")
-    p.add_argument("--known-key-bits", type=int,
+    p.add_argument("--known-key-bits", type=_positive_int,
                    help="bit length of the revealed key (trims hex padding)")
     p.set_defaults(fn=cmd_attack_chain)
 

@@ -26,7 +26,8 @@ standing in for physical entropy sources.
 Each party's half of the dialogue is a sans-I/O core (see transport): it
 yields frames to send or RECV, and one core serves both roles.  run_session
 drives it over a channel; simulate_session and run_cycle step role B's core
-behind a transport.PeerChannel, so both parties share one thread.
+behind a transport.PeerChannel, so both parties share one thread.  A block
+leaves only its key and PaRecord: Eve attacks the recorded KEYBLOCK tape.
 """
 
 from __future__ import annotations
@@ -121,14 +122,14 @@ class SessionParams:
     def per_symbol_leak(self) -> float:
         return analysis.entropy_leak(self.coherent, self.delta_phi) - 0.5
 
-    def hello(self, block_length: int) -> transport.HelloParams:
+    def hello(self) -> transport.HelloParams:
         """The HELLO proposal for this operating point; needs delta_phi = 2**k."""
         exp = round(math.log2(self.delta_phi))
         if 2.0 ** exp != self.delta_phi:
             raise ProtocolError("wire sessions carry delta_phi as a power-of-two "
                                 "exponent; use delta_phi = 2**k")
         return transport.HelloParams(self.avg_photon_number, exp,
-                                     self.resolution_bits, block_length,
+                                     self.resolution_bits, self.block_length,
                                      self.safety_bits)
 
 
@@ -200,23 +201,13 @@ class LeakLedger:
         self.disclosed_parity_bits += other.disclosed_parity_bits
 
 
-@dataclass
-class BlockTranscript:
-    """Everything the open channel shows for one key block."""
-
-    direction: int
-    symbols: np.ndarray
-    cycle_index: int
-
-
 # ---------------------------------------------------------------------------
 # Block transfer
 # ---------------------------------------------------------------------------
 
 def send_block(fresh_bits, basis_key: ChainKey, params: SessionParams,
-               noise_model: PhaseNoiseModel, cycle_index: int = 0,
-               direction: int = A_TO_B) -> BlockTranscript:
-    """Noise-mask fresh bits under a one-time basis key.
+               noise_model: PhaseNoiseModel) -> np.ndarray:
+    """Noise-mask fresh bits under a one-time basis key; returns the levels.
 
     Marks the basis key consumed; offering a consumed key raises
     OneTimeViolationError.
@@ -228,18 +219,17 @@ def send_block(fresh_bits, basis_key: ChainKey, params: SessionParams,
             f"lengths differ")
     basis = basis_key.consume()
     noise = noise_model.sample(len(fresh))
-    symbols = transmit_symbol(fresh, basis, params.constellation, noise)
-    return BlockTranscript(direction, symbols, cycle_index)
+    return transmit_symbol(fresh, basis, params.constellation, noise)
 
 
-def recover_block(t: BlockTranscript, basis_bits,
+def recover_block(levels: np.ndarray, basis_bits,
                   constellation: Constellation) -> np.ndarray:
-    """Decode a received block with the shared basis key."""
+    """Decode a received block's levels with the shared basis key."""
     basis = _as_bits(basis_bits)
-    if len(basis) != len(t.symbols):
+    if len(basis) != len(levels):
         raise ProtocolError(
-            f"basis key ({len(basis)}) and block ({len(t.symbols)}) lengths differ")
-    return decode_with_basis(t.symbols, basis, constellation)
+            f"basis key ({len(basis)}) and block ({len(levels)}) lengths differ")
+    return decode_with_basis(levels, basis, constellation)
 
 
 # ---------------------------------------------------------------------------
@@ -469,7 +459,6 @@ class SessionResult:
     confirm_tag: bytes
     pa_records: list
     early_stop: str | None = None
-    transcripts: list | None = None
 
     def boost_factor_so_far(self) -> float:
         k0 = len(self.chain.keys[0].bits)
@@ -483,8 +472,7 @@ def _direction(state: PartyState, cycle_index: int, direction: int,
     The direction's sender masks fresh bits under its chain tip and answers
     the parity dialogue; the receiver decodes the block (`keyblock`, if
     already received) with its tip and drives the dialogue.  Both charge
-    the ledger, amplify and append the new key.  Returns (transcript, key,
-    PaRecord).
+    the ledger, amplify and append the new key.  Returns (key, PaRecord).
     """
     params = state.params
     tip = state.chain.tip
@@ -493,9 +481,9 @@ def _direction(state: PartyState, cycle_index: int, direction: int,
             "key chain exhausted: every key has served as basis material")
     if (state.role == "A") == (direction == A_TO_B):
         bits = state.fresh_rng.integers(0, 2, len(tip.bits), dtype=np.uint8)
-        t = send_block(bits, tip, params, state.noise, cycle_index, direction)
+        levels = send_block(bits, tip, params, state.noise)
         yield (MessageType.KEYBLOCK, transport.pack_keyblock(
-            cycle_index, t.symbols, params.resolution_bits))
+            cycle_index, levels, params.resolution_bits))
         pa_seed = int(state.pub_rng.integers(0, 2 ** 63))
         yield MessageType.PA_SEED, _PA_SEED.pack(cycle_index, direction, pa_seed)
         reconcile = _sender_core
@@ -505,8 +493,7 @@ def _direction(state: PartyState, cycle_index: int, direction: int,
         if got_cycle != cycle_index:
             raise ProtocolError(
                 f"expected cycle {cycle_index}, peer sent {got_cycle}")
-        t = BlockTranscript(direction, levels, got_cycle)
-        bits = recover_block(t, tip.consume(), params.constellation)
+        bits = recover_block(levels, tip.consume(), params.constellation)
         _, payload = yield from expect(MessageType.PA_SEED)
         seed_cycle, seed_dir, pa_seed = _unpack(_PA_SEED, payload, "PA_SEED")
         if seed_cycle != cycle_index or seed_dir != direction:
@@ -519,8 +506,7 @@ def _direction(state: PartyState, cycle_index: int, direction: int,
     new_bits = privacy_amplify(
         bits, pa_output_length(len(bits), delta, params.safety_bits), pa_seed)
     key = state.chain.append(new_bits)
-    return t, key, PaRecord(key.index, cycle_index, direction, pa_seed,
-                            len(new_bits))
+    return key, PaRecord(key.index, cycle_index, direction, pa_seed, len(new_bits))
 
 
 def _confirm_message(state: PartyState, cycles_completed: int) -> bytes:
@@ -541,14 +527,12 @@ def _confirm_tag(state: PartyState, cycles_completed: int) -> bytes:
 
 
 def run_session(channel: Channel, state: PartyState, cycles: int | None = None,
-                progress=None, keep_transcripts: bool = False) -> SessionResult:
+                progress=None) -> SessionResult:
     """Run session_core over a channel."""
-    return transport.drive(
-        session_core(state, cycles, progress, keep_transcripts), channel)
+    return transport.drive(session_core(state, cycles, progress), channel)
 
 
-def session_core(state: PartyState, cycles: int | None = None, progress=None,
-                 keep_transcripts: bool = False):
+def session_core(state: PartyState, cycles: int | None = None, progress=None):
     """Core: all distribution cycles plus the confirmation exchange.
 
     The initiator (role A) drives `cycles` cycles; the responder follows
@@ -560,15 +544,8 @@ def session_core(state: PartyState, cycles: int | None = None, progress=None,
         raise ValueError("initiator needs an explicit cycle count")
     delivered = []
     pa_records = []
-    transcripts = [] if keep_transcripts else None
     early_stop = peer_tag = None
     cycle_index = cycles_completed = 0
-
-    def note(t, key, record):
-        if transcripts is not None:
-            transcripts.append(t)
-        pa_records.append(record)
-        return key
 
     while True:
         keyblock = None
@@ -586,8 +563,10 @@ def session_core(state: PartyState, cycles: int | None = None, progress=None,
                 raise ProtocolError("KEYBLOCK payload shorter than its cycle index")
             cycle_index = struct.unpack_from(">I", keyblock)[0]
         try:
-            k1 = note(*(yield from _direction(state, cycle_index, A_TO_B, keyblock)))
-            k2 = note(*(yield from _direction(state, cycle_index, B_TO_A)))
+            k1, record = yield from _direction(state, cycle_index, A_TO_B, keyblock)
+            pa_records.append(record)
+            k2, record = yield from _direction(state, cycle_index, B_TO_A)
+            pa_records.append(record)
         except KeyExhaustedError as exc:
             early_stop = str(exc)
             continue
@@ -612,7 +591,6 @@ def session_core(state: PartyState, cycles: int | None = None, progress=None,
         confirm_tag=tag,
         pa_records=pa_records,
         early_stop=early_stop,
-        transcripts=transcripts,
     )
 
 
@@ -637,8 +615,8 @@ def run_cycle(state_a: PartyState, state_b: PartyState):
     cycle_index = (len(state_a.chain.keys) + 1) // 2
 
     def cycle(state):
-        _, k1, _ = yield from _direction(state, cycle_index, A_TO_B)
-        _, k2, _ = yield from _direction(state, cycle_index, B_TO_A)
+        k1, _ = yield from _direction(state, cycle_index, A_TO_B)
+        k2, _ = yield from _direction(state, cycle_index, B_TO_A)
         return k1.bits, k2.bits
 
     channel = transport.PeerChannel(cycle(state_b))
@@ -649,8 +627,7 @@ def run_cycle(state_a: PartyState, state_b: PartyState):
 
 
 def simulate_session(params: SessionParams, k0_bits, seed_a: int, seed_b: int,
-                     cycles: int, transcript_path=None, progress=None,
-                     keep_transcripts: bool = False):
+                     cycles: int, transcript_path=None, progress=None):
     """Drive a full two-party session in process, on the calling thread.
 
     Returns (result_a, result_b).  The handshake, key blocks, parity
@@ -659,14 +636,16 @@ def simulate_session(params: SessionParams, k0_bits, seed_a: int, seed_b: int,
     view, and raises OSError after the session if it lost a frame.
     """
     k0 = _as_bits(k0_bits)
-    proposal = params.hello(len(k0))
+    if len(k0) != params.block_length:
+        raise ValueError(f"K0 has {len(k0)} bits, not {params.block_length}")
+    proposal = params.hello()
 
     def role_b():
         hello = yield from transport.handshake_core(
             "B", expected_block_length=len(k0))
         state_b = PartyState.create("B", SessionParams.from_hello(hello), k0,
                                     seed_b)
-        return (yield from session_core(state_b, keep_transcripts=keep_transcripts))
+        return (yield from session_core(state_b))
 
     channel = transport.PeerChannel(role_b())
     if transcript_path is not None:
@@ -674,9 +653,7 @@ def simulate_session(params: SessionParams, k0_bits, seed_a: int, seed_b: int,
     try:
         transport.handshake(channel, "A", proposal)
         state_a = PartyState.create("A", params, k0, seed_a)
-        result_a = run_session(channel, state_a, cycles=cycles,
-                               progress=progress,
-                               keep_transcripts=keep_transcripts)
+        result_a = run_session(channel, state_a, cycles=cycles, progress=progress)
     finally:
         channel.close()
     if channel.error is not None:

@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from noisepad import analysis, attacker, protocol, transport
+from noisepad import analysis, attacker, transport
 from noisepad.encode import Constellation
 from noisepad.phys import CoherentStateParams, PhaseNoiseModel
 from noisepad.protocol import (
@@ -83,7 +83,7 @@ def test_criterion_3_helstrom_floor_property():
             c = Constellation(2.0 ** exp, 24)
             msg, reuse, truth = attacker.simulate_double_emission(
                 params, c, n_bits, seed=1000 + 10 * i + j)
-            guesses = attacker.eve_ml_basis_guess(msg, reuse, c, params.sigma_phi)
+            guesses = attacker.eve_ml_basis_guess(msg, reuse, c)
             err = float(np.mean(guesses != truth))
             from noisepad.phys import eavesdropper_error
             floor = eavesdropper_error(params, 2.0 ** exp, repetitions=2)
@@ -110,8 +110,7 @@ def test_criterion_4_bit_blindness():
     from noisepad.encode import transmit_symbol
     levels = transmit_symbol(bits, basis, c,
                              rng.normal(0.0, params.sigma_phi, n))
-    t = protocol.BlockTranscript(protocol.A_TO_B, levels, 0)
-    rate = attacker.eve_bit_guess_rate(t, c, bits, seed=45)
+    rate = attacker.eve_bit_guess_rate(levels, c, bits, seed=45)
     ok = abs(rate - 0.5) <= 0.015
     report(4, ok, f"blind bit-guess error {rate:.4f} in 0.5 +- 0.015")
     assert ok
@@ -124,9 +123,10 @@ def test_criterion_5_legitimate_round_trip_and_cycles():
     rng = np.random.default_rng(55)
     fresh = rng.integers(0, 2, 10_000, dtype=np.uint8)
     basis = rng.integers(0, 2, 10_000, dtype=np.uint8)
-    t = send_block(fresh, ChainKey(0, basis), params10,
-                   PhaseNoiseModel(params10.coherent.sigma_phi, 56))
-    errors = int(np.sum(recover_block(t, basis, params10.constellation) != fresh))
+    levels = send_block(fresh, ChainKey(0, basis), params10,
+                        PhaseNoiseModel(params10.coherent.sigma_phi, 56))
+    errors = int(np.sum(recover_block(levels, basis, params10.constellation)
+                        != fresh))
 
     # 100 full cycles (reconciliation + amplification) in the secure regime
     params30 = SessionParams(1e4, 2.0 ** -30, 40, 10_000)
@@ -145,11 +145,12 @@ def test_criterion_5_legitimate_round_trip_and_cycles():
     assert elapsed < 10.0
 
 
-def test_criterion_6_known_plaintext_and_chain():
+def test_criterion_6_known_plaintext_and_chain(tmp_path):
     params = SessionParams(1e4, 2.0 ** -30, 40, 1024)
     k0 = np.random.default_rng(66).integers(0, 2, 1024, dtype=np.uint8)
+    tape = tmp_path / "wire.bin"
     res_a, res_b = simulate_session(params, k0, 67, 68, cycles=3,
-                                    keep_transcripts=True)
+                                    transcript_path=tape)
     assert res_a.chain.bits_equal(res_b.chain)
     k1 = res_a.chain.keys[1].bits
     plain = np.random.default_rng(69).integers(0, 2, len(k1), dtype=np.uint8)
@@ -157,7 +158,7 @@ def test_criterion_6_known_plaintext_and_chain():
     kpa = attacker.known_plaintext_attack(cipher, plain)
     kpa_exact = bool(np.array_equal(kpa, k1))
 
-    rec = attacker.chain_compromise(res_a.transcripts, 1, kpa,
+    rec = attacker.chain_compromise(attacker.load_transcripts(tape, 40), 1, kpa,
                                     params.constellation, res_a.pa_records)
     wanted = [2, 3, 4, 5]
     chain_exact = (
@@ -184,9 +185,8 @@ def test_criterion_7_boost_claim():
     blocks = 0
     while symbols < 256_000:
         fresh = fresh_rng.integers(0, 2, 256, dtype=np.uint8)
-        t = send_block(fresh, ChainKey(blocks, tip), params, noise_a,
-                       cycle_index=blocks + 1)
-        recovered = recover_block(t, tip, params.constellation)
+        levels = send_block(fresh, ChainKey(blocks, tip), params, noise_a)
+        recovered = recover_block(levels, tip, params.constellation)
         assert np.array_equal(recovered, fresh)     # chain must stay exact
         ledger.add_symbols(len(fresh), per_symbol)
         delivered += len(fresh)

@@ -17,8 +17,6 @@ from noisepad.attacker import (
 from noisepad.encode import Constellation, quantize, transmit_symbol
 from noisepad.phys import CoherentStateParams, eavesdropper_error, q_gaussian
 from noisepad.protocol import (
-    A_TO_B,
-    BlockTranscript,
     ChainKey,
     PaRecord,
     SessionParams,
@@ -35,8 +33,8 @@ P = CoherentStateParams(1e4)
 def test_ml_guess_noiseless_symbols():
     at_offset = quantize(C.delta_phi, 24)
     at_zero = quantize(0.0, 24)
-    assert eve_ml_basis_guess([at_offset], [at_offset], C, P.sigma_phi)[0] == 1
-    assert eve_ml_basis_guess([at_zero], [at_zero], C, P.sigma_phi)[0] == 0
+    assert eve_ml_basis_guess([at_offset], [at_offset], C)[0] == 1
+    assert eve_ml_basis_guess([at_zero], [at_zero], C)[0] == 0
 
 
 def test_ml_guess_uses_both_emissions():
@@ -47,7 +45,7 @@ def test_ml_guess_uses_both_emissions():
     n = 60_000
     msg_levels, reuse_levels, true_basis = simulate_double_emission(P, C, n, 2)
     err_two = float(np.mean(
-        eve_ml_basis_guess(msg_levels, reuse_levels, C, P.sigma_phi) != true_basis))
+        eve_ml_basis_guess(msg_levels, reuse_levels, C) != true_basis))
     _, reuse_dev = _set_deviation(reuse_levels, C)
     err_one = float(np.mean(
         (reuse_dev > C.delta_phi / 2.0).astype(np.uint8) != true_basis))
@@ -64,7 +62,7 @@ def test_ml_guess_error_band_at_reference_point():
     n = 100_000
     msg_levels, reuse_levels, true_basis = simulate_double_emission(P, C, n, 3)
     err = float(np.mean(
-        eve_ml_basis_guess(msg_levels, reuse_levels, C, P.sigma_phi) != true_basis))
+        eve_ml_basis_guess(msg_levels, reuse_levels, C) != true_basis))
     floor = eavesdropper_error(P, C.delta_phi, repetitions=2)
     classical = q_gaussian(C.delta_phi * math.sqrt(P.avg_photon_number) / 2.0)
     assert floor == pytest.approx(0.08018535523830366, rel=1e-9)
@@ -77,29 +75,29 @@ def make_block(rng, c, params, n, sigma):
     bits = rng.integers(0, 2, n, dtype=np.uint8)
     basis = rng.integers(0, 2, n, dtype=np.uint8)
     levels = transmit_symbol(bits, basis, c, rng.normal(0.0, sigma, n))
-    return BlockTranscript(A_TO_B, levels, 0), bits, basis
+    return levels, bits, basis
 
 
 def test_bit_guess_rate_blind():
     rng = np.random.default_rng(4)
-    t, bits, _ = make_block(rng, C, None, 10_000, P.sigma_phi)
-    rate = eve_bit_guess_rate(t, C, bits, seed=99)
+    levels, bits, _ = make_block(rng, C, None, 10_000, P.sigma_phi)
+    rate = eve_bit_guess_rate(levels, C, bits, seed=99)
     assert abs(rate - 0.5) < 0.015
 
 
 def test_bit_guess_rate_with_oracle_equals_legitimate():
     rng = np.random.default_rng(5)
-    t, bits, basis = make_block(rng, C, None, 10_000, P.sigma_phi)
-    assert eve_bit_guess_rate(t, C, bits, basis_oracle=basis) == 0.0
+    levels, bits, basis = make_block(rng, C, None, 10_000, P.sigma_phi)
+    assert eve_bit_guess_rate(levels, C, bits, basis_oracle=basis) == 0.0
 
 
 def test_bit_guess_rate_validation():
     with pytest.raises(ValueError):
-        eve_bit_guess_rate(BlockTranscript(A_TO_B, np.array([], dtype=np.uint64), 0),
-                           C, np.array([], dtype=np.uint8))
-    t = BlockTranscript(A_TO_B, np.array([0], dtype=np.uint64), 0)
+        eve_bit_guess_rate(np.array([], dtype=np.uint64), C,
+                           np.array([], dtype=np.uint8))
     with pytest.raises(ValueError):
-        eve_bit_guess_rate(t, C, np.array([0, 1], dtype=np.uint8))
+        eve_bit_guess_rate(np.array([0], dtype=np.uint64), C,
+                           np.array([0, 1], dtype=np.uint8))
 
 
 def test_known_plaintext_attack_exact():
@@ -133,8 +131,9 @@ def test_known_plaintext_attack_noisy_channel():
     plain = rng.integers(0, 2, n, dtype=np.uint8)
     key = ChainKey(0, rng.integers(0, 2, n, dtype=np.uint8))
     from noisepad.phys import PhaseNoiseModel
-    t = send_block(plain, key, params, PhaseNoiseModel(params.coherent.sigma_phi, 12))
-    recovered = known_plaintext_attack_noisy(t.symbols, plain, params.constellation)
+    levels = send_block(plain, key, params,
+                        PhaseNoiseModel(params.coherent.sigma_phi, 12))
+    recovered = known_plaintext_attack_noisy(levels, plain, params.constellation)
     assert np.array_equal(recovered, key.bits)
 
 
@@ -146,9 +145,7 @@ def raw_chain(rng, c, params, k0, n_blocks, sigma):
     transcripts = []
     for i in range(n_blocks):
         fresh = rng.integers(0, 2, len(k0), dtype=np.uint8)
-        t = send_block(fresh, ChainKey(i, keys[-1]), params, noise,
-                       cycle_index=i + 1)
-        transcripts.append(t)
+        transcripts.append(send_block(fresh, ChainKey(i, keys[-1]), params, noise))
         keys.append(fresh)
     return keys, transcripts
 
@@ -165,6 +162,9 @@ def test_chain_compromise_raw_chain():
     for idx, bits in rec.recovered:
         assert np.array_equal(bits, keys[idx])
     assert rec.gaps and "Y6" in rec.gaps[0]
+    # -1 must not wrap around to the last block on the tape
+    with pytest.raises(ValueError, match="known key index must be >= 0"):
+        chain_compromise(transcripts, -1, keys[1], params.constellation)
 
 
 def test_chain_compromise_wrong_index_gets_noise():
@@ -195,20 +195,19 @@ def test_chain_compromise_amplified_session(tmp_path):
     params = SessionParams(1e4, 2.0 ** -30, 40, 1024)
     k0 = np.random.default_rng(16).integers(0, 2, 1024, dtype=np.uint8)
     path = tmp_path / "wire.bin"
-    res_a, _ = simulate_session(params, k0, 17, 18, cycles=3,
-                                transcript_path=path, keep_transcripts=True)
+    res_a, _ = simulate_session(params, k0, 17, 18, cycles=3, transcript_path=path)
     known = res_a.chain.keys[1].bits
     c = params.constellation
-    for transcripts in (res_a.transcripts, load_transcripts(path, 40)):
-        rec = chain_compromise(transcripts, 1, known, c, res_a.pa_records)
-        assert [i for i, _ in rec.recovered] == [2, 3, 4, 5, 6]
-        for idx, bits in rec.recovered:
-            assert np.array_equal(bits, res_a.chain.keys[idx].bits)
+    transcripts = load_transcripts(path, 40)
+    rec = chain_compromise(transcripts, 1, known, c, res_a.pa_records)
+    assert [i for i, _ in rec.recovered] == [2, 3, 4, 5, 6]
+    for idx, bits in rec.recovered:
+        assert np.array_equal(bits, res_a.chain.keys[idx].bits)
     # a record asking for more bits than the block holds ends recovery
     records = [PaRecord(r.key_index, r.cycle_index, r.direction, r.pa_seed,
                         2048 if r.key_index == 3 else r.output_bits)
                for r in res_a.pa_records]
-    rec = chain_compromise(res_a.transcripts, 1, known, c, records)
+    rec = chain_compromise(transcripts, 1, known, c, records)
     assert [i for i, _ in rec.recovered] == [2]
     assert any("K3" in g and "2048" in g for g in rec.gaps)
 

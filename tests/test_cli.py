@@ -109,6 +109,17 @@ def test_serve_and_connect_reject_flags_hello_does_not_carry():
     assert res.returncode == 1
 
 
+# attack-chain file mode; "@name" stands for tmp_path / name, from CHAIN_FILES
+CHAIN_FILES = {"tape.bin": "", "record.json": '{"pa_records": []}',
+               "no-records.json": "{}",
+               "short-record.json": '{"pa_records": [{"key_index": 2}]}'}
+
+
+def chain_file_mode(record="record.json"):
+    return ("attack-chain", "--transcript", "@tape.bin",
+            "--session-record", "@" + record, "--known-key-hex", "ff")
+
+
 @pytest.mark.parametrize("args", [
     ("connect", "--addr", "localhost"),
     ("serve", "--listen", "nohost"),
@@ -124,13 +135,21 @@ def test_serve_and_connect_reject_flags_hello_does_not_carry():
     ("simulate", "--cycles", "-1"),
     ("connect", "--addr", "127.0.0.1:9", "--cycles", "0"),
     ("attack-kpa", "--cycles", "0"),
+    (*chain_file_mode(), "--known-key-index", "-1"),
+    (*chain_file_mode(), "--known-key-bits", "-3"),
+    chain_file_mode("no-records.json"),
+    chain_file_mode("short-record.json"),
 ], ids=" ".join)
-def test_bad_operator_input_exits_1_without_traceback(args):
-    res = run_cli(*args)
+def test_bad_operator_input_exits_1_without_traceback(args, tmp_path):
+    for name, text in CHAIN_FILES.items():
+        (tmp_path / name).write_text(text)
+    res = run_cli(*(str(tmp_path / a[1:]) if a.startswith("@") else a
+                    for a in args))
     assert res.returncode == 1
     assert "Traceback" not in res.stderr
     assert "error:" in res.stderr.splitlines()[-1]
-    if args[-2] in ("--cycles", "--k0-bits", "--bits") and int(args[-1]) < 1:
+    if args[-2] in ("--cycles", "--k0-bits", "--bits", "--known-key-bits") and \
+            int(args[-1]) < 1:
         assert f"argument {args[-2]}:" in res.stderr.splitlines()[-1]
 
 
@@ -232,6 +251,29 @@ def test_attack_chain_from_files(tmp_path):
     for idx in (2, 3, 4, 5, 6):
         want = "".join(map(str, res_a.chain.keys[idx].bits.tolist()))
         assert got[idx] == want
+
+
+def test_attack_chain_file_mode_recovers_what_demo_mode_does(tmp_path):
+    # the demo records its own tape; replaying simulate's tape from the
+    # K1 that attack-kpa recovers must give the same keys, K2..K8
+    tape, record = tmp_path / "wire.bin", tmp_path / "session.json"
+    res = run_cli("simulate", "--seed", "5", "--cycles", "4",
+                  "--transcript-out", str(tape))
+    assert res.returncode == 0
+    record.write_text(res.stdout)
+    kpa = json.loads(run_cli("attack-kpa", "--seed", "5").stdout)
+    k1 = np.array([int(b) for b in kpa["recovered_keys"][0]["bits"]], np.uint8)
+    res = run_cli("attack-chain", "--transcript", str(tape),
+                  "--session-record", str(record),
+                  "--known-key-hex", np.packbits(k1).tobytes().hex(),
+                  "--known-key-bits", str(len(k1)))
+    assert res.returncode == 0
+    from_files = json.loads(res.stdout)
+    demo = json.loads(run_cli("attack-chain", "--seed", "5", "--cycles", "4").stdout)
+    assert demo["notes"]["recovered_exact"] is True
+    assert [k["index"] for k in demo["recovered_keys"]] == list(range(2, 9))
+    assert from_files["recovered_keys"] == demo["recovered_keys"]
+    assert from_files["notes"]["gaps"] == demo["notes"]["gaps"]
 
 
 class ServeProc:

@@ -21,7 +21,6 @@ from noisepad.protocol import (
     _SUB_VERIFY,
     A_TO_B,
     B_TO_A,
-    BlockTranscript,
     ChainKey,
     KeyChain,
     LeakLedger,
@@ -51,6 +50,7 @@ from noisepad.transport import (
     drive,
     handshake,
     pack_keyblock,
+    read_transcript_levels,
 )
 
 import oracles
@@ -122,7 +122,7 @@ def test_session_params_from_hello_round_trip():
     for p in (PARAMS,
               SessionParams(1e4, 2.0 ** -10, 16, 8, safety_bits=0),
               SessionParams(1e6, 2.0 ** -20, 32, 1 << 18, safety_bits=64)):
-        assert SessionParams.from_hello(p.hello(p.block_length)) == p
+        assert SessionParams.from_hello(p.hello()) == p
 
 
 # ---------------------------------------------------------------------------
@@ -137,8 +137,8 @@ def test_send_block_single_symbol():
         def sample(self, n):
             return np.zeros(n)
 
-    t = send_block([0], key, params, Silent())
-    assert t.symbols.tolist() == [quantize(0.0, 16)]
+    levels = send_block([0], key, params, Silent())
+    assert levels.tolist() == [quantize(0.0, 16)]
     assert key.used_as_basis
 
 
@@ -148,11 +148,10 @@ def test_send_block_set_algebra():
     fresh, basis = bits(rng, n), bits(rng, n)
     key = ChainKey(0, basis)
     p = SessionParams(1e4, 2.0 ** -10, 16, n)
-    t = send_block(fresh, key, p, noise_model(p, 1), cycle_index=3)
+    levels = send_block(fresh, key, p, noise_model(p, 1))
     from noisepad.encode import classify_set
-    sets = np.asarray(classify_set(t.symbols, p.constellation))
+    sets = np.asarray(classify_set(levels, p.constellation))
     assert np.array_equal(sets, np.bitwise_xor(fresh, basis))
-    assert t.cycle_index == 3 and t.direction == A_TO_B
 
 
 def test_send_block_contract_errors():
@@ -170,10 +169,10 @@ def test_recover_block_round_trip():
     n = 10_000
     p = SessionParams(1e4, 2.0 ** -10, 16, n)
     fresh, basis = bits(rng, n), bits(rng, n)
-    t = send_block(fresh, ChainKey(0, basis), p, noise_model(p, 9))
-    assert np.array_equal(recover_block(t, basis, p.constellation), fresh)
+    levels = send_block(fresh, ChainKey(0, basis), p, noise_model(p, 9))
+    assert np.array_equal(recover_block(levels, basis, p.constellation), fresh)
     with pytest.raises(ProtocolError):
-        recover_block(t, basis[:10], p.constellation)
+        recover_block(levels, basis[:10], p.constellation)
 
 
 def test_recover_block_wrong_key_statistics():
@@ -181,12 +180,13 @@ def test_recover_block_wrong_key_statistics():
     n = 10_000
     p = SessionParams(1e4, 2.0 ** -10, 16, n)
     fresh, basis = bits(rng, n), bits(rng, n)
-    t = send_block(fresh, ChainKey(0, basis), p, noise_model(p, 10))
+    levels = send_block(fresh, ChainKey(0, basis), p, noise_model(p, 10))
     # complemented key: decode flips every bit
-    assert np.array_equal(recover_block(t, 1 - basis, p.constellation), 1 - fresh)
+    assert np.array_equal(recover_block(levels, 1 - basis, p.constellation),
+                          1 - fresh)
     # unrelated key: agreement indistinguishable from a coin flip
     other = bits(np.random.default_rng(5), n)
-    agree = float(np.mean(recover_block(t, other, p.constellation) == fresh))
+    agree = float(np.mean(recover_block(levels, other, p.constellation) == fresh))
     assert abs(agree - 0.5) < oracles.binom_3sigma(0.5, n)
 
 
@@ -527,17 +527,25 @@ def test_simulate_session_round_trip(tmp_path):
     k0 = np.random.default_rng(70).integers(0, 2, 1024, dtype=np.uint8)
     path = tmp_path / "transcript.bin"
     res_a, res_b = simulate_session(params, k0, 5, 6, cycles=4,
-                                    transcript_path=path,
-                                    keep_transcripts=True)
+                                    transcript_path=path)
     assert res_a.chain.bits_equal(res_b.chain)
     assert res_a.confirm_tag == res_b.confirm_tag and res_a.confirm_tag
     assert res_a.cycles_completed == 4
     assert [tuple(d) for d in res_a.delivered] == [tuple(d) for d in res_b.delivered]
-    assert len(res_a.transcripts) == 8
-    assert [t.direction for t in res_a.transcripts] == [A_TO_B, B_TO_A] * 4
-    assert path.stat().st_size > 0
+    tape = read_transcript_levels(path, 40)
+    assert [cycle for cycle, _ in tape] == [1, 1, 2, 2, 3, 3, 4, 4]
+    # block Y_j is masked under K_{j-1}, so it has that key's length
+    assert [len(levels) for _, levels in tape] == [
+        len(k.bits) for k in res_a.chain.keys[:-1]]
     # per-record public data lines up with chain indices 1..8
     assert [r.key_index for r in res_a.pa_records] == list(range(1, 9))
+
+
+def test_simulate_session_needs_k0_of_the_block_length():
+    # role A would propose 1024 from params, role B would expect 512 from K0
+    k0 = np.random.default_rng(75).integers(0, 2, 512, dtype=np.uint8)
+    with pytest.raises(ValueError, match="K0 has 512 bits, not 1024"):
+        simulate_session(PARAMS, k0, 1, 2, cycles=1)
 
 
 def test_simulate_session_early_stop_on_exhaustion():
@@ -549,6 +557,18 @@ def test_simulate_session_early_stop_on_exhaustion():
     assert res_a.cycles_completed < 10
     assert res_a.chain.bits_equal(res_b.chain)
     assert res_a.confirm_tag == res_b.confirm_tag
+
+
+def test_pa_records_keep_a_half_cycle_cut_by_exhaustion():
+    # cycle 2's A->B key is delivered, then its B->A direction runs out
+    params = SessionParams(1e4, 2.0 ** -30, 40, 160, safety_bits=40)
+    k0 = np.random.default_rng(71).integers(0, 2, 160, dtype=np.uint8)
+    for res in simulate_session(params, k0, 1, 2, cycles=10):
+        assert res.cycles_completed == 1 and res.early_stop is not None
+        assert len(res.chain.keys) == 4
+        assert [(r.key_index, r.cycle_index, r.direction)
+                for r in res.pa_records] == [(1, 1, A_TO_B), (2, 1, B_TO_A),
+                                             (3, 2, A_TO_B)]
 
 
 def test_simulate_session_progress_records():
@@ -614,7 +634,7 @@ def test_role_a_frames_equal_in_process_and_over_a_socketpair(monkeypatch):
     peer = threading.Thread(target=role_b, daemon=True)
     peer.start()
     try:
-        handshake(ch_a, "A", params.hello(len(k0)))
+        handshake(ch_a, "A", params.hello())
         over_socket = run_session(ch_a, PartyState.create("A", params, k0, 11),
                                   cycles=3)
     finally:
