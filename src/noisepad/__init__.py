@@ -34,7 +34,6 @@ from .protocol import (
     pa_output_length,
     privacy_amplify,
     recover_block,
-    run_cycle,
     send_block,
     simulate_session,
 )

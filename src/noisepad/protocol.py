@@ -10,24 +10,29 @@ are the top bits of the bytes of PCG64(seed).random_raw (Lemire's method
 with range 2); packed into one Python int, they make T x[m:] one shift and
 XOR per set bit.
 
-The whole key is the one parity block: the handshake admits a legitimate
-bit-error rate of at most 2Q(8) ~ 1e-15.  On a parity mismatch the sender's
-Hamming syndrome (XOR of the 1-based indices of its set bits) locates the one
-error in one round trip (Winnow: Buttler et al., PRA 67, 052303, 2003); a
-digest check turns two or more errors into ReconciliationError.  PA_SEED
-carries the cycle, the direction and the PA seed.
+A direction is one-way: the sender writes KEYBLOCK, then PA_SEED with the
+cycle, the direction, the parity and SHA-256 digest of its bits, and the PA
+seed.  The whole key is the one parity block (the handshake admits a
+bit-error rate of at most 2Q(8) ~ 1e-15).  A receiver whose parity and
+digest match sends nothing; on a parity mismatch it sends one locate
+request, and the sender's Hamming syndrome (XOR of the 1-based indices of
+its set bits) names the error (Winnow: Buttler et al., PRA 67, 052303,
+2003).  A digest that still differs ends the session with ERROR.  The
+sender amplifies once its next received frame shows the outcome.
 
 Every chained key is a little shorter than its predecessor (the discarded
 bits pay for disclosed parities, the statistical basis leak, and a safety
 margin), so a chain eventually exhausts and a fresh shared seed must
-restart the process.  All party randomness is drawn from seeded generators
-standing in for physical entropy sources.
+restart the process.  A block that would leave no key even without a
+syndrome is never sent; the party whose turn it is sends CONFIRM instead.
+All party randomness is drawn from seeded generators standing in for
+physical entropy sources.
 
 Each party's half of the dialogue is a sans-I/O core (see transport): it
 yields frames to send or RECV, and one core serves both roles.  run_session
-drives it over a channel; simulate_session and run_cycle step role B's core
-behind a transport.PeerChannel, so both parties share one thread.  A block
-leaves only its key and PaRecord: Eve attacks the recorded KEYBLOCK tape.
+drives it over a channel; simulate_session steps role B's core behind a
+transport.PeerChannel, so both parties share one thread.  A block leaves
+only its key and PaRecord: Eve attacks the recorded KEYBLOCK tape.
 """
 
 from __future__ import annotations
@@ -57,10 +62,11 @@ B_TO_A = 1
 
 TAG_BITS = 256
 
-_PA_SEED = struct.Struct(">IBQ")
-_BULK_REQ = struct.Struct(">BB")   # (subtype, parity of the whole key)
+_PA_SEED = struct.Struct(">IB")     # cycle, direction; the check and the seed follow
+_CHECK = struct.Struct(">B32s")     # parity and SHA-256 digest of the sender's bits
+_SEED = struct.Struct(">Q")
 _SYNDROME = struct.Struct(">I")
-_SUB_BULK, _SUB_PROBE, _SUB_VERIFY = 0, 1, 2
+_SUB_PROBE = 1                      # PARITY_REQ subtype of the locate request
 
 
 def _as_bits(bits) -> np.ndarray:
@@ -249,6 +255,11 @@ def _digest(bits: np.ndarray) -> bytes:
     return hashlib.sha256(np.packbits(bits).tobytes()).digest()
 
 
+def _check(bits: np.ndarray) -> bytes:
+    """The reconciliation check PA_SEED carries: parity and digest."""
+    return _CHECK.pack(_parity(bits), _digest(bits))
+
+
 def _unpack(fmt: struct.Struct, payload: bytes, what: str) -> tuple:
     if len(payload) != fmt.size:
         raise ProtocolError(
@@ -256,77 +267,70 @@ def _unpack(fmt: struct.Struct, payload: bytes, what: str) -> tuple:
     return fmt.unpack(payload)
 
 
-def reconcile_receiver(bits, channel: Channel, ledger: LeakLedger) -> np.ndarray:
+def reconcile_receiver(bits, channel: Channel, ledger: LeakLedger,
+                       check: bytes) -> np.ndarray:
     """Run reconcile_receiver_core over a channel."""
-    return transport.drive(reconcile_receiver_core(bits, ledger), channel)
+    return transport.drive(reconcile_receiver_core(bits, ledger, check), channel)
 
 
-def reconcile_receiver_core(bits, ledger: LeakLedger):
+def reconcile_receiver_core(bits, ledger: LeakLedger, check: bytes):
     """Core: correct this side's candidate bits toward the sender's reference.
 
-    On a whole-key parity mismatch, the XOR of the sender's syndrome and
-    its own names the bit to flip, if it lies in the key.  A digest check
-    follows.  Both sides charge 1 bit per parity and n.bit_length() bits
-    per syndrome.  Returns the corrected bits, a copy.
+    `check` is the sender's parity and digest, as PA_SEED carries them.  On
+    a parity mismatch, one locate request gets the sender's syndrome; XOR
+    with its own, it names the bit to flip, if it lies in the key.  A digest
+    that still differs is answered with ERROR and raises.  Both sides charge
+    1 bit per parity and n.bit_length() bits per syndrome.  Returns the
+    corrected bits, a copy.
     """
-    return _receiver_core(_as_bits(bits).copy(), ledger)
+    return _receiver_core(_as_bits(bits).copy(), ledger, check)
 
 
-def _receiver_core(bits: np.ndarray, ledger: LeakLedger):   # corrects in place
+def _receiver_core(bits: np.ndarray, ledger: LeakLedger, check: bytes):
+    # corrects in place
+    parity, digest = _unpack(_CHECK, check, "reconciliation check")
+    if parity > 1:
+        raise ProtocolError(f"sender parity is {parity}, not 0 or 1")
     n = len(bits)
-    yield MessageType.PARITY_REQ, _BULK_REQ.pack(_SUB_BULK, _parity(bits))
     ledger.add_parities(1)
-    _, resp = yield from expect(MessageType.PARITY_RESP)
-    if resp not in (b"\x00", b"\x01"):
-        raise ProtocolError("bulk parity reply is not one 0 or 1 byte")
-    if resp == b"\x01":
+    if parity != _parity(bits):
         yield MessageType.PARITY_REQ, bytes([_SUB_PROBE])
         ledger.add_parities(n.bit_length())
         _, payload = yield from expect(MessageType.PARITY_RESP)
         pos = _unpack(_SYNDROME, payload, "syndrome reply")[0] ^ _syndrome(bits)
         if 0 < pos <= n:
             bits[pos - 1] ^= 1
-    yield MessageType.PARITY_REQ, bytes([_SUB_VERIFY]) + _digest(bits)
-    _, resp = yield from expect(MessageType.PARITY_RESP)
-    if resp != b"\x01":
+    if _digest(bits) != digest:
+        yield MessageType.ERROR, b"keys still differ after reconciliation"
         raise ReconciliationError("keys still differ after reconciliation")
     return bits
 
 
-def reconcile_sender(bits, channel: Channel, ledger: LeakLedger) -> None:
+def reconcile_sender(bits, channel: Channel, ledger: LeakLedger) -> tuple:
     """Run reconcile_sender_core over a channel."""
-    transport.drive(reconcile_sender_core(bits, ledger), channel)
+    return transport.drive(reconcile_sender_core(bits, ledger), channel)
 
 
 def reconcile_sender_core(bits, ledger: LeakLedger):
-    """Core: answer the receiver's parity, locate and verify requests.
+    """Core: the sender's side, once PA_SEED carried _check(bits).
 
-    A locate request is answered only after a parity mismatch.  Returns
-    the reference bits once the receiver's digest matches them.
+    Answers one locate request, if the receiver sends one.  Returns the
+    first frame after the dialogue: the peer's next KEYBLOCK or CONFIRM.
     """
     return _sender_core(_as_bits(bits), ledger)
 
 
 def _sender_core(bits: np.ndarray, ledger: LeakLedger):
-    _, payload = yield from expect(MessageType.PARITY_REQ)
-    sub, theirs = _unpack(_BULK_REQ, payload, "bulk parity request")
-    if sub != _SUB_BULK or theirs > 1:
-        raise ProtocolError(f"bad bulk parity request {payload.hex()}")
-    mismatch = _parity(bits) ^ theirs
     ledger.add_parities(1)
-    yield MessageType.PARITY_RESP, bytes([mismatch])
-    _, payload = yield from expect(MessageType.PARITY_REQ)
-    if mismatch and payload == bytes([_SUB_PROBE]):
+    frame = yield from expect(MessageType.PARITY_REQ, MessageType.KEYBLOCK,
+                              MessageType.CONFIRM)
+    if frame[0] == MessageType.PARITY_REQ:
+        if frame[1] != bytes([_SUB_PROBE]):
+            raise ProtocolError(f"unexpected reconciliation request {frame[1][:8].hex()}")
         ledger.add_parities(len(bits).bit_length())
         yield MessageType.PARITY_RESP, _SYNDROME.pack(_syndrome(bits))
-        _, payload = yield from expect(MessageType.PARITY_REQ)
-    if payload[:1] != bytes([_SUB_VERIFY]):
-        raise ProtocolError(f"unexpected reconciliation request {payload[:8].hex()}")
-    ok = payload[1:] == _digest(bits)
-    yield MessageType.PARITY_RESP, b"\x01" if ok else b"\x00"
-    if not ok:
-        raise ReconciliationError("keys still differ after reconciliation")
-    return bits
+        frame = yield from expect(MessageType.KEYBLOCK, MessageType.CONFIRM)
+    return frame
 
 
 # ---------------------------------------------------------------------------
@@ -465,48 +469,55 @@ class SessionResult:
         return self.chain.total_delivered() / k0
 
 
-def _direction(state: PartyState, cycle_index: int, direction: int,
-               keyblock: bytes | None = None):
-    """Core of one direction of a cycle, for the party at either end.
+def _block_ledger(n: int, params: SessionParams) -> LeakLedger:
+    """A block's statistical leak, checked before the block is sent.
 
-    The direction's sender masks fresh bits under its chain tip and answers
-    the parity dialogue; the receiver decodes the block (`keyblock`, if
-    already received) with its tip and drives the dialogue.  Both charge
-    the ledger, amplify and append the new key.  Returns (key, PaRecord).
+    Raises KeyExhaustedError when amplification would leave no key even if
+    reconciliation discloses only the one parity.
+    """
+    delta = LeakLedger(n * params.per_symbol_leak)
+    pa_output_length(n, LeakLedger(delta.statistical_leak, 1), params.safety_bits)
+    return delta
+
+
+def _direction(state: PartyState, cycle_index: int, direction: int,
+               delta: LeakLedger, frame: tuple | None):
+    """Core of one direction of a cycle, up to privacy amplification.
+
+    The direction's sender masks fresh bits under its chain tip, sends
+    KEYBLOCK and PA_SEED, and answers a locate request if one comes; the
+    receiver decodes the KEYBLOCK `frame` with its tip and reconciles
+    against PA_SEED's check.  Both charge `delta`.  Returns (bits, PA seed,
+    the sender's next frame or None).
     """
     params = state.params
     tip = state.chain.tip
-    if tip.used_as_basis:
-        raise KeyExhaustedError(
-            "key chain exhausted: every key has served as basis material")
     if (state.role == "A") == (direction == A_TO_B):
         bits = state.fresh_rng.integers(0, 2, len(tip.bits), dtype=np.uint8)
-        levels = send_block(bits, tip, params, state.noise)
         yield (MessageType.KEYBLOCK, transport.pack_keyblock(
-            cycle_index, levels, params.resolution_bits))
+            cycle_index, send_block(bits, tip, params, state.noise),
+            params.resolution_bits))
         pa_seed = int(state.pub_rng.integers(0, 2 ** 63))
-        yield MessageType.PA_SEED, _PA_SEED.pack(cycle_index, direction, pa_seed)
-        reconcile = _sender_core
-    else:
-        got_cycle, levels = yield from transport.recv_keyblock(
-            params.resolution_bits, len(tip.bits), keyblock)
-        if got_cycle != cycle_index:
-            raise ProtocolError(
-                f"expected cycle {cycle_index}, peer sent {got_cycle}")
-        bits = recover_block(levels, tip.consume(), params.constellation)
-        _, payload = yield from expect(MessageType.PA_SEED)
-        seed_cycle, seed_dir, pa_seed = _unpack(_PA_SEED, payload, "PA_SEED")
-        if seed_cycle != cycle_index or seed_dir != direction:
-            raise ProtocolError("PA_SEED frame does not match the current block")
-        reconcile = _receiver_core
-    delta = LeakLedger()
-    delta.add_symbols(len(bits), params.per_symbol_leak)
-    bits = yield from reconcile(bits, delta)
-    state.ledger.merge(delta)
-    new_bits = privacy_amplify(
-        bits, pa_output_length(len(bits), delta, params.safety_bits), pa_seed)
-    key = state.chain.append(new_bits)
-    return key, PaRecord(key.index, cycle_index, direction, pa_seed, len(new_bits))
+        yield (MessageType.PA_SEED, _PA_SEED.pack(cycle_index, direction)
+               + _check(bits) + _SEED.pack(pa_seed))
+        frame = yield from _sender_core(bits, delta)
+        return bits, pa_seed, frame
+    got_cycle, levels = yield from transport.recv_keyblock(
+        params.resolution_bits, len(tip.bits), frame[1])
+    if got_cycle != cycle_index:
+        raise ProtocolError(
+            f"expected cycle {cycle_index}, peer sent {got_cycle}")
+    bits = recover_block(levels, tip.consume(), params.constellation)
+    del frame, levels   # a received block is dropped once decoded
+    _, payload = yield from expect(MessageType.PA_SEED)
+    head = _PA_SEED.size + _CHECK.size
+    if len(payload) != head + _SEED.size:
+        raise ProtocolError(f"PA_SEED needs {head + _SEED.size} bytes, "
+                            f"peer sent {len(payload)}")
+    if _PA_SEED.unpack_from(payload) != (cycle_index, direction):
+        raise ProtocolError("PA_SEED frame does not match the current block")
+    bits = yield from _receiver_core(bits, delta, payload[_PA_SEED.size:head])
+    return bits, _SEED.unpack_from(payload, head)[0], None
 
 
 def _confirm_message(state: PartyState, cycles_completed: int) -> bytes:
@@ -537,49 +548,68 @@ def session_core(state: PartyState, cycles: int | None = None, progress=None):
 
     The initiator (role A) drives `cycles` cycles; the responder follows
     the peer's frames.  Key exhaustion stops cycling early on both sides
-    and is reported, not raised.  Returns a SessionResult.
+    and is reported, not raised: whether it comes before a block, where
+    both parties see it, or from a syndrome's charge.  The party whose turn
+    it is to send then sends CONFIRM first.  Returns a SessionResult.
     """
     initiator = state.role == "A"
     if initiator and cycles is None:
         raise ValueError("initiator needs an explicit cycle count")
     delivered = []
     pa_records = []
-    early_stop = peer_tag = None
+    early_stop = frame = None
     cycle_index = cycles_completed = 0
+    direction = B_TO_A
 
     while True:
-        keyblock = None
-        if initiator:
-            if early_stop is not None or cycle_index >= cycles:
-                break
-            cycle_index += 1
-        else:
-            msg_type, keyblock = yield from expect(
-                MessageType.KEYBLOCK, MessageType.CONFIRM)
-            if msg_type == MessageType.CONFIRM:
-                peer_tag = keyblock
-                break
-            if len(keyblock) < 4:
-                raise ProtocolError("KEYBLOCK payload shorter than its cycle index")
-            cycle_index = struct.unpack_from(">I", keyblock)[0]
+        direction ^= 1
+        cycle_index += direction == A_TO_B
+        sending = initiator == (direction == A_TO_B)
         try:
-            k1, record = yield from _direction(state, cycle_index, A_TO_B, keyblock)
-            pa_records.append(record)
-            k2, record = yield from _direction(state, cycle_index, B_TO_A)
-            pa_records.append(record)
+            delta = _block_ledger(len(state.chain.tip.bits), state.params)
         except KeyExhaustedError as exc:
             early_stop = str(exc)
-            continue
-        cycles_completed = cycle_index
-        delivered.append((len(k1.bits), len(k2.bits)))
-        if progress is not None:
-            progress(_progress_record(state, cycle_index, k1, k2))
+            break
+        if sending and initiator and cycle_index > cycles:
+            break
+        if not sending:
+            if frame is None:
+                frame = yield from expect(MessageType.KEYBLOCK,
+                                          MessageType.CONFIRM)
+            if frame[0] == MessageType.CONFIRM:
+                break
+        # hand the KEYBLOCK on without keeping it here
+        core, frame = _direction(state, cycle_index, direction, delta, frame), None
+        bits, pa_seed, frame = yield from core
+        state.ledger.merge(delta)
+        try:
+            m = pa_output_length(len(bits), delta, state.params.safety_bits)
+        except KeyExhaustedError as exc:   # a syndrome's charge
+            early_stop = str(exc)
+            sending = not sending   # the receiver stops on its sending turn
+            break
+        new_bits = privacy_amplify(bits, m, pa_seed)
+        key = state.chain.append(new_bits)
+        pa_records.append(PaRecord(key.index, cycle_index, direction, pa_seed,
+                                   len(new_bits)))
+        if direction == B_TO_A:
+            cycles_completed = cycle_index
+            k1, k2 = state.chain.keys[-2:]
+            delivered.append((len(k1.bits), len(k2.bits)))
+            if progress is not None:
+                progress(_progress_record(state, cycle_index, k1, k2))
 
     tag = _confirm_tag(state, cycles_completed)
-    yield MessageType.CONFIRM, tag
-    if initiator:
-        _, peer_tag = yield from expect(MessageType.CONFIRM)
-    if peer_tag != tag:
+    if sending:
+        yield MessageType.CONFIRM, tag
+    if frame is None:
+        frame = yield from expect(MessageType.CONFIRM)
+    elif frame[0] != MessageType.CONFIRM:
+        yield MessageType.ERROR, f"expected CONFIRM, got {frame[0]:#04x}".encode()
+        raise ProtocolError(f"expected CONFIRM, peer sent {frame[0]:#04x}")
+    if not sending:
+        yield MessageType.CONFIRM, tag
+    if frame[1] != tag:
         raise ConfirmMismatchError(
             "peers computed different session confirmation tags")
     return SessionResult(
@@ -603,27 +633,6 @@ def _progress_record(state: PartyState, cycle_index: int, k1: ChainKey,
         "disclosed_parity_bits": state.ledger.disclosed_parity_bits,
         "ledger_total": state.ledger.total,
     }
-
-
-def run_cycle(state_a: PartyState, state_b: PartyState):
-    """Run one in-process distribution cycle between two party states.
-
-    Returns the two freshly delivered key bit arrays (A->B, B->A).
-    """
-    if state_a.params != state_b.params:
-        raise ValueError("parties disagree on session parameters")
-    cycle_index = (len(state_a.chain.keys) + 1) // 2
-
-    def cycle(state):
-        k1, _ = yield from _direction(state, cycle_index, A_TO_B)
-        k2, _ = yield from _direction(state, cycle_index, B_TO_A)
-        return k1.bits, k2.bits
-
-    channel = transport.PeerChannel(cycle(state_b))
-    keys = transport.drive(cycle(state_a), channel)
-    if channel.error is not None:
-        raise channel.error
-    return keys
 
 
 def simulate_session(params: SessionParams, k0_bits, seed_a: int, seed_b: int,

@@ -3,7 +3,7 @@
 Frame layout (all integers big-endian):
 
     magic   4 bytes  "NOTP"
-    version 1 byte   0x01
+    version 1 byte   0x02
     type    1 byte   MessageType
     length  4 bytes  payload byte count, at most 16 MiB
     payload
@@ -45,7 +45,7 @@ from .errors import (
 from .phys import CoherentStateParams
 
 MAGIC = b"NOTP"
-VERSION = 0x01
+VERSION = 0x02
 HEADER_LEN = 10
 MAX_PAYLOAD = 1 << 24
 DEFAULT_TIMEOUT = 30.0

@@ -21,10 +21,8 @@ from noisepad.phys import CoherentStateParams, PhaseNoiseModel
 from noisepad.protocol import (
     ChainKey,
     LeakLedger,
-    PartyState,
     SessionParams,
     recover_block,
-    run_cycle,
     send_block,
     simulate_session,
 )
@@ -131,10 +129,7 @@ def test_criterion_5_legitimate_round_trip_and_cycles():
     # 100 full cycles (reconciliation + amplification) in the secure regime
     params30 = SessionParams(1e4, 2.0 ** -30, 40, 10_000)
     k0 = rng.integers(0, 2, 10_000, dtype=np.uint8)
-    a = PartyState.create("A", params30, k0, 57)
-    b = PartyState.create("B", params30, k0, 58)
-    for _ in range(100):
-        run_cycle(a, b)
+    a, b = simulate_session(params30, k0, 57, 58, cycles=100)
     identical = a.chain.bits_equal(b.chain)
     elapsed = time.monotonic() - start
     ok = errors == 0 and identical and len(a.chain.keys) == 201 and elapsed < 10.0

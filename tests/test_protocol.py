@@ -1,4 +1,5 @@
 import socket
+import struct
 import threading
 
 import numpy as np
@@ -15,10 +16,9 @@ from noisepad.errors import (
 )
 from noisepad.phys import PhaseNoiseModel
 from noisepad.protocol import (
-    _BULK_REQ,
-    _SUB_BULK,
+    _PA_SEED,
     _SUB_PROBE,
-    _SUB_VERIFY,
+    _check,
     A_TO_B,
     B_TO_A,
     ChainKey,
@@ -34,7 +34,6 @@ from noisepad.protocol import (
     reconcile_receiver,
     reconcile_receiver_core,
     reconcile_sender_core,
-    run_cycle,
     run_session,
     send_block,
     session_core,
@@ -51,6 +50,7 @@ from noisepad.transport import (
     handshake,
     pack_keyblock,
     read_transcript_levels,
+    unpack_keyblock,
 )
 
 import oracles
@@ -82,8 +82,9 @@ def logging_probes(core, probes: list):
 def run_both(receiver_bits, sender_bits):
     """Drive both reconciliation roles on this thread; the sender is a peer core.
 
-    Returns (receiver's bits or None, receiver ledger, sender ledger, errors
-    by side, locate requests the sender received).
+    The receiver gets the sender's check as PA_SEED would carry it.  Returns
+    (receiver's bits or None, receiver ledger, sender ledger, errors by
+    side, locate requests the sender received).
     """
     led_r, led_s = LeakLedger(), LeakLedger()
     probes = []
@@ -92,7 +93,8 @@ def run_both(receiver_bits, sender_bits):
     out = None
     errs = {}
     try:
-        out = reconcile_receiver(receiver_bits, channel, led_r)
+        out = reconcile_receiver(receiver_bits, channel, led_r,
+                                 _check(sender_bits))
     except Exception as exc:  # noqa: BLE001
         errs["r"] = exc
     if channel.error is not None:
@@ -248,7 +250,7 @@ def test_reconcile_single_error_syndrome_cost():
 
 def test_reconcile_scattered_errors():
     # three errors: the syndrome names a wrong bit, and the digest check
-    # ends the dialogue on both sides
+    # ends the dialogue on both sides: the sender hears of it by ERROR
     rng = np.random.default_rng(23)
     reference = bits(rng, 2048)
     corrupted = reference.copy()
@@ -257,7 +259,7 @@ def test_reconcile_scattered_errors():
     out, _, _, errs, probes = run_both(corrupted, reference)
     assert out is None and len(probes) == 1
     assert isinstance(errs.get("r"), ReconciliationError)
-    assert isinstance(errs.get("s"), ReconciliationError)
+    assert "keys still differ" in str(errs.get("s"))
 
 
 def test_reconcile_residual_mismatch_detected():
@@ -271,7 +273,7 @@ def test_reconcile_residual_mismatch_detected():
     out, _, _, errs, probes = run_both(corrupted, reference)
     assert out is None and probes == []
     assert isinstance(errs.get("r"), ReconciliationError)
-    assert isinstance(errs.get("s"), ReconciliationError)
+    assert "keys still differ" in str(errs.get("s"))
 
 
 @settings(derandomize=True, max_examples=200, deadline=None)
@@ -295,7 +297,7 @@ def test_whole_key_reconciliation_property(data):
         # unequal keys are never returned
         assert out is None
         assert isinstance(errs.get("r"), ReconciliationError)
-        assert isinstance(errs.get("s"), ReconciliationError)
+        assert "keys still differ" in str(errs.get("s"))
 
 
 # ---------------------------------------------------------------------------
@@ -367,7 +369,7 @@ def test_bit_inputs_are_checked_at_the_public_entry_points():
         "send_block": lambda: send_block(bad, key, PARAMS, noise_model(PARAMS)),
         "privacy_amplify": lambda: privacy_amplify(bad, 8, 1),
         "reconcile_receiver_core": lambda: next(
-            reconcile_receiver_core(bad, LeakLedger())),
+            reconcile_receiver_core(bad, LeakLedger(), _check(good))),
         "reconcile_sender_core": lambda: next(
             reconcile_sender_core(bad, LeakLedger())),
         "tag_bytes": lambda: tag_bytes(bad, b"m"),
@@ -452,9 +454,22 @@ def fresh_pair(params=PARAMS, k0_bits=1024, seed_a=1, seed_b=2, k0_seed=7):
             PartyState.create("B", params, k0, seed_b))
 
 
+def run_pair(a, b, cycles):
+    """Run a session between two party states on this thread, no handshake.
+
+    Role B's core sits behind a PeerChannel; returns (result_a, result_b).
+    """
+    channel = PeerChannel(session_core(b))
+    result_a = drive(session_core(a, cycles), channel)
+    if channel.error is not None:
+        raise channel.error
+    return result_a, channel.result
+
+
 def test_run_cycle_agreement():
     a, b = fresh_pair()
-    k1, k2 = run_cycle(a, b)
+    run_pair(a, b, cycles=1)
+    k1, k2 = (k.bits for k in a.chain.keys[1:])
     assert a.chain.bits_equal(b.chain)
     assert len(a.chain.keys) == 3
     # shrink = ceil(1 parity + statistical) + safety
@@ -465,12 +480,7 @@ def test_run_cycle_agreement():
 def test_run_cycle_ledger_matches_analysis():
     a, b = fresh_pair()
     cycles = 5
-    symbols = 0
-    n = 1024
-    for _ in range(cycles):
-        run_cycle(a, b)
-        symbols += 2 * n
-        n -= 2 * 34
+    run_pair(a, b, cycles)
     per = PARAMS.per_symbol_leak
     # sum of per-block contributions; identical accumulation order on B
     assert a.ledger.statistical_leak == b.ledger.statistical_leak
@@ -482,9 +492,9 @@ def test_run_cycle_ledger_matches_analysis():
 def test_run_cycle_shrinkage_invariant():
     params = SessionParams(1e4, 2.0 ** -30, 40, 2048)
     a, b = fresh_pair(params, k0_bits=2048)
-    for _ in range(4):
-        run_cycle(a, b)
+    run_pair(a, b, cycles=4)
     sizes = [len(k.bits) for k in a.chain.keys]
+    assert len(sizes) == 9
     assert all(s1 - s2 == 34 for s1, s2 in zip(sizes, sizes[1:]))
     assert all(len(k.bits) <= len(prev.bits)
                for prev, k in zip(a.chain.keys, a.chain.keys[1:]))
@@ -493,26 +503,31 @@ def test_run_cycle_shrinkage_invariant():
 def test_run_cycle_exhaustion():
     params = SessionParams(1e4, 2.0 ** -30, 40, 128, safety_bits=60)
     a, b = fresh_pair(params, k0_bits=128)
-    run_cycle(a, b)                 # 128 -> 65 -> 2
-    with pytest.raises(KeyExhaustedError):
-        run_cycle(a, b)             # 2 - 63 <= 0 exhausts mid-cycle
-    with pytest.raises(KeyExhaustedError):
-        run_cycle(a, b)             # chain tip already consumed
+    results = run_pair(a, b, cycles=3)
+    assert [len(k.bits) for k in a.chain.keys] == [128, 66, 4]
+    for res in results:     # 4 - 2 - 60 <= 0: cycle 2 exhausts the chain
+        assert res.cycles_completed == 1
+        assert "would leave" in res.early_stop
+    # the block that would exhaust the chain is never sent, so the tip
+    # was never used as basis material
+    assert not a.chain.tip.used_as_basis and not b.chain.tip.used_as_basis
+    assert all(k.used_as_basis for k in a.chain.keys[:-1])
 
 
 def test_run_cycle_param_mismatch():
+    # without a handshake to reject it, a session between parties that
+    # disagree on the operating point fails
     a, _ = fresh_pair()
     other = SessionParams(1e4, 2.0 ** -28, 40, 1024)
     _, b = fresh_pair(other)
-    with pytest.raises(ValueError):
-        run_cycle(a, b)
+    with pytest.raises(ProtocolError):
+        run_pair(a, b, cycles=1)
 
 
 def test_hundred_cycles_desk_scale():
     params = SessionParams(1e4, 2.0 ** -30, 40, 8192)
     a, b = fresh_pair(params, k0_bits=8192)
-    for _ in range(100):
-        run_cycle(a, b)
+    run_pair(a, b, cycles=100)
     assert a.chain.bits_equal(b.chain)
     assert len(a.chain.keys) == 201
     assert len(a.chain.tip.bits) == 8192 - 200 * 34
@@ -644,49 +659,112 @@ def test_role_a_frames_equal_in_process_and_over_a_socketpair(monkeypatch):
     assert not peer.is_alive()
     assert over_socket.chain.bits_equal(res_a.chain)
     frames = _role_a_frames(log)
-    assert len(frames) == 2 + 3 * 12 + 2
+    assert len(frames) == 2 + 3 * 4 + 2
     assert frames == in_process
+
+
+REQ, RESP = MessageType.PARITY_REQ, MessageType.PARITY_RESP
+KB, SEED, CONFIRM = MessageType.KEYBLOCK, MessageType.PA_SEED, MessageType.CONFIRM
+
+
+def _peer_frames(log: list) -> list:
+    """(way, msg_type, payload length) of role A's end of a PeerChannel."""
+    return [(way, msg_type, len(payload)) for ch, way, msg_type, payload in log
+            if isinstance(ch, PeerChannel)]
+
+
+def _pair_differing_in(*positions):
+    a, _ = fresh_pair()
+    k0_b = a.chain.tip.bits.copy()
+    k0_b[list(positions)] ^= 1
+    return a, PartyState.create("B", PARAMS, k0_b, 2)
 
 
 def test_direction_frame_sequence(monkeypatch):
     # B's K0 differs from A's in one bit, so B decodes the A->B block with
     # exactly one error and the corrected key makes B->A error-free
-    a, _ = fresh_pair()
-    k0_b = a.chain.tip.bits.copy()
-    k0_b[700] ^= 1
-    b = PartyState.create("B", PARAMS, k0_b, 2)
+    a, b = _pair_differing_in(700)
     log = _record_frames(monkeypatch)
-    k1, k2 = run_cycle(a, b)
+    run_pair(a, b, cycles=1)
+    k1, k2 = (k.bits for k in a.chain.keys[1:])
     assert np.array_equal(k1, b.chain.keys[1].bits)
     assert np.array_equal(k2, b.chain.keys[2].bits)
     assert len(k1) == 1024 - 13 - 32        # ceil(1 + 11 + statistical) + safety
-    ours = [(way, msg_type, payload) for ch, way, msg_type, payload in log
-            if isinstance(ch, PeerChannel)]
-    kb, seed = MessageType.KEYBLOCK, MessageType.PA_SEED
-    one_error = [("sent", kb, 5124), ("sent", seed, 13),
-                 ("received", REQ, 2), ("sent", RESP, 1),       # bulk parity
-                 ("received", REQ, 1), ("sent", RESP, 4),       # locate
-                 ("received", REQ, 33), ("sent", RESP, 1)]      # verify
-    no_error = [("received", kb, 4 + 5 * len(k1)), ("received", seed, 13),
-                ("sent", REQ, 2), ("received", RESP, 1),
-                ("sent", REQ, 33), ("received", RESP, 1)]
-    assert [(way, t, len(p)) for way, t, p in ours] == one_error + no_error
-    assert [p[0] for _, t, p in ours if t == REQ] == \
-        [_SUB_BULK, _SUB_PROBE, _SUB_VERIFY, _SUB_BULK, _SUB_VERIFY]
+    one_error = [("sent", KB, 5124), ("sent", SEED, 46),
+                 ("received", REQ, 1), ("sent", RESP, 4)]       # locate
+    no_error = [("received", KB, 4 + 5 * len(k1)), ("received", SEED, 46)]
+    confirm = [("sent", CONFIRM, 32), ("received", CONFIRM, 32)]
+    assert _peer_frames(log) == one_error + no_error + confirm
+    assert [p for ch, _, t, p in log
+            if t == REQ and isinstance(ch, PeerChannel)] == [bytes([_SUB_PROBE])]
+
+
+def test_two_errors_end_the_direction_with_an_error_frame(monkeypatch):
+    # equal parities, different digests: B answers PA_SEED with ERROR
+    a, b = _pair_differing_in(3, 700)
+    log = _record_frames(monkeypatch)
+    with pytest.raises(ProtocolError, match="keys still differ"):
+        run_pair(a, b, cycles=1)
+    assert _peer_frames(log) == [("sent", KB, 5124), ("sent", SEED, 46),
+                                 ("received", MessageType.ERROR, 38)]
+    assert len(a.chain.keys) == len(b.chain.keys) == 1
+
+
+def _slip_role_a_keyblock(monkeypatch, cycle: int) -> None:
+    """Add a pi phase slip to symbol 0 of role A's KEYBLOCK of `cycle`."""
+    def send(self, msg_type, payload=b""):
+        if msg_type == KB and struct.unpack_from(">I", payload)[0] == cycle:
+            levels = unpack_keyblock(payload, 40)[1]
+            levels[0] = (int(levels[0]) + (1 << 39)) % (1 << 40)
+            payload = pack_keyblock(cycle, levels, 40)
+        Channel.send(self, msg_type, payload)
+
+    monkeypatch.setattr(PeerChannel, "send", send, raising=False)
+
+
+@pytest.mark.parametrize("k0_bits, safety, slip, first, cycles", [
+    (1200, 400, 0, "A", 1),     # A's cycle-2 block would leave nothing
+    (1500, 400, 0, "B", 1),     # B's cycle-2 block would leave nothing
+    (909, 300, 2, "B", 1),      # a 9-bit syndrome exhausts A's cycle-2 block
+], ids=["A stops", "B stops", "syndrome stops"])
+def test_both_parties_stop_alike(monkeypatch, k0_bits, safety, slip, first,
+                                 cycles):
+    params = SessionParams(1e4, 2.0 ** -30, 40, k0_bits, safety_bits=safety)
+    a, b = fresh_pair(params, k0_bits=k0_bits)
+    log = _record_frames(monkeypatch)
+    _slip_role_a_keyblock(monkeypatch, slip)
+    res_a, res_b = run_pair(a, b, cycles=10)
+    assert res_a.early_stop == res_b.early_stop
+    assert "would leave" in res_a.early_stop
+    assert res_a.confirm_tag == res_b.confirm_tag and len(res_a.confirm_tag) == 32
+    assert res_a.cycles_completed == res_b.cycles_completed == cycles
+    assert a.chain.bits_equal(b.chain)
+    frames = _peer_frames(log)
+    assert sum(t == REQ for _, t, _ in frames) == bool(slip)
+    # the party on its sending turn sends CONFIRM first; no block is sent
+    # that would leave nothing even without a syndrome
+    ways = [way for way, t, _ in frames if t == CONFIRM]
+    assert ways == (["sent", "received"] if first == "A" else ["received", "sent"])
+    assert sum(t == KB for _, t, _ in frames) == len(a.chain.keys) - 1 + bool(slip)
 
 
 SMALL = SessionParams(1e4, 2.0 ** -30, 40, 64)
 K0_SMALL = np.random.default_rng(75).integers(0, 2, 64, dtype=np.uint8)
-REQ, RESP = MessageType.PARITY_REQ, MessageType.PARITY_RESP
 KEYBLOCK = pack_keyblock(1, np.zeros(64, dtype=np.uint64), 40)
+CHECK_SMALL = _check(K0_SMALL)
+MISMATCHED = bytes([CHECK_SMALL[0] ^ 1]) + CHECK_SMALL[1:]
+
+
+def pa_seed(cycle=1, seed_len=8):
+    return _PA_SEED.pack(cycle, A_TO_B) + CHECK_SMALL + bytes(seed_len)
 
 
 def _sender():
     return reconcile_sender_core(K0_SMALL, LeakLedger())
 
 
-def _receiver():
-    return reconcile_receiver_core(K0_SMALL, LeakLedger())
+def _receiver(check):
+    return lambda: reconcile_receiver_core(K0_SMALL, LeakLedger(), check)
 
 
 def _responder():
@@ -695,23 +773,25 @@ def _responder():
 
 HOSTILE_FRAMES = {
     "empty parity request": (_sender, [(REQ, b"")]),
-    "bulk request without parities": (_sender, [(REQ, bytes([_SUB_BULK]))]),
-    "bulk parity of 2": (_sender, [(REQ, _BULK_REQ.pack(_SUB_BULK, 2))]),
+    "bulk request without parities": (_sender, [(REQ, bytes([0]))]),
+    "bulk parity of 2": (_sender, [(REQ, bytes([0, 2]))]),
     "locate request with trailing bytes": (_sender, [
-        (REQ, _BULK_REQ.pack(_SUB_BULK, 1 - int(K0_SMALL.sum()) % 2)),
         (REQ, bytes([_SUB_PROBE, 0]))]),
-    "locate request after equal parities": (_sender, [
-        (REQ, _BULK_REQ.pack(_SUB_BULK, int(K0_SMALL.sum()) % 2)),
-        (REQ, bytes([_SUB_PROBE]))]),
-    "empty bulk reply": (_receiver, [(RESP, b"")]),
-    "bulk reply of 2": (_receiver, [(RESP, b"\x02")]),
-    "empty probe reply": (_receiver, [(RESP, b"\x01"), (RESP, b"")]),
-    "probe reply of 2": (_receiver, [(RESP, b"\x01"), (RESP, b"\x02")]),
-    "3-byte syndrome reply": (_receiver, [(RESP, b"\x01"), (RESP, b"\x00" * 3)]),
-    "KEYBLOCK shorter than its cycle index": (_responder, [(MessageType.KEYBLOCK, b"\x00\x00")]),
-    "ragged KEYBLOCK levels": (_responder, [(MessageType.KEYBLOCK, KEYBLOCK[:-1])]),
-    "short PA_SEED": (_responder, [(MessageType.KEYBLOCK, KEYBLOCK),
-                                   (MessageType.PA_SEED, b"\x00" * 5)]),
+    "second locate request": (_sender, [
+        (REQ, bytes([_SUB_PROBE])), (REQ, bytes([_SUB_PROBE]))]),
+    "empty bulk reply": (_receiver(b""), []),
+    "bulk reply of 2": (_receiver(b"\x02" + CHECK_SMALL[1:]), []),
+    "empty probe reply": (_receiver(MISMATCHED), [(RESP, b"")]),
+    "probe reply of 2": (_receiver(MISMATCHED), [(RESP, b"\x02")]),
+    "3-byte syndrome reply": (_receiver(MISMATCHED), [(RESP, b"\x00" * 3)]),
+    "KEYBLOCK shorter than its cycle index": (_responder, [(KB, b"\x00\x00")]),
+    "ragged KEYBLOCK levels": (_responder, [(KB, KEYBLOCK[:-1])]),
+    "KEYBLOCK of another cycle": (_responder, [
+        (KB, pack_keyblock(2, np.zeros(64, dtype=np.uint64), 40))]),
+    "short PA_SEED": (_responder, [(KB, KEYBLOCK), (SEED, b"\x00" * 5)]),
+    "PA_SEED with a wrong seed length": (_responder, [
+        (KB, KEYBLOCK), (SEED, pa_seed(seed_len=9))]),
+    "PA_SEED of another cycle": (_responder, [(KB, KEYBLOCK), (SEED, pa_seed(2))]),
 }
 
 

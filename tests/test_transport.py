@@ -42,9 +42,9 @@ from noisepad.transport import (
 
 def test_frame_fixed_layouts():
     hello = frame_encode(MessageType.HELLO, b"")
-    assert hello.hex() == "4e4f545001" + "01" + "00000000"
+    assert hello.hex() == "4e4f545002" + "01" + "00000000"
     kb = frame_encode(MessageType.KEYBLOCK, bytes.fromhex("abcdef"))
-    assert kb.hex() == "4e4f545001" + "03" + "00000003" + "abcdef"
+    assert kb.hex() == "4e4f545002" + "03" + "00000003" + "abcdef"
 
 
 def test_frame_round_trip_random():
@@ -62,7 +62,7 @@ def test_frame_rejections_are_distinct():
     with pytest.raises(BadMagicError):
         frame_decode(b"X" + good[1:])
     with pytest.raises(BadVersionError):
-        frame_decode(good[:4] + b"\x02" + good[5:])
+        frame_decode(good[:4] + b"\x01" + good[5:])
     with pytest.raises(TruncatedFrameError):
         frame_decode(good[:-5])
     with pytest.raises(TruncatedFrameError):
@@ -248,7 +248,7 @@ def test_socket_channel_round_trip():
 def test_socket_channel_rejects_bad_version():
     ch_a, ch_b = socket_pair()
     frame = bytearray(frame_encode(MessageType.HELLO, b""))
-    frame[4] = 0x02
+    frame[4] = 0x01
     ch_a._sock.sendall(bytes(frame))
     with pytest.raises(BadVersionError):
         ch_b.recv()
