@@ -4,7 +4,7 @@ known-plaintext / chain-compromise attacks.
 Eve's empirical attack is a classical phase-measurement maximum-likelihood
 discriminator; the quantum discrimination bound is reported alongside as
 the floor no strategy of hers can beat.  Privacy-amplification seeds are
-treated as public (they travel in clear on the wire), so once a chain key
+treated as public (they travel in clear in PA_SEED), so once a chain key
 is revealed, every later key falls from the recorded wire alone: Eve's input
 is the tape of KEYBLOCK frames, one level array per block in wire order.
 """
@@ -26,7 +26,7 @@ from .encode import (
     wrap_pi,
 )
 from .phys import CoherentStateParams, eavesdropper_error, q_gaussian
-from .protocol import PaRecord, privacy_amplify, recover_block
+from .protocol import PaRecord, pa_seed_bytes, privacy_amplify, recover_block
 from .transport import read_transcript_levels
 
 PI = math.pi
@@ -187,9 +187,11 @@ def chain_compromise(transcripts, known_key_index: int, known_key_bits,
             if rec is None:
                 gaps.append(f"no amplification record for K{j}")
                 break
-            if not 0 < rec.output_bits <= len(raw):
+            if not 0 < rec.output_bits <= len(raw) or \
+                    len(rec.pa_seed) != pa_seed_bytes(len(raw)):
                 gaps.append(f"amplification record for K{j} asks for "
-                            f"{rec.output_bits} of {len(raw)} bits")
+                            f"{rec.output_bits} of {len(raw)} bits with "
+                            f"{len(rec.pa_seed)} seed bytes")
                 break
             current = privacy_amplify(raw, rec.output_bits, rec.pa_seed)
         else:

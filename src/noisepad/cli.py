@@ -9,7 +9,6 @@ Set NOISEPAD_LOG=debug|info|... for diagnostics on stderr.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import logging
 import os
@@ -176,7 +175,7 @@ def _summary(result: protocol.SessionResult, extra: dict | None = None) -> dict:
         },
         "confirm_tag": result.confirm_tag.hex(),
         "early_stop": result.early_stop,
-        "pa_records": [dataclasses.asdict(r) for r in result.pa_records],
+        "pa_records": [r.to_dict() for r in result.pa_records],
     }
     if extra:
         doc.update(extra)
@@ -349,7 +348,10 @@ def _demo_session(args, cycles: int):
 
 
 def cmd_attack_kpa(args) -> int:
-    if args.ciphertext_file and args.plaintext_file:
+    if bool(args.ciphertext_file) != bool(args.plaintext_file):
+        missing = "plaintext" if args.ciphertext_file else "ciphertext"
+        raise ValueError(f"file mode needs --{missing}-file too")
+    if args.ciphertext_file:
         cipher = np.unpackbits(np.frombuffer(
             Path(args.ciphertext_file).read_bytes(), dtype=np.uint8))
         plain = np.unpackbits(np.frombuffer(
@@ -381,9 +383,7 @@ def cmd_attack_kpa(args) -> int:
 def cmd_attack_chain(args) -> int:
     if args.transcript:
         if not (args.known_key_hex and args.session_record):
-            print("file mode needs --known-key-hex and --session-record",
-                  file=sys.stderr)
-            return EXIT_USAGE
+            raise ValueError("file mode needs --known-key-hex and --session-record")
         c = Constellation(2.0 ** args.delta_phi_exp, args.resolution_bits)
         transcripts = attacker.load_transcripts(args.transcript,
                                                 args.resolution_bits)
@@ -391,7 +391,7 @@ def cmd_attack_chain(args) -> int:
         try:
             pa_records = [protocol.PaRecord.from_dict(d)
                           for d in record["pa_records"]]
-        except (KeyError, TypeError) as exc:
+        except (KeyError, TypeError, ValueError) as exc:
             raise ValueError(f"session record {args.session_record} is malformed "
                              f"({type(exc).__name__}: {exc})") from None
         raw = bytes.fromhex(args.known_key_hex)

@@ -4,15 +4,14 @@ One distribution cycle sends fresh random bits from A to B, noise-masked
 under the current shared key (used exactly once as basis material), then
 fresh bits from B back to A under the key that was just delivered.  Each
 direction is parity-reconciled, charged to a leak ledger, and compressed
-with a seeded modified Toeplitz hash [I | T] (dual universal) before joining
-the key chain.  Its n-1 public seed bits, default_rng(seed).integers(0, 2),
-are the top bits of the bytes of PCG64(seed).random_raw (Lemire's method
-with range 2); packed into one Python int, they make T x[m:] one shift and
-XOR per set bit.
+with a modified Toeplitz hash [I | T] (dual universal) before joining the
+key chain.  Its n-1 public seed bits are drawn by the sender and travel in
+PA_SEED; packed into one Python int, they make T x[m:] one shift and XOR
+per set bit.
 
 A direction is one-way: the sender writes KEYBLOCK, then PA_SEED with the
-cycle, the direction, the parity and SHA-256 digest of its bits, and the PA
-seed.  The whole key is the one parity block (the handshake admits a
+cycle, the direction, the parity and SHA-256 digest of its bits, and the
+PA seed.  The whole key is the one parity block (the handshake admits a
 bit-error rate of at most 2Q(8) ~ 1e-15).  A receiver whose parity and
 digest match sends nothing; on a parity mismatch it sends one locate
 request, and the sender's Hamming syndrome (XOR of the 1-based indices of
@@ -40,7 +39,7 @@ from __future__ import annotations
 import hashlib
 import math
 import struct
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from functools import cached_property
 
 import numpy as np
@@ -64,7 +63,6 @@ TAG_BITS = 256
 
 _PA_SEED = struct.Struct(">IB")     # cycle, direction; the check and the seed follow
 _CHECK = struct.Struct(">B32s")     # parity and SHA-256 digest of the sender's bits
-_SEED = struct.Struct(">Q")
 _SYNDROME = struct.Struct(">I")
 _SUB_PROBE = 1                      # PARITY_REQ subtype of the locate request
 
@@ -277,11 +275,10 @@ def reconcile_receiver_core(bits, ledger: LeakLedger, check: bytes):
     """Core: correct this side's candidate bits toward the sender's reference.
 
     `check` is the sender's parity and digest, as PA_SEED carries them.  On
-    a parity mismatch, one locate request gets the sender's syndrome; XOR
-    with its own, it names the bit to flip, if it lies in the key.  A digest
-    that still differs is answered with ERROR and raises.  Both sides charge
-    1 bit per parity and n.bit_length() bits per syndrome.  Returns the
-    corrected bits, a copy.
+    a parity mismatch, the XOR of the sender's syndrome and its own names
+    the bit to flip; a digest that still differs is answered with ERROR.
+    Both sides charge 1 bit per parity and n.bit_length() bits per
+    syndrome.  Returns the corrected bits, a copy.
     """
     return _receiver_core(_as_bits(bits).copy(), ledger, check)
 
@@ -365,22 +362,28 @@ def _modified_toeplitz(seed: int, vec: np.ndarray, m: int) -> np.ndarray:
     return np.unpackbits(np.frombuffer(out, np.uint8), count=m, bitorder="little")
 
 
-def privacy_amplify(bits, out_len: int, public_seed: int) -> np.ndarray:
+def pa_seed_bytes(n: int) -> int:
+    """Length of the PA seed of an n-bit input: its n-1 bits, whole bytes."""
+    return -(-(n - 1) // 8)
+
+
+def privacy_amplify(bits, out_len: int, seed: bytes) -> np.ndarray:
     """Compress bits to out_len bits with a modified Toeplitz hash [I | T].
 
-    The n-1 seed bits are drawn from the public seed.  The family is
-    dual universal (Hayashi & Tsurumaru, IEEE Trans. IT 2016) and universal_2
-    at the output length, so the leftover-hash bound holds as for a full
-    Toeplitz matrix; at out_len == n it is the identity.
+    Seed bit t is bit t of int.from_bytes(seed, "little"); bits past n-2
+    are unused.  The family is dual universal (Hayashi & Tsurumaru, IEEE
+    Trans. IT 2016) and universal_2 at the output length, so the
+    leftover-hash bound holds as for a full Toeplitz matrix; at out_len == n
+    it is the identity.
     """
     bits = _as_bits(bits)
     n = len(bits)
     if not 0 < out_len <= n:
         raise ValueError(f"out_len must lie in [1, {n}], got {out_len}")
-    raw = np.random.PCG64(public_seed).random_raw(-(-(n - 1) // 8))
-    tops = raw.astype("<u8", copy=False).view(np.uint8)[:n - 1] >> 7
-    seed = int.from_bytes(np.packbits(tops, bitorder="little").tobytes(), "little")
-    return _modified_toeplitz(seed, bits, out_len)
+    if len(seed) != pa_seed_bytes(n):
+        raise ValueError(f"a {n}-bit input needs {pa_seed_bytes(n)} seed "
+                         f"bytes, got {len(seed)}")
+    return _modified_toeplitz(int.from_bytes(seed, "little"), bits, out_len)
 
 
 # ---------------------------------------------------------------------------
@@ -443,14 +446,23 @@ class PaRecord:
     key_index: int
     cycle_index: int
     direction: int
-    pa_seed: int
+    pa_seed: bytes
     output_bits: int
+
+    def to_dict(self) -> dict:
+        return dict(asdict(self), pa_seed=self.pa_seed.hex())
 
     @classmethod
     def from_dict(cls, d: dict) -> "PaRecord":
-        """Read a record; ignores unknown keys, which older records carry."""
-        return cls(d["key_index"], d["cycle_index"], d["direction"],
-                   d["pa_seed"], d["output_bits"])
+        """Read a to_dict record, ignoring unknown keys; raises if malformed."""
+        rec = cls(d["key_index"], d["cycle_index"], d["direction"],
+                  bytes.fromhex(d["pa_seed"]), d["output_bits"])
+        counts = (rec.key_index, rec.cycle_index, rec.direction, rec.output_bits)
+        if any(type(v) is not int for v in counts) or \
+                len(rec.pa_seed) < pa_seed_bytes(rec.output_bits):
+            raise ValueError(f"PA record {d} needs four integers and a hex "
+                             f"pa_seed long enough for output_bits")
+        return rec
 
 
 @dataclass
@@ -469,26 +481,14 @@ class SessionResult:
         return self.chain.total_delivered() / k0
 
 
-def _block_ledger(n: int, params: SessionParams) -> LeakLedger:
-    """A block's statistical leak, checked before the block is sent.
-
-    Raises KeyExhaustedError when amplification would leave no key even if
-    reconciliation discloses only the one parity.
-    """
-    delta = LeakLedger(n * params.per_symbol_leak)
-    pa_output_length(n, LeakLedger(delta.statistical_leak, 1), params.safety_bits)
-    return delta
-
-
 def _direction(state: PartyState, cycle_index: int, direction: int,
                delta: LeakLedger, frame: tuple | None):
     """Core of one direction of a cycle, up to privacy amplification.
 
-    The direction's sender masks fresh bits under its chain tip, sends
-    KEYBLOCK and PA_SEED, and answers a locate request if one comes; the
-    receiver decodes the KEYBLOCK `frame` with its tip and reconciles
-    against PA_SEED's check.  Both charge `delta`.  Returns (bits, PA seed,
-    the sender's next frame or None).
+    The sender masks fresh bits under its chain tip, sends KEYBLOCK and
+    PA_SEED and answers a locate request; the receiver decodes the KEYBLOCK
+    `frame` with its tip and reconciles against PA_SEED's check.  Returns
+    (bits, PA seed, the sender's next frame or None).
     """
     params = state.params
     tip = state.chain.tip
@@ -497,9 +497,9 @@ def _direction(state: PartyState, cycle_index: int, direction: int,
         yield (MessageType.KEYBLOCK, transport.pack_keyblock(
             cycle_index, send_block(bits, tip, params, state.noise),
             params.resolution_bits))
-        pa_seed = int(state.pub_rng.integers(0, 2 ** 63))
+        pa_seed = state.pub_rng.bytes(pa_seed_bytes(len(bits)))
         yield (MessageType.PA_SEED, _PA_SEED.pack(cycle_index, direction)
-               + _check(bits) + _SEED.pack(pa_seed))
+               + _check(bits) + pa_seed)
         frame = yield from _sender_core(bits, delta)
         return bits, pa_seed, frame
     got_cycle, levels = yield from transport.recv_keyblock(
@@ -511,13 +511,13 @@ def _direction(state: PartyState, cycle_index: int, direction: int,
     del frame, levels   # a received block is dropped once decoded
     _, payload = yield from expect(MessageType.PA_SEED)
     head = _PA_SEED.size + _CHECK.size
-    if len(payload) != head + _SEED.size:
-        raise ProtocolError(f"PA_SEED needs {head + _SEED.size} bytes, "
-                            f"peer sent {len(payload)}")
+    if len(payload) != head + pa_seed_bytes(len(bits)):
+        raise ProtocolError(f"PA_SEED of a {len(bits)}-bit block needs "
+                            f"{head} bytes and the seed, peer sent {len(payload)}")
     if _PA_SEED.unpack_from(payload) != (cycle_index, direction):
         raise ProtocolError("PA_SEED frame does not match the current block")
     bits = yield from _receiver_core(bits, delta, payload[_PA_SEED.size:head])
-    return bits, _SEED.unpack_from(payload, head)[0], None
+    return bits, bytes(payload[head:]), None
 
 
 def _confirm_message(state: PartyState, cycles_completed: int) -> bytes:
@@ -552,11 +552,10 @@ def session_core(state: PartyState, cycles: int | None = None, progress=None):
     both parties see it, or from a syndrome's charge.  The party whose turn
     it is to send then sends CONFIRM first.  Returns a SessionResult.
     """
-    initiator = state.role == "A"
+    initiator, params = state.role == "A", state.params
     if initiator and cycles is None:
         raise ValueError("initiator needs an explicit cycle count")
-    delivered = []
-    pa_records = []
+    delivered, pa_records = [], []
     early_stop = frame = None
     cycle_index = cycles_completed = 0
     direction = B_TO_A
@@ -565,17 +564,19 @@ def session_core(state: PartyState, cycles: int | None = None, progress=None):
         direction ^= 1
         cycle_index += direction == A_TO_B
         sending = initiator == (direction == A_TO_B)
-        try:
-            delta = _block_ledger(len(state.chain.tip.bits), state.params)
+        n = len(state.chain.tip.bits)
+        delta = LeakLedger(n * params.per_symbol_leak)
+        try:    # a block is sent only if, charged one parity, it leaves a key
+            pa_output_length(n, LeakLedger(delta.statistical_leak, 1),
+                             params.safety_bits)
         except KeyExhaustedError as exc:
             early_stop = str(exc)
             break
         if sending and initiator and cycle_index > cycles:
             break
         if not sending:
-            if frame is None:
-                frame = yield from expect(MessageType.KEYBLOCK,
-                                          MessageType.CONFIRM)
+            frame = frame or (yield from expect(MessageType.KEYBLOCK,
+                                                MessageType.CONFIRM))
             if frame[0] == MessageType.CONFIRM:
                 break
         # hand the KEYBLOCK on without keeping it here
@@ -583,7 +584,7 @@ def session_core(state: PartyState, cycles: int | None = None, progress=None):
         bits, pa_seed, frame = yield from core
         state.ledger.merge(delta)
         try:
-            m = pa_output_length(len(bits), delta, state.params.safety_bits)
+            m = pa_output_length(n, delta, params.safety_bits)
         except KeyExhaustedError as exc:   # a syndrome's charge
             early_stop = str(exc)
             sending = not sending   # the receiver stops on its sending turn
@@ -594,22 +595,21 @@ def session_core(state: PartyState, cycles: int | None = None, progress=None):
                                    len(new_bits)))
         if direction == B_TO_A:
             cycles_completed = cycle_index
-            k1, k2 = state.chain.keys[-2:]
-            delivered.append((len(k1.bits), len(k2.bits)))
+            delivered.append(tuple(len(k.bits) for k in state.chain.keys[-2:]))
             if progress is not None:
-                progress(_progress_record(state, cycle_index, k1, k2))
+                led = state.ledger
+                progress({"cycle": cycle_index, "delivered_bits": list(delivered[-1]),
+                          "statistical_leak": led.statistical_leak,
+                          "disclosed_parity_bits": led.disclosed_parity_bits,
+                          "ledger_total": led.total})
 
     tag = _confirm_tag(state, cycles_completed)
     if sending:
         yield MessageType.CONFIRM, tag
-    if frame is None:
-        frame = yield from expect(MessageType.CONFIRM)
-    elif frame[0] != MessageType.CONFIRM:
-        yield MessageType.ERROR, f"expected CONFIRM, got {frame[0]:#04x}".encode()
-        raise ProtocolError(f"expected CONFIRM, peer sent {frame[0]:#04x}")
+    frame = frame or (yield from expect(MessageType.CONFIRM))
     if not sending:
         yield MessageType.CONFIRM, tag
-    if frame[1] != tag:
+    if frame != (MessageType.CONFIRM, tag):
         raise ConfirmMismatchError(
             "peers computed different session confirmation tags")
     return SessionResult(
@@ -622,17 +622,6 @@ def session_core(state: PartyState, cycles: int | None = None, progress=None):
         pa_records=pa_records,
         early_stop=early_stop,
     )
-
-
-def _progress_record(state: PartyState, cycle_index: int, k1: ChainKey,
-                     k2: ChainKey) -> dict:
-    return {
-        "cycle": cycle_index,
-        "delivered_bits": [len(k1.bits), len(k2.bits)],
-        "statistical_leak": state.ledger.statistical_leak,
-        "disclosed_parity_bits": state.ledger.disclosed_parity_bits,
-        "ledger_total": state.ledger.total,
-    }
 
 
 def simulate_session(params: SessionParams, k0_bits, seed_a: int, seed_b: int,

@@ -1,5 +1,7 @@
 import json
 import os
+import socket
+import struct
 import subprocess
 import sys
 from pathlib import Path
@@ -112,7 +114,16 @@ def test_serve_and_connect_reject_flags_hello_does_not_carry():
 # attack-chain file mode; "@name" stands for tmp_path / name, from CHAIN_FILES
 CHAIN_FILES = {"tape.bin": "", "record.json": '{"pa_records": []}',
                "no-records.json": "{}",
-               "short-record.json": '{"pa_records": [{"key_index": 2}]}'}
+               "short-record.json": '{"pa_records": [{"key_index": 2}]}',
+               "typed-record.json": json.dumps({"pa_records": [{
+                   "key_index": 2, "cycle_index": 1, "direction": 1,
+                   "pa_seed": "00", "output_bits": "x"}]}),
+               "short-seed-record.json": json.dumps({"pa_records": [{
+                   "key_index": 2, "cycle_index": 1, "direction": 1,
+                   "pa_seed": "00", "output_bits": 900}]}),
+               "int-seed-record.json": json.dumps({"pa_records": [{
+                   "key_index": 2, "cycle_index": 1, "direction": 1,
+                   "pa_seed": 5, "output_bits": 9}]})}
 
 
 def chain_file_mode(record="record.json"):
@@ -139,6 +150,11 @@ def chain_file_mode(record="record.json"):
     (*chain_file_mode(), "--known-key-bits", "-3"),
     chain_file_mode("no-records.json"),
     chain_file_mode("short-record.json"),
+    chain_file_mode("typed-record.json"),
+    chain_file_mode("short-seed-record.json"),
+    chain_file_mode("int-seed-record.json"),
+    ("attack-kpa", "--ciphertext-file", "@tape.bin"),
+    ("attack-kpa", "--plaintext-file", "@tape.bin"),
 ], ids=" ".join)
 def test_bad_operator_input_exits_1_without_traceback(args, tmp_path):
     for name, text in CHAIN_FILES.items():
@@ -151,6 +167,9 @@ def test_bad_operator_input_exits_1_without_traceback(args, tmp_path):
     if args[-2] in ("--cycles", "--k0-bits", "--bits", "--known-key-bits") and \
             int(args[-1]) < 1:
         assert f"argument {args[-2]}:" in res.stderr.splitlines()[-1]
+    if args[0] == "attack-kpa" and args[1].endswith("-file"):  # names the other
+        missing = ({"--ciphertext-file", "--plaintext-file"} - {args[1]}).pop()
+        assert missing in res.stderr.splitlines()[-1]
 
 
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
@@ -383,3 +402,58 @@ def test_connect_handshake_rejection():
     server.finish()
     assert res.returncode == 2
     assert "rejected" in res.stderr
+
+
+def _raw_client(port: int):
+    from noisepad.transport import SocketChannel
+    return SocketChannel(socket.create_connection(("127.0.0.1", port), timeout=30))
+
+
+@pytest.mark.parametrize("seed_frame", [
+    "short", "wrong seed length", "wrong cycle"])
+def test_serve_exits_2_on_a_hostile_pa_seed(seed_frame):
+    from noisepad.protocol import SessionParams, _check, pa_seed_bytes
+    from noisepad.transport import MessageType, handshake, pack_keyblock
+    server = ServeProc("--seed", "1", "--k0-seed", "9", "--k0-bits", "1024")
+    ch = _raw_client(server.port)
+    try:
+        handshake(ch, "A", SessionParams(1e4, 2.0 ** -30, 40, 1024).hello())
+        ch.send(MessageType.KEYBLOCK,
+                pack_keyblock(1, np.zeros(1024, dtype=np.uint64), 40))
+        cycle, seed = 1, bytes(pa_seed_bytes(1024))
+        if seed_frame == "wrong seed length":
+            seed += b"\x00"
+        if seed_frame == "wrong cycle":
+            cycle = 2
+        payload = struct.pack(">IB", cycle, 0) + _check(np.zeros(8, np.uint8)) + seed
+        ch.send(MessageType.PA_SEED, payload[:5] if seed_frame == "short" else payload)
+        code, out, err = server.finish()
+    finally:
+        ch.close()
+    assert code == 2 and out == ""
+    assert err.splitlines()[-1].startswith("session failed: PA_SEED")
+
+
+def test_serve_refuses_a_version_1_hello_and_keeps_k0():
+    from noisepad.errors import ChannelError
+    from noisepad.protocol import SessionParams
+    from noisepad.transport import MessageType, frame_encode, pack_hello
+    server = ServeProc("--seed", "100", "--k0-seed", "9", "--k0-bits", "1024",
+                       once=False)
+    try:
+        ch = _raw_client(server.port)
+        hello = bytearray(frame_encode(MessageType.HELLO, pack_hello(
+            SessionParams(1e4, 2.0 ** -30, 40, 1024).hello())))
+        hello[4] = 0x01
+        ch._sock.sendall(bytes(hello))
+        with pytest.raises(ChannelError):   # closed: no KEYBLOCK follows
+            ch.recv()
+        ch.close()
+        # no block went out under K0, so it still serves one session
+        res = run_cli("connect", "--addr", f"127.0.0.1:{server.port}",
+                      "--seed", "200", "--k0-seed", "9", "--cycles", "1")
+    finally:
+        server.proc.kill()
+        _, _, err = server.finish()
+    assert res.returncode == 0
+    assert "session failed: unsupported version 0x01" in err

@@ -2,11 +2,10 @@
 
 The digests pin role A's frames and its delivered keys for two in-process
 sessions, so any change to a kernel (noise, modulation, packing, decoding,
-reconciliation, PA, tags) that alters one byte fails here.  The key
-digests were computed with the slice-loop PA, the byte-strided level
-packing and normal() noise that the packed-int kernels replaced, and equal
-theirs; they also outlived the move to one-way reconciliation (VERSION 2),
-which changed only the frames.
+reconciliation, PA, tags) that alters one byte fails here.  The values
+were re-pinned when the PA seed moved onto the wire (every key changed);
+the PA they pin is checked bit for bit against the dense and slice-loop
+reference products in test_protocol.
 """
 
 import hashlib
@@ -63,11 +62,11 @@ def _keys_sha256(chain) -> str:
 
 @pytest.mark.parametrize("n, cycles, slips, frames_sha, keys_sha", [
     (1024, 3, (),
-     "f3817e223fb3245a163f343956ac7e6152382ab82c4661956fda520d171b1615",
-     "1723b2714970b56c7a10cecf6c054e6aaea89f75911cb14d1cb61fa4803fe1cb"),
+     "29aa01caa79ac785eed5993dc4d4923a6f5f64aecbae8e9bae7bcd180cbfc471",
+     "1044d5455390561e6406a6ac7494dd064e75ce2268cba5723c093fa2c5d28efa"),
     (4096, 2, (1234,),
-     "14e9c91d5ca32a535b326fb7c662d5132beb1624016c2e1d2b077912652af2b7",
-     "4ff4c7a9ab381b2c8d94e4db876a8085866834ed514e915b2300498ccf3d81ac"),
+     "4d0b812cbd4aa40bb63240de5b21631767b5722a5c0450ab5b9b39037a858451",
+     "6937f37f359a26847bc8af00e0e5224b77e3f782dd4433d99470dff4df90022f"),
 ], ids=["1k-3-cycles", "4k-2-cycles-one-slip"])
 def test_role_a_wire_and_keys_are_pinned(monkeypatch, n, cycles, slips,
                                         frames_sha, keys_sha):

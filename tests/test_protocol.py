@@ -29,6 +29,7 @@ from noisepad.protocol import (
     _modified_toeplitz,
     authenticate_tag,
     pa_output_length,
+    pa_seed_bytes,
     privacy_amplify,
     recover_block,
     reconcile_receiver,
@@ -304,30 +305,44 @@ def test_whole_key_reconciliation_property(data):
 # Privacy amplification
 # ---------------------------------------------------------------------------
 
+def seed_for(n, s):
+    """The PA seed bytes of an n-bit input, drawn from default_rng(s)."""
+    return np.random.default_rng(s).bytes(pa_seed_bytes(n))
+
+
+def seed_bits(seed: bytes, n: int) -> np.ndarray:
+    """The n-1 seed bits: bit t is bit t of the little-endian seed int."""
+    return np.unpackbits(np.frombuffer(seed, np.uint8), bitorder="little")[:n - 1]
+
+
 def test_privacy_amplify_lengths():
     rng = np.random.default_rng(31)
     data = bits(rng, 1024)
     # no charge, no safety: identity
     assert pa_output_length(1024, LeakLedger(), 0) == 1024
-    assert np.array_equal(privacy_amplify(data, 1024, 5), data)
+    assert np.array_equal(privacy_amplify(data, 1024, seed_for(1024, 5)), data)
     led = LeakLedger(statistical_leak=0.2, disclosed_parity_bits=10)
     m = pa_output_length(1024, led, 32)
     assert m == 1024 - 11 - 32
-    assert len(privacy_amplify(data, m, 5)) == m
+    assert len(privacy_amplify(data, m, seed_for(1024, 5))) == m
     with pytest.raises(KeyExhaustedError):
         pa_output_length(40, led, 32)
     for bad in (0, 1025):
         with pytest.raises(ValueError):
-            privacy_amplify(data, bad, 5)
+            privacy_amplify(data, bad, seed_for(1024, 5))
+    assert pa_seed_bytes(1024) == 128 and pa_seed_bytes(1025) == 128
+    for bad_seed in (bytes(127), bytes(129)):
+        with pytest.raises(ValueError, match="needs 128 seed bytes"):
+            privacy_amplify(data, m, bad_seed)
 
 
-def _dense_check(n, k, seed, data_seed):
+def _dense_check(n, k, s, data_seed):
     data = bits(np.random.default_rng(data_seed), n)
     m = n - k
+    seed = seed_for(n, s)
     out = privacy_amplify(data, m, seed)
-    seed_bits = np.random.default_rng(seed).integers(0, 2, n - 1,
-                                                     dtype=np.uint8)
-    assert np.array_equal(out, oracles.dense_modified_toeplitz(seed_bits, data, m))
+    assert np.array_equal(out, oracles.dense_modified_toeplitz(
+        seed_bits(seed, n), data, m))
 
 
 def test_privacy_amplify_matches_dense_toeplitz():
@@ -341,23 +356,26 @@ def test_privacy_amplify_many_shifts_matches_dense():
 @pytest.mark.parametrize("base", [8, 2 ** 18 + 9])
 def test_pa_seed_bits_equal_default_rng_draw(base):
     # With only the last of n = c + 1 bits set and out_len = c, the hash is
-    # T's one column: all c seed bits.  They must be exactly the bits
-    # default_rng(s).integers(0, 2, c) draws, for every c mod 8.
+    # T's one column: all c seed bits.  They must be exactly the low c bits,
+    # least significant first, of the seed bytes default_rng(s).bytes
+    # draws, for every c mod 8.
     for c in range(base, base + 8):
         unit = np.zeros(c + 1, dtype=np.uint8)
         unit[-1] = 1
         for s in (0, 5, 2 ** 63 - 1):
-            want = np.random.default_rng(s).integers(0, 2, c, dtype=np.uint8)
-            assert np.array_equal(privacy_amplify(unit, c, s), want), (c, s)
+            seed = seed_for(c + 1, s)
+            want = seed_bits(seed, c + 1)
+            assert len(want) == c
+            assert np.array_equal(privacy_amplify(unit, c, seed), want), (c, s)
 
 
 @pytest.mark.parametrize("k", [34, 1000])
 def test_privacy_amplify_matches_slice_loop_at_large_n(k):
     n = 2 ** 18 + 17
     data = bits(np.random.default_rng(36), n)
-    seed_bits = np.random.default_rng(123).integers(0, 2, n - 1, dtype=np.uint8)
-    want = oracles.slice_modified_toeplitz(seed_bits, data, n - k)
-    assert np.array_equal(privacy_amplify(data, n - k, 123), want)
+    seed = seed_for(n, 123)
+    want = oracles.slice_modified_toeplitz(seed_bits(seed, n), data, n - k)
+    assert np.array_equal(privacy_amplify(data, n - k, seed), want)
 
 
 def test_bit_inputs_are_checked_at_the_public_entry_points():
@@ -367,7 +385,7 @@ def test_bit_inputs_are_checked_at_the_public_entry_points():
     calls = {
         "KeyChain": lambda: KeyChain(bad),
         "send_block": lambda: send_block(bad, key, PARAMS, noise_model(PARAMS)),
-        "privacy_amplify": lambda: privacy_amplify(bad, 8, 1),
+        "privacy_amplify": lambda: privacy_amplify(bad, 8, bytes(2)),
         "reconcile_receiver_core": lambda: next(
             reconcile_receiver_core(bad, LeakLedger(), _check(good))),
         "reconcile_sender_core": lambda: next(
@@ -396,9 +414,9 @@ def test_modified_toeplitz_is_universal2():
 def test_privacy_amplify_deterministic_and_seed_sensitive():
     rng = np.random.default_rng(34)
     data = bits(rng, 512)
-    a = privacy_amplify(data, 500, 99)
-    b = privacy_amplify(data, 500, 99)
-    c = privacy_amplify(data, 500, 100)
+    a = privacy_amplify(data, 500, seed_for(512, 99))
+    b = privacy_amplify(data, 500, seed_for(512, 99))
+    c = privacy_amplify(data, 500, seed_for(512, 100))
     assert np.array_equal(a, b)
     assert not np.array_equal(a, c)
 
@@ -408,7 +426,7 @@ def test_privacy_amplify_monobit():
     collected = []
     for seed in range(13):
         data = bits(rng, 8192)
-        collected.append(privacy_amplify(data, 8190, seed))
+        collected.append(privacy_amplify(data, 8190, seed_for(8192, seed)))
     out = np.concatenate(collected)
     assert len(out) >= 100_000
     ones = float(np.mean(out))
@@ -690,9 +708,10 @@ def test_direction_frame_sequence(monkeypatch):
     assert np.array_equal(k1, b.chain.keys[1].bits)
     assert np.array_equal(k2, b.chain.keys[2].bits)
     assert len(k1) == 1024 - 13 - 32        # ceil(1 + 11 + statistical) + safety
-    one_error = [("sent", KB, 5124), ("sent", SEED, 46),
+    one_error = [("sent", KB, 5124), ("sent", SEED, 38 + 128),
                  ("received", REQ, 1), ("sent", RESP, 4)]       # locate
-    no_error = [("received", KB, 4 + 5 * len(k1)), ("received", SEED, 46)]
+    no_error = [("received", KB, 4 + 5 * len(k1)),
+                ("received", SEED, 38 + pa_seed_bytes(len(k1)))]
     confirm = [("sent", CONFIRM, 32), ("received", CONFIRM, 32)]
     assert _peer_frames(log) == one_error + no_error + confirm
     assert [p for ch, _, t, p in log
@@ -705,7 +724,7 @@ def test_two_errors_end_the_direction_with_an_error_frame(monkeypatch):
     log = _record_frames(monkeypatch)
     with pytest.raises(ProtocolError, match="keys still differ"):
         run_pair(a, b, cycles=1)
-    assert _peer_frames(log) == [("sent", KB, 5124), ("sent", SEED, 46),
+    assert _peer_frames(log) == [("sent", KB, 5124), ("sent", SEED, 166),
                                  ("received", MessageType.ERROR, 38)]
     assert len(a.chain.keys) == len(b.chain.keys) == 1
 
@@ -755,7 +774,7 @@ CHECK_SMALL = _check(K0_SMALL)
 MISMATCHED = bytes([CHECK_SMALL[0] ^ 1]) + CHECK_SMALL[1:]
 
 
-def pa_seed(cycle=1, seed_len=8):
+def pa_seed_frame(cycle=1, seed_len=8):
     return _PA_SEED.pack(cycle, A_TO_B) + CHECK_SMALL + bytes(seed_len)
 
 
@@ -790,8 +809,8 @@ HOSTILE_FRAMES = {
         (KB, pack_keyblock(2, np.zeros(64, dtype=np.uint64), 40))]),
     "short PA_SEED": (_responder, [(KB, KEYBLOCK), (SEED, b"\x00" * 5)]),
     "PA_SEED with a wrong seed length": (_responder, [
-        (KB, KEYBLOCK), (SEED, pa_seed(seed_len=9))]),
-    "PA_SEED of another cycle": (_responder, [(KB, KEYBLOCK), (SEED, pa_seed(2))]),
+        (KB, KEYBLOCK), (SEED, pa_seed_frame(seed_len=9))]),
+    "PA_SEED of another cycle": (_responder, [(KB, KEYBLOCK), (SEED, pa_seed_frame(2))]),
 }
 
 
