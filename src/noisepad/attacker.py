@@ -3,10 +3,11 @@ known-plaintext / chain-compromise attacks.
 
 Eve's empirical attack is a classical phase-measurement maximum-likelihood
 discriminator; the quantum discrimination bound is reported alongside as
-the floor no strategy of hers can beat.  Privacy-amplification seeds are
-treated as public (they travel in clear in PA_SEED), so once a chain key
-is revealed, every later key falls from the recorded wire alone: Eve's input
-is the tape of KEYBLOCK frames, one level array per block in wire order.
+the floor no strategy of hers can beat.  Once a chain key is revealed,
+every later key falls from the recorded wire alone.  Eve's only input is
+the tape of every frame: its HELLO gives the operating point, each
+KEYBLOCK a level array, each PA_SEED the public amplification seed, and a
+locate request shows that a syndrome was charged.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
+from itertools import count
 
 import numpy as np
 
@@ -25,19 +27,61 @@ from .encode import (
     quantize,
     wrap_pi,
 )
+from .errors import KeyExhaustedError, ProtocolError
 from .phys import CoherentStateParams, eavesdropper_error, q_gaussian
-from .protocol import PaRecord, pa_seed_bytes, privacy_amplify, recover_block
-from .transport import read_transcript_levels
+from .protocol import (
+    LeakLedger,
+    SessionParams,
+    pa_output_length,
+    privacy_amplify,
+    recover_block,
+    unpack_pa_seed,
+)
+from .transport import MessageType, iter_frames, unpack_hello, unpack_keyblock
 
 PI = math.pi
 
 
-def load_transcripts(path, resolution_bits: int) -> list[np.ndarray]:
-    """The level array of every recorded key block, in wire order.
+@dataclass
+class TapedBlock:
+    """One key block and the public facts the tape holds about it."""
 
-    Block Y_j (index j-1) carries K_j's raw bits under basis K_{j-1}.
+    levels: np.ndarray
+    pa_seed: bytes | None = None    # None if its PA_SEED is not on the tape
+    located: bool = False           # a locate request followed it
+
+
+@dataclass
+class Tape:
+    params: SessionParams           # the operating point the HELLO proposed
+    blocks: list                    # one TapedBlock per KEYBLOCK, in wire order
+
+
+def read_tape(path) -> Tape:
+    """Parse a recorded wire into its operating point and its key blocks.
+
+    Block Y_j (index j-1) carries K_j's raw bits under basis K_{j-1}.  A
+    malformed frame raises FrameError or ProtocolError; an operating point
+    that SessionParams rejects raises ValueError.
     """
-    return [levels for _, levels in read_transcript_levels(path, resolution_bits)]
+    with open(path, "rb") as fh:
+        frames = iter_frames(fh.read())
+    msg_type, payload = next(frames, (None, b""))
+    if msg_type != MessageType.HELLO:
+        raise ProtocolError(f"tape {path} does not start with HELLO")
+    params = SessionParams.from_hello(unpack_hello(payload))
+    blocks = []
+    for msg_type, payload in frames:
+        if msg_type == MessageType.KEYBLOCK:
+            _, levels = unpack_keyblock(payload, params.resolution_bits)
+            blocks.append(TapedBlock(levels))
+        elif msg_type == MessageType.PA_SEED:
+            if not blocks or blocks[-1].pa_seed is not None:
+                raise ProtocolError(f"tape {path} has a PA_SEED without its KEYBLOCK")
+            blocks[-1].pa_seed = unpack_pa_seed(payload, len(blocks[-1].levels))[3]
+        elif msg_type == MessageType.PARITY_REQ and blocks:
+            blocks[-1].located = True
+    return Tape(params, blocks)
 
 
 @dataclass
@@ -147,55 +191,51 @@ def known_plaintext_attack_noisy(levels, plaintext_bits,
 
 @dataclass
 class ChainRecovery:
-    recovered: list            # (key_index, bits) pairs, amplified when possible
+    recovered: list            # (key_index, bits) pairs
     gaps: list                 # human-readable reasons recovery stopped
 
 
-def chain_compromise(transcripts, known_key_index: int, known_key_bits,
-                     c: Constellation,
-                     pa_records: list[PaRecord] | None = None) -> ChainRecovery:
-    """Walk the key chain forward from one revealed key.
+def chain_compromise(tape: Tape, known_key_index: int,
+                     known_key) -> ChainRecovery:
+    """Walk the key chain forward from one revealed key, from the tape alone.
 
-    `transcripts` holds one level array per block, as load_transcripts
-    returns them.  Key K_j is the basis of block Y_{j+1} (transcripts[j]
-    with Y_1 at index 0), so decoding exactly as the legitimate receiver
-    yields the next raw key; public amplification seeds then reproduce the
-    delivered keys.  A missing or wrong-length block ends recovery with an
-    explicit gap entry.
+    Key K_{j-1} is the basis of block Y_j, so decoding Y_j exactly as the
+    legitimate receiver yields K_j's raw bits.  Its length is replayed with
+    the parties' own ledger rule (one parity bit, plus n.bit_length() if a
+    locate request followed), and its public PA seed then gives K_j.  A
+    missing or wrong-length block, a block without its PA_SEED, or one that
+    leaves no key ends recovery with an explicit gap entry.
     """
     if known_key_index < 0:
         raise ValueError(f"known key index must be >= 0, got {known_key_index}")
-    current = np.asarray(known_key_bits, dtype=np.uint8)
+    params = tape.params
+    current = np.asarray(known_key, dtype=np.uint8)
     recovered, gaps = [], []
-    records = {r.key_index: r for r in pa_records} if pa_records else {}
-    j = known_key_index
-    while True:
-        j += 1
-        t_index = j - 1
-        if t_index >= len(transcripts) or transcripts[t_index] is None:
-            gaps.append(f"no transcript recorded for Y{j}; chain recovery "
-                        f"stops at K{j - 1}")
+    for j in count(known_key_index + 1):
+        if j > len(tape.blocks):
+            gaps.append(f"no block Y{j} on the tape; chain recovery stops at "
+                        f"K{j - 1}")
             break
-        levels = transcripts[t_index]
-        if len(levels) != len(current):
-            gaps.append(f"transcript Y{j} carries {len(levels)} symbols but "
-                        f"K{j - 1} has {len(current)} bits")
+        block = tape.blocks[j - 1]
+        n = len(block.levels)
+        if n != len(current):
+            gaps.append(f"block Y{j} carries {n} symbols but K{j - 1} has "
+                        f"{len(current)} bits")
             break
-        raw = recover_block(levels, current, c)
-        if pa_records:
-            rec = records.get(j)
-            if rec is None:
-                gaps.append(f"no amplification record for K{j}")
-                break
-            if not 0 < rec.output_bits <= len(raw) or \
-                    len(rec.pa_seed) != pa_seed_bytes(len(raw)):
-                gaps.append(f"amplification record for K{j} asks for "
-                            f"{rec.output_bits} of {len(raw)} bits with "
-                            f"{len(rec.pa_seed)} seed bytes")
-                break
-            current = privacy_amplify(raw, rec.output_bits, rec.pa_seed)
-        else:
-            current = raw
+        if block.pa_seed is None:
+            gaps.append(f"no PA_SEED on the tape for Y{j}")
+            break
+        ledger = LeakLedger(n * params.per_symbol_leak)
+        ledger.add_parities(1)
+        if block.located:
+            ledger.add_parities(n.bit_length())
+        try:
+            m = pa_output_length(n, ledger, params.safety_bits)
+        except KeyExhaustedError as exc:
+            gaps.append(f"Y{j} leaves no key: {exc}")
+            break
+        raw = recover_block(block.levels, current, params.constellation)
+        current = privacy_amplify(raw, m, block.pa_seed)
         recovered.append((j, current))
     return ChainRecovery(recovered, gaps)
 

@@ -175,7 +175,6 @@ def _summary(result: protocol.SessionResult, extra: dict | None = None) -> dict:
         },
         "confirm_tag": result.confirm_tag.hex(),
         "early_stop": result.early_stop,
-        "pa_records": [r.to_dict() for r in result.pa_records],
     }
     if extra:
         doc.update(extra)
@@ -291,7 +290,12 @@ def cmd_connect(args) -> int:
     tap = None
     if args.transcript_out:     # before connecting, to spare the server
         tap = transport.TranscriptTap(args.transcript_out)
-    sock = socket.create_connection(args.addr, timeout=30.0)
+    try:
+        sock = socket.create_connection(args.addr, timeout=transport.DEFAULT_TIMEOUT)
+    except OSError:
+        if tap is not None:
+            tap.close()
+        raise
     channel = transport.SocketChannel(sock)
     channel.tap = tap
     try:
@@ -333,18 +337,25 @@ def cmd_attack_basis(args) -> int:
 
 
 def _demo_session(args, cycles: int):
-    """Run a session; return its params, role A's result and the recorded tape."""
+    """Run a session; return role A's result and the tape it recorded.
+
+    Raises ValueError unless --known-key-index names a key of the chain.
+    """
     k0 = _k0_bits(args)
     params = _session_params(args, len(k0))
     with tempfile.TemporaryDirectory() as tmp:
-        tape = os.path.join(tmp, "wire.bin")
+        path = os.path.join(tmp, "wire.bin")
         result_a, result_b = protocol.simulate_session(
             params, k0, seed_a=args.seed, seed_b=args.seed + 1, cycles=cycles,
-            transcript_path=tape)
-        transcripts = attacker.load_transcripts(tape, params.resolution_bits)
+            transcript_path=path)
+        tape = attacker.read_tape(path)
     if not result_a.chain.bits_equal(result_b.chain):
         raise NoisepadError("demo session failed to agree")
-    return params, result_a, transcripts
+    if not 0 <= args.known_key_index < len(result_a.chain.keys):
+        raise ValueError(
+            f"--known-key-index {args.known_key_index} is outside the demo "
+            f"chain K0..K{len(result_a.chain.keys) - 1}")
+    return result_a, tape
 
 
 def cmd_attack_kpa(args) -> int:
@@ -364,67 +375,48 @@ def cmd_attack_kpa(args) -> int:
         print(report.to_json(indent=2))
         return EXIT_OK
     # Demo: run a session, let A and B encrypt a plaintext Eve knows with
-    # their freshly delivered K1, and recover K1 from the public XOR.
-    _, result, transcripts = _demo_session(args, cycles=args.cycles)
-    k1 = result.chain.keys[1].bits
+    # the chain key K_i, and recover K_i from the public XOR.
+    result, tape = _demo_session(args, cycles=args.cycles)
+    key = result.chain.keys[args.known_key_index].bits
     plain = np.random.default_rng([args.seed, 99]).integers(
-        0, 2, len(k1), dtype=np.uint8)
-    cipher = np.bitwise_xor(plain, k1)
+        0, 2, len(key), dtype=np.uint8)
+    cipher = np.bitwise_xor(plain, key)
     recovered = attacker.known_plaintext_attack(cipher, plain)
-    exact = bool(np.array_equal(recovered, k1))
+    exact = bool(np.array_equal(recovered, key))
     report = attacker.AttackReport(
-        symbols_observed=sum(map(len, transcripts)),
-        recovered_keys=[(1, recovered)],
+        symbols_observed=sum(len(block.levels) for block in tape.blocks),
+        recovered_keys=[(args.known_key_index, recovered)],
         notes={"mode": "demo", "recovered_exact": exact})
     print(report.to_json(indent=2))
     return EXIT_OK if exact else EXIT_RUNTIME
 
 
 def cmd_attack_chain(args) -> int:
+    index, truth = args.known_key_index, None
     if args.transcript:
-        if not (args.known_key_hex and args.session_record):
-            raise ValueError("file mode needs --known-key-hex and --session-record")
-        c = Constellation(2.0 ** args.delta_phi_exp, args.resolution_bits)
-        transcripts = attacker.load_transcripts(args.transcript,
-                                                args.resolution_bits)
-        record = json.loads(Path(args.session_record).read_text())
-        try:
-            pa_records = [protocol.PaRecord.from_dict(d)
-                          for d in record["pa_records"]]
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ValueError(f"session record {args.session_record} is malformed "
-                             f"({type(exc).__name__}: {exc})") from None
+        if not args.known_key_hex:
+            raise ValueError("file mode needs --known-key-hex")
+        tape = attacker.read_tape(args.transcript)
         raw = bytes.fromhex(args.known_key_hex)
         known = np.unpackbits(np.frombuffer(raw, dtype=np.uint8))
-        if args.known_key_bits is not None:
-            known = known[:args.known_key_bits]
-        recovery = attacker.chain_compromise(
-            transcripts, args.known_key_index, known, c, pa_records)
-        truth_notes = {}
+        if 0 <= index < len(tape.blocks):   # trim the hex padding
+            known = known[:len(tape.blocks[index].levels)]
     else:
-        params, result, transcripts = _demo_session(args, max(3, args.cycles))
-        if not 0 <= args.known_key_index < len(result.chain.keys):
-            raise ValueError(
-                f"--known-key-index {args.known_key_index} is outside the demo "
-                f"chain K0..K{len(result.chain.keys) - 1}")
-        c = params.constellation
-        known = result.chain.keys[args.known_key_index].bits
-        recovery = attacker.chain_compromise(
-            transcripts, args.known_key_index, known, c, result.pa_records)
-        truth_notes = {
-            "recovered_exact": all(
-                np.array_equal(bits, result.chain.keys[idx].bits)
-                for idx, bits in recovery.recovered
-                if idx < len(result.chain.keys)),
-            "chain_length": len(result.chain.keys),
-        }
+        truth, tape = _demo_session(args, max(3, args.cycles))
+        known = truth.chain.keys[index].bits
+    recovery = attacker.chain_compromise(tape, index, known)
+    notes = {"gaps": recovery.gaps}
+    if truth is not None:
+        keys = truth.chain.keys
+        notes["recovered_exact"] = all(
+            np.array_equal(bits, keys[idx].bits)
+            for idx, bits in recovery.recovered if idx < len(keys))
+        notes["chain_length"] = len(keys)
     report = attacker.AttackReport(
-        symbols_observed=sum(len(b) for _, b in recovery.recovered),
-        recovered_keys=recovery.recovered,
-        notes={"gaps": recovery.gaps, **truth_notes})
+        symbols_observed=sum(len(block.levels) for block in tape.blocks),
+        recovered_keys=recovery.recovered, notes=notes)
     print(report.to_json(indent=2))
-    ok = not truth_notes or truth_notes.get("recovered_exact", False)
-    return EXIT_OK if ok else EXIT_RUNTIME
+    return EXIT_OK if notes.get("recovered_exact", True) else EXIT_RUNTIME
 
 
 # ---------------------------------------------------------------------------
@@ -497,11 +489,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_session_flags(p)
     p.add_argument("--cycles", type=_positive_int, default=3)
     p.add_argument("--known-key-index", type=int, default=1)
-    p.add_argument("--transcript", help="recorded transcript file")
-    p.add_argument("--session-record", help="session summary JSON")
+    p.add_argument("--transcript", help="recorded tape (--transcript-out file)")
     p.add_argument("--known-key-hex")
-    p.add_argument("--known-key-bits", type=_positive_int,
-                   help="bit length of the revealed key (trims hex padding)")
     p.set_defaults(fn=cmd_attack_chain)
 
     return parser

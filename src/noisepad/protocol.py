@@ -31,7 +31,8 @@ Each party's half of the dialogue is a sans-I/O core (see transport): it
 yields frames to send or RECV, and one core serves both roles.  run_session
 drives it over a channel; simulate_session steps role B's core behind a
 transport.PeerChannel, so both parties share one thread.  A block leaves
-only its key and PaRecord: Eve attacks the recorded KEYBLOCK tape.
+only its key: everything public about it is on the wire, and Eve reads
+PA_SEED from her tape with the receiver's own unpack_pa_seed.
 """
 
 from __future__ import annotations
@@ -39,7 +40,7 @@ from __future__ import annotations
 import hashlib
 import math
 import struct
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -367,6 +368,16 @@ def pa_seed_bytes(n: int) -> int:
     return -(-(n - 1) // 8)
 
 
+def unpack_pa_seed(payload: bytes, n: int) -> tuple[int, int, bytes, bytes]:
+    """Split the PA_SEED of an n-bit block into (cycle, direction, check, seed)."""
+    head = _PA_SEED.size + _CHECK.size
+    if len(payload) != head + pa_seed_bytes(n):
+        raise ProtocolError(f"PA_SEED of a {n}-bit block needs {head} bytes "
+                            f"and the seed, got {len(payload)}")
+    cycle, direction = _PA_SEED.unpack_from(payload)
+    return cycle, direction, bytes(payload[_PA_SEED.size:head]), bytes(payload[head:])
+
+
 def privacy_amplify(bits, out_len: int, seed: bytes) -> np.ndarray:
     """Compress bits to out_len bits with a modified Toeplitz hash [I | T].
 
@@ -440,32 +451,6 @@ class PartyState:
 
 
 @dataclass
-class PaRecord:
-    """Public facts about one amplification, as visible on the wire."""
-
-    key_index: int
-    cycle_index: int
-    direction: int
-    pa_seed: bytes
-    output_bits: int
-
-    def to_dict(self) -> dict:
-        return dict(asdict(self), pa_seed=self.pa_seed.hex())
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "PaRecord":
-        """Read a to_dict record, ignoring unknown keys; raises if malformed."""
-        rec = cls(d["key_index"], d["cycle_index"], d["direction"],
-                  bytes.fromhex(d["pa_seed"]), d["output_bits"])
-        counts = (rec.key_index, rec.cycle_index, rec.direction, rec.output_bits)
-        if any(type(v) is not int for v in counts) or \
-                len(rec.pa_seed) < pa_seed_bytes(rec.output_bits):
-            raise ValueError(f"PA record {d} needs four integers and a hex "
-                             f"pa_seed long enough for output_bits")
-        return rec
-
-
-@dataclass
 class SessionResult:
     role: str
     cycles_completed: int
@@ -473,7 +458,6 @@ class SessionResult:
     ledger: LeakLedger
     chain: KeyChain
     confirm_tag: bytes
-    pa_records: list
     early_stop: str | None = None
 
     def boost_factor_so_far(self) -> float:
@@ -510,14 +494,11 @@ def _direction(state: PartyState, cycle_index: int, direction: int,
     bits = recover_block(levels, tip.consume(), params.constellation)
     del frame, levels   # a received block is dropped once decoded
     _, payload = yield from expect(MessageType.PA_SEED)
-    head = _PA_SEED.size + _CHECK.size
-    if len(payload) != head + pa_seed_bytes(len(bits)):
-        raise ProtocolError(f"PA_SEED of a {len(bits)}-bit block needs "
-                            f"{head} bytes and the seed, peer sent {len(payload)}")
-    if _PA_SEED.unpack_from(payload) != (cycle_index, direction):
+    cycle, way, check, pa_seed = unpack_pa_seed(payload, len(bits))
+    if (cycle, way) != (cycle_index, direction):
         raise ProtocolError("PA_SEED frame does not match the current block")
-    bits = yield from _receiver_core(bits, delta, payload[_PA_SEED.size:head])
-    return bits, bytes(payload[head:]), None
+    bits = yield from _receiver_core(bits, delta, check)
+    return bits, pa_seed, None
 
 
 def _confirm_message(state: PartyState, cycles_completed: int) -> bytes:
@@ -555,7 +536,7 @@ def session_core(state: PartyState, cycles: int | None = None, progress=None):
     initiator, params = state.role == "A", state.params
     if initiator and cycles is None:
         raise ValueError("initiator needs an explicit cycle count")
-    delivered, pa_records = [], []
+    delivered = []
     early_stop = frame = None
     cycle_index = cycles_completed = 0
     direction = B_TO_A
@@ -589,10 +570,7 @@ def session_core(state: PartyState, cycles: int | None = None, progress=None):
             early_stop = str(exc)
             sending = not sending   # the receiver stops on its sending turn
             break
-        new_bits = privacy_amplify(bits, m, pa_seed)
-        key = state.chain.append(new_bits)
-        pa_records.append(PaRecord(key.index, cycle_index, direction, pa_seed,
-                                   len(new_bits)))
+        state.chain.append(privacy_amplify(bits, m, pa_seed))
         if direction == B_TO_A:
             cycles_completed = cycle_index
             delivered.append(tuple(len(k.bits) for k in state.chain.keys[-2:]))
@@ -619,7 +597,6 @@ def session_core(state: PartyState, cycles: int | None = None, progress=None):
         ledger=state.ledger,
         chain=state.chain,
         confirm_tag=tag,
-        pa_records=pa_records,
         early_stop=early_stop,
     )
 

@@ -17,7 +17,9 @@ Each frame exchange is written once, as a generator *core* that does no
 I/O: it yields `(msg_type, payload)` to send a frame, or `RECV` to get the
 next received `(msg_type, payload)` back, and returns its result.
 `drive(core, channel)` runs a core over a blocking channel (a socket);
-`PeerChannel(peer_core)` steps the peer's core in process instead.
+`PeerChannel(peer_core)` steps the peer's core in process instead.  A
+TranscriptTap on one end keeps the eavesdropper's tape: every frame, in
+wire order.
 """
 
 from __future__ import annotations
@@ -125,11 +127,11 @@ def iter_frames(buf: bytes):
 # ---------------------------------------------------------------------------
 
 class TranscriptTap:
-    """Records raw KEYBLOCK frames, in wire order, to a file.
+    """Records every raw frame, sent or received, in wire order, to a file.
 
-    This is the eavesdropper's perfect record of every noisy key block.
-    A file that cannot be opened raises OSError at once; a later storage
-    failure is captured on .error and never disturbs the session.
+    This is the eavesdropper's perfect record of the session.  A file that
+    cannot be opened raises OSError at once; a later storage failure is
+    captured on .error and never disturbs the session.
     """
 
     def __init__(self, path):
@@ -137,8 +139,8 @@ class TranscriptTap:
         self.error = None
         self._fh = open(path, "wb")
 
-    def observe(self, frame_bytes: bytes, msg_type: int) -> None:
-        if msg_type != MessageType.KEYBLOCK or self._fh is None:
+    def observe(self, frame_bytes: bytes) -> None:
+        if self._fh is None:
             return
         try:
             self._fh.write(frame_bytes)
@@ -170,14 +172,14 @@ class Channel:
     def send(self, msg_type: int, payload: bytes = b"") -> None:
         frame = frame_encode(msg_type, payload)
         if self.tap is not None:
-            self.tap.observe(frame, msg_type)
+            self.tap.observe(frame)
         self._send_frame(frame)
 
     def recv(self, timeout: float | None = None) -> tuple[int, bytes]:
         msg_type, payload, raw = self._recv_frame(
             DEFAULT_TIMEOUT if timeout is None else timeout)
         if self.tap is not None:
-            self.tap.observe(raw, msg_type)
+            self.tap.observe(raw)
         return msg_type, payload
 
     def _send_frame(self, frame: bytes) -> None:
@@ -281,7 +283,7 @@ class SocketChannel(Channel):
 
 
 def record_transcript(channel: Channel, path) -> TranscriptTap:
-    """Install a KEYBLOCK tap on one endpoint of a wire; returns the tap."""
+    """Install a tap on one endpoint of a wire; returns the tap."""
     tap = TranscriptTap(path)
     channel.tap = tap
     return tap
@@ -438,16 +440,3 @@ def recv_keyblock(resolution_bits: int, expected_count: int | None = None,
         raise ProtocolError(
             f"keyblock carries {len(levels)} symbols, expected {expected_count}")
     return cycle_index, levels
-
-
-def read_transcript_levels(path, resolution_bits: int):
-    """Parse a transcript file into (cycle_index, levels) in wire order."""
-    with open(path, "rb") as fh:
-        data = fh.read()
-    out = []
-    for msg_type, payload in iter_frames(data):
-        if msg_type != MessageType.KEYBLOCK:
-            raise FrameError(
-                f"transcript contains non-KEYBLOCK frame {msg_type:#04x}")
-        out.append(unpack_keyblock(payload, resolution_bits))
-    return out

@@ -67,7 +67,8 @@ def gaussian_tail(z: float, upper: float = 40.0, points: int = 2_000_001) -> flo
     """P(X > z) for standard normal X, by trapezoidal quadrature."""
     x = np.linspace(z, upper, points)
     pdf = np.exp(-0.5 * x * x) / np.sqrt(2.0 * np.pi)
-    return float(np.trapezoid(pdf, x))
+    trapezoid = getattr(np, "trapezoid", None) or np.trapz   # numpy < 2.0: trapz
+    return float(trapezoid(pdf, x))
 
 
 def binom_3sigma(p: float, n: int) -> float:

@@ -153,8 +153,7 @@ def test_criterion_6_known_plaintext_and_chain(tmp_path):
     kpa = attacker.known_plaintext_attack(cipher, plain)
     kpa_exact = bool(np.array_equal(kpa, k1))
 
-    rec = attacker.chain_compromise(attacker.load_transcripts(tape, 40), 1, kpa,
-                                    params.constellation, res_a.pa_records)
+    rec = attacker.chain_compromise(attacker.read_tape(tape), 1, kpa)
     wanted = [2, 3, 4, 5]
     chain_exact = (
         [i for i, _ in rec.recovered][:4] == wanted and
@@ -162,7 +161,7 @@ def test_criterion_6_known_plaintext_and_chain(tmp_path):
             for i, bits in rec.recovered if i in wanted))
     ok = kpa_exact and chain_exact
     report(6, ok, f"K1 via Y xor X exact={kpa_exact}, "
-                  f"K2..K5 from transcripts exact={chain_exact}")
+                  f"K2..K5 from the tape exact={chain_exact}")
     assert kpa_exact
     assert chain_exact
 

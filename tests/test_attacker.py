@@ -1,4 +1,5 @@
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -11,17 +12,25 @@ from noisepad.attacker import (
     eve_ml_basis_guess,
     known_plaintext_attack,
     known_plaintext_attack_noisy,
-    load_transcripts,
+    read_tape,
     simulate_double_emission,
 )
 from noisepad.encode import Constellation, quantize, transmit_symbol
 from noisepad.phys import CoherentStateParams, eavesdropper_error, q_gaussian
 from noisepad.protocol import (
     ChainKey,
-    PaRecord,
     SessionParams,
     send_block,
     simulate_session,
+)
+from noisepad.transport import (
+    Channel,
+    MessageType,
+    PeerChannel,
+    frame_encode,
+    iter_frames,
+    pack_keyblock,
+    unpack_keyblock,
 )
 
 import oracles
@@ -137,79 +146,112 @@ def test_known_plaintext_attack_noisy_channel():
     assert np.array_equal(recovered, key.bits)
 
 
-def raw_chain(rng, c, params, k0, n_blocks, sigma):
-    """Unamplified key chain: each key is the basis for the next block."""
-    from noisepad.phys import PhaseNoiseModel
-    noise = PhaseNoiseModel(sigma, 21)
-    keys = [k0]
-    transcripts = []
-    for i in range(n_blocks):
-        fresh = rng.integers(0, 2, len(k0), dtype=np.uint8)
-        transcripts.append(send_block(fresh, ChainKey(i, keys[-1]), params, noise))
-        keys.append(fresh)
-    return keys, transcripts
+def session_tape(path, n=1024, cycles=3, safety_bits=32):
+    """Role A's result and the tape of a fixed-seed session of n-bit keys."""
+    params = SessionParams(1e4, 2.0 ** -30, 40, n, safety_bits=safety_bits)
+    k0 = np.random.default_rng(n).integers(0, 2, n, dtype=np.uint8)
+    res_a, res_b = simulate_session(params, k0, 17, 18, cycles=cycles,
+                                    transcript_path=path)
+    assert res_a.chain.bits_equal(res_b.chain)
+    return res_a, path
 
 
-def test_chain_compromise_raw_chain():
-    rng = np.random.default_rng(13)
-    params = SessionParams(1e4, 2.0 ** -10, 16, 2048)
-    k0 = rng.integers(0, 2, 2048, dtype=np.uint8)
-    keys, transcripts = raw_chain(rng, params.constellation, params, k0, 5,
-                                  params.coherent.sigma_phi)
-    # K1 revealed: Y2..Y5 give K2..K5 exactly
-    rec = chain_compromise(transcripts, 1, keys[1], params.constellation)
-    assert [i for i, _ in rec.recovered] == [2, 3, 4, 5]
+def rewrite_tape(path, keep):
+    """Keep only the frames for which keep(index, msg_type) holds."""
+    frames = list(iter_frames(path.read_bytes()))
+    path.write_bytes(b"".join(frame_encode(t, p) for i, (t, p) in enumerate(frames)
+                              if keep(i, t)))
+
+
+def slip_role_a_keyblock(monkeypatch, cycle: int) -> None:
+    """Add a pi phase slip to symbol 0 of role A's KEYBLOCK of `cycle`."""
+    def send(self, msg_type, payload=b""):
+        if msg_type == MessageType.KEYBLOCK and \
+                struct.unpack_from(">I", payload)[0] == cycle:
+            levels = unpack_keyblock(payload, 40)[1]
+            levels[0] = (int(levels[0]) + (1 << 39)) % (1 << 40)
+            payload = pack_keyblock(cycle, levels, 40)
+        Channel.send(self, msg_type, payload)
+
+    monkeypatch.setattr(PeerChannel, "send", send, raising=False)
+
+
+@pytest.mark.parametrize("n, cycles, safety_bits", [
+    (160, 10, 40), (1024, 3, 32), (4096, 2, 32)])
+def test_chain_compromise_rebuilds_every_key_from_the_tape_alone(
+        tmp_path, n, cycles, safety_bits):
+    # n = 160 runs out in cycle 2, after its A->B key
+    res_a, path = session_tape(tmp_path / "wire.bin", n, cycles, safety_bits)
+    keys = res_a.chain.keys
+    tape = read_tape(path)
+    assert tape.params == SessionParams(1e4, 2.0 ** -30, 40, n,
+                                        safety_bits=safety_bits)
+    rec = chain_compromise(tape, 0, keys[0].bits)
+    assert [i for i, _ in rec.recovered] == list(range(1, len(keys)))
     for idx, bits in rec.recovered:
-        assert np.array_equal(bits, keys[idx])
-    assert rec.gaps and "Y6" in rec.gaps[0]
+        assert np.array_equal(bits, keys[idx].bits)
+    assert rec.gaps == [f"no block Y{len(keys)} on the tape; chain recovery "
+                        f"stops at K{len(keys) - 1}"]
     # -1 must not wrap around to the last block on the tape
     with pytest.raises(ValueError, match="known key index must be >= 0"):
-        chain_compromise(transcripts, -1, keys[1], params.constellation)
+        chain_compromise(tape, -1, keys[0].bits)
 
 
-def test_chain_compromise_wrong_index_gets_noise():
-    rng = np.random.default_rng(14)
-    params = SessionParams(1e4, 2.0 ** -10, 16, 2048)
-    k0 = rng.integers(0, 2, 2048, dtype=np.uint8)
-    keys, transcripts = raw_chain(rng, params.constellation, params, k0, 4,
-                                  params.coherent.sigma_phi)
-    # claiming K2's value is K1 decodes Y2 with the wrong basis
-    rec = chain_compromise(transcripts, 1, keys[2], params.constellation)
-    agree = float(np.mean(rec.recovered[0][1] == keys[2]))
-    assert abs(agree - 0.5) < oracles.binom_3sigma(0.5, 2048)
+def test_chain_compromise_wrong_known_key_decodes_to_noise(tmp_path):
+    res_a, path = session_tape(tmp_path / "wire.bin")
+    k1, k2 = (k.bits for k in res_a.chain.keys[1:3])
+    guess = np.random.default_rng(14).integers(0, 2, len(k1), dtype=np.uint8)
+    rec = chain_compromise(read_tape(path), 1, guess)
+    assert rec.recovered[0][0] == 2 and len(rec.recovered[0][1]) == len(k2)
+    agree = float(np.mean(rec.recovered[0][1] == k2))
+    assert abs(agree - 0.5) < oracles.binom_3sigma(0.5, len(k2))
 
 
-def test_chain_compromise_missing_transcript_reports_gap():
-    rng = np.random.default_rng(15)
-    params = SessionParams(1e4, 2.0 ** -10, 16, 1024)
-    k0 = rng.integers(0, 2, 1024, dtype=np.uint8)
-    keys, transcripts = raw_chain(rng, params.constellation, params, k0, 5,
-                                  params.coherent.sigma_phi)
-    transcripts[3] = None
-    rec = chain_compromise(transcripts, 1, keys[1], params.constellation)
+def test_chain_compromise_missing_block_reports_gap(tmp_path):
+    # drop Y4's KEYBLOCK and PA_SEED (frames 2 + 2 * 3 and the next)
+    res_a, path = session_tape(tmp_path / "wire.bin")
+    rewrite_tape(path, lambda i, _: i not in (8, 9))
+    rec = chain_compromise(read_tape(path), 1, res_a.chain.keys[1].bits)
     assert [i for i, _ in rec.recovered] == [2, 3]
-    assert any("Y4" in g for g in rec.gaps)
+    assert rec.gaps[0].startswith("block Y4 carries ")
 
 
-def test_chain_compromise_amplified_session(tmp_path):
-    params = SessionParams(1e4, 2.0 ** -30, 40, 1024)
-    k0 = np.random.default_rng(16).integers(0, 2, 1024, dtype=np.uint8)
-    path = tmp_path / "wire.bin"
-    res_a, _ = simulate_session(params, k0, 17, 18, cycles=3, transcript_path=path)
-    known = res_a.chain.keys[1].bits
-    c = params.constellation
-    transcripts = load_transcripts(path, 40)
-    rec = chain_compromise(transcripts, 1, known, c, res_a.pa_records)
-    assert [i for i, _ in rec.recovered] == [2, 3, 4, 5, 6]
-    for idx, bits in rec.recovered:
-        assert np.array_equal(bits, res_a.chain.keys[idx].bits)
-    # a record asking for more bits than the block holds ends recovery
-    records = [PaRecord(r.key_index, r.cycle_index, r.direction, r.pa_seed,
-                        2048 if r.key_index == 3 else r.output_bits)
-               for r in res_a.pa_records]
-    rec = chain_compromise(transcripts, 1, known, c, records)
+def test_chain_compromise_keyblock_without_its_pa_seed_reports_gap(tmp_path):
+    res_a, path = session_tape(tmp_path / "wire.bin")
+    rewrite_tape(path, lambda i, _: i != 7)          # Y3's PA_SEED
+    rec = chain_compromise(read_tape(path), 1, res_a.chain.keys[1].bits)
     assert [i for i, _ in rec.recovered] == [2]
-    assert any("K3" in g and "2048" in g for g in rec.gaps)
+    assert rec.gaps == ["no PA_SEED on the tape for Y3"]
+
+
+def test_chain_compromise_replays_the_syndrome_charge(monkeypatch, tmp_path):
+    # a pi slip in Y3 costs a locate request and a 12-bit syndrome; Eve's
+    # key lengths must follow the parties' ledger.  She does not apply the
+    # syndrome, so from K3 on her keys differ in their bits.
+    slip_role_a_keyblock(monkeypatch, 2)
+    res_a, path = session_tape(tmp_path / "wire.bin", 4096, 3)
+    keys = res_a.chain.keys
+    assert res_a.ledger.disclosed_parity_bits == 6 + len(keys[2].bits).bit_length()
+    types = {t for t, _ in iter_frames(path.read_bytes())}
+    assert types == set(MessageType) - {MessageType.ERROR}
+    tape = read_tape(path)
+    assert [b.located for b in tape.blocks] == [False, False, True, False,
+                                                False, False]
+    rec = chain_compromise(tape, 1, keys[1].bits)
+    assert [len(bits) for _, bits in rec.recovered] == [
+        len(k.bits) for k in keys[2:]]
+    assert np.array_equal(rec.recovered[0][1], keys[2].bits)
+
+
+def test_chain_compromise_block_that_leaves_no_key_reports_gap(monkeypatch,
+                                                                tmp_path):
+    # a 9-bit syndrome exhausts A's cycle-2 block (both parties stop there)
+    slip_role_a_keyblock(monkeypatch, 2)
+    res_a, path = session_tape(tmp_path / "wire.bin", 909, 10, safety_bits=300)
+    assert "would leave" in res_a.early_stop and len(res_a.chain.keys) == 3
+    rec = chain_compromise(read_tape(path), 0, res_a.chain.keys[0].bits)
+    assert [i for i, _ in rec.recovered] == [1, 2]
+    assert len(rec.gaps) == 1 and rec.gaps[0].startswith("Y3 leaves no key: ")
 
 
 def test_basis_attack_report_fields():

@@ -1,3 +1,4 @@
+import gc
 import json
 import os
 import socket
@@ -111,24 +112,26 @@ def test_serve_and_connect_reject_flags_hello_does_not_carry():
     assert res.returncode == 1
 
 
-# attack-chain file mode; "@name" stands for tmp_path / name, from CHAIN_FILES
-CHAIN_FILES = {"tape.bin": "", "record.json": '{"pa_records": []}',
-               "no-records.json": "{}",
-               "short-record.json": '{"pa_records": [{"key_index": 2}]}',
-               "typed-record.json": json.dumps({"pa_records": [{
-                   "key_index": 2, "cycle_index": 1, "direction": 1,
-                   "pa_seed": "00", "output_bits": "x"}]}),
-               "short-seed-record.json": json.dumps({"pa_records": [{
-                   "key_index": 2, "cycle_index": 1, "direction": 1,
-                   "pa_seed": "00", "output_bits": 900}]}),
-               "int-seed-record.json": json.dumps({"pa_records": [{
-                   "key_index": 2, "cycle_index": 1, "direction": 1,
-                   "pa_seed": 5, "output_bits": 9}]})}
+@pytest.fixture(scope="module")
+def tape_frames(tmp_path_factory):
+    """(msg_type, payload) of each frame on a one-cycle 256-bit session's tape."""
+    from noisepad.protocol import SessionParams, simulate_session
+    from noisepad.transport import iter_frames
+    path = tmp_path_factory.mktemp("tape") / "wire.bin"
+    k0 = np.random.default_rng(1).integers(0, 2, 256, dtype=np.uint8)
+    simulate_session(SessionParams(1e4, 2.0 ** -30, 40, 256), k0, 1, 2, cycles=1,
+                     transcript_path=path)
+    return list(iter_frames(path.read_bytes()))
 
 
-def chain_file_mode(record="record.json"):
-    return ("attack-chain", "--transcript", "@tape.bin",
-            "--session-record", "@" + record, "--known-key-hex", "ff")
+def encode_tape(frames) -> bytes:
+    from noisepad.transport import frame_encode
+    return b"".join(frame_encode(t, p) for t, p in frames)
+
+
+# attack-chain file mode; "@tape.bin" stands for a real tape in tmp_path
+CHAIN_FILE_MODE = ("attack-chain", "--transcript", "@tape.bin",
+                   "--known-key-hex", "ff")
 
 
 @pytest.mark.parametrize("args", [
@@ -146,30 +149,56 @@ def chain_file_mode(record="record.json"):
     ("simulate", "--cycles", "-1"),
     ("connect", "--addr", "127.0.0.1:9", "--cycles", "0"),
     ("attack-kpa", "--cycles", "0"),
-    (*chain_file_mode(), "--known-key-index", "-1"),
-    (*chain_file_mode(), "--known-key-bits", "-3"),
-    chain_file_mode("no-records.json"),
-    chain_file_mode("short-record.json"),
-    chain_file_mode("typed-record.json"),
-    chain_file_mode("short-seed-record.json"),
-    chain_file_mode("int-seed-record.json"),
+    ("attack-kpa", "--known-key-index", "3"),
+    (*CHAIN_FILE_MODE, "--known-key-index", "-1"),
+    (*CHAIN_FILE_MODE, "--known-key-hex", "f"),
+    CHAIN_FILE_MODE[:3],
     ("attack-kpa", "--ciphertext-file", "@tape.bin"),
     ("attack-kpa", "--plaintext-file", "@tape.bin"),
 ], ids=" ".join)
-def test_bad_operator_input_exits_1_without_traceback(args, tmp_path):
-    for name, text in CHAIN_FILES.items():
-        (tmp_path / name).write_text(text)
+def test_bad_operator_input_exits_1_without_traceback(args, tmp_path, tape_frames):
+    (tmp_path / "tape.bin").write_bytes(encode_tape(tape_frames))
     res = run_cli(*(str(tmp_path / a[1:]) if a.startswith("@") else a
                     for a in args))
     assert res.returncode == 1
     assert "Traceback" not in res.stderr
     assert "error:" in res.stderr.splitlines()[-1]
-    if args[-2] in ("--cycles", "--k0-bits", "--bits", "--known-key-bits") and \
-            int(args[-1]) < 1:
+    if args[-2] in ("--cycles", "--k0-bits", "--bits") and int(args[-1]) < 1:
         assert f"argument {args[-2]}:" in res.stderr.splitlines()[-1]
     if args[0] == "attack-kpa" and args[1].endswith("-file"):  # names the other
         missing = ({"--ciphertext-file", "--plaintext-file"} - {args[1]}).pop()
         assert missing in res.stderr.splitlines()[-1]
+
+
+def _bad_hello(frame):
+    """The HELLO with delta_phi = 2**-3, which the operating condition rejects."""
+    from dataclasses import replace
+    from noisepad.transport import pack_hello, unpack_hello
+    return frame[0], pack_hello(replace(unpack_hello(frame[1]), delta_phi_exp=-3))
+
+
+# each rewrites the good tape's frames: HELLO, HELLO_ACK, KEYBLOCK, PA_SEED, ...
+HOSTILE_TAPES = {
+    "empty": (lambda f: b"", 2, "does not start with HELLO"),
+    "no HELLO": (lambda f: encode_tape(f[1:]), 2, "does not start with HELLO"),
+    "truncated frame": (lambda f: encode_tape(f[:3])[:-1], 2, "declared "),
+    "PA_SEED too long for its block": (
+        lambda f: encode_tape([*f[:3], (f[3][0], f[3][1] + b"\x00"), *f[4:]]),
+        2, "PA_SEED of a 256-bit block"),
+    "invalid operating point": (
+        lambda f: encode_tape([_bad_hello(f[0]), *f[1:]]), 1, "operating condition"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(HOSTILE_TAPES))
+def test_hostile_tape_ends_with_one_error_line(case, tmp_path, tape_frames):
+    make, code, reason = HOSTILE_TAPES[case]
+    (tmp_path / "tape.bin").write_bytes(make(tape_frames))
+    res = run_cli("attack-chain", "--transcript", str(tmp_path / "tape.bin"),
+                  "--known-key-hex", "ff")
+    assert res.returncode == code and res.stdout == ""
+    assert len(res.stderr.splitlines()) == 1
+    assert res.stderr.startswith("error: ") and reason in res.stderr
 
 
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
@@ -212,8 +241,8 @@ def test_simulate_progress_and_transcript(tmp_path):
     assert res.returncode == 0
     records = [json.loads(line) for line in progress.read_text().splitlines()]
     assert [r["cycle"] for r in records] == [1, 2, 3]
-    from noisepad.attacker import load_transcripts
-    assert len(load_transcripts(transcript, 40)) == 6
+    from noisepad.attacker import read_tape
+    assert len(read_tape(transcript).blocks) == 6
 
 
 def test_attack_basis_report():
@@ -227,12 +256,16 @@ def test_attack_basis_report():
     assert abs(doc["bit_guess_error_rate"] - 0.5) < 0.011
 
 
-def test_attack_kpa_demo():
-    res = run_cli("attack-kpa", "--seed", "9", "--k0-bits", "512")
+@pytest.mark.parametrize("index", [1, 2])
+def test_attack_kpa_demo(index):
+    session = ("--seed", "9", "--k0-bits", "512", "--cycles", "1")
+    res = run_cli("attack-kpa", *session, "--known-key-index", str(index))
     assert res.returncode == 0
     doc = json.loads(res.stdout)
     assert doc["notes"]["recovered_exact"] is True
-    assert doc["recovered_keys"][0]["index"] == 1
+    (key,) = doc["recovered_keys"]
+    delivered = json.loads(run_cli("simulate", *session).stdout)["delivered_bits"]
+    assert key["index"] == index and len(key["bits"]) == delivered[0][index - 1]
 
 
 def test_attack_chain_demo():
@@ -248,9 +281,7 @@ def test_attack_chain_from_files(tmp_path):
     transcript = tmp_path / "wire.bin"
     res = run_cli("simulate", "--seed", "31", "--k0-bits", "512", "--cycles", "3",
                   "--transcript-out", str(transcript))
-    doc = json.loads(res.stdout)
-    record = tmp_path / "session.json"
-    record.write_text(json.dumps({"pa_records": doc["pa_records"]}))
+    assert res.returncode == 0 and "pa_records" not in json.loads(res.stdout)
     # the analyst replays the chain from K1; take it from a fresh simulate run
     from noisepad.protocol import SessionParams, simulate_session
     params = SessionParams(1e4, 2.0 ** -30, 40, 512)
@@ -258,14 +289,13 @@ def test_attack_chain_from_files(tmp_path):
     res_a, _ = simulate_session(params, k0, 31, 32, cycles=3)
     k1 = res_a.chain.keys[1].bits
     hexkey = np.packbits(k1).tobytes().hex()
+    # the operating point comes from the tape's HELLO, not from flags
     res = run_cli("attack-chain", "--transcript", str(transcript),
-                  "--session-record", str(record),
-                  "--known-key-hex", hexkey,
-                  "--known-key-bits", str(len(k1)),
-                  "--known-key-index", "1",
-                  "--delta-phi-exp", "-30", "--resolution-bits", "40")
+                  "--known-key-hex", hexkey, "--known-key-index", "1")
     assert res.returncode == 0
     doc2 = json.loads(res.stdout)
+    # every symbol on the tape: block Y_j is masked under K_{j-1}
+    assert doc2["symbols_observed"] == sum(len(k.bits) for k in res_a.chain.keys[:-1])
     got = {k["index"]: k["bits"] for k in doc2["recovered_keys"]}
     for idx in (2, 3, 4, 5, 6):
         want = "".join(map(str, res_a.chain.keys[idx].bits.tolist()))
@@ -275,17 +305,14 @@ def test_attack_chain_from_files(tmp_path):
 def test_attack_chain_file_mode_recovers_what_demo_mode_does(tmp_path):
     # the demo records its own tape; replaying simulate's tape from the
     # K1 that attack-kpa recovers must give the same keys, K2..K8
-    tape, record = tmp_path / "wire.bin", tmp_path / "session.json"
+    tape = tmp_path / "wire.bin"
     res = run_cli("simulate", "--seed", "5", "--cycles", "4",
                   "--transcript-out", str(tape))
     assert res.returncode == 0
-    record.write_text(res.stdout)
     kpa = json.loads(run_cli("attack-kpa", "--seed", "5").stdout)
     k1 = np.array([int(b) for b in kpa["recovered_keys"][0]["bits"]], np.uint8)
     res = run_cli("attack-chain", "--transcript", str(tape),
-                  "--session-record", str(record),
-                  "--known-key-hex", np.packbits(k1).tobytes().hex(),
-                  "--known-key-bits", str(len(k1)))
+                  "--known-key-hex", np.packbits(k1).tobytes().hex())
     assert res.returncode == 0
     from_files = json.loads(res.stdout)
     demo = json.loads(run_cli("attack-chain", "--seed", "5", "--cycles", "4").stdout)
@@ -402,6 +429,18 @@ def test_connect_handshake_rejection():
     server.finish()
     assert res.returncode == 2
     assert "rejected" in res.stderr
+
+
+def test_connect_closes_its_tap_when_the_connection_fails(tmp_path, capsys):
+    from noisepad import cli
+    with socket.socket() as closed:     # bound, not listening: refused
+        closed.bind(("127.0.0.1", 0))
+        port = closed.getsockname()[1]
+        code = cli.main(["connect", "--addr", f"127.0.0.1:{port}",
+                         "--transcript-out", str(tmp_path / "x.bin")])
+    gc.collect()    # an unclosed tap would warn here, failing the test
+    assert code == 2
+    assert capsys.readouterr().err.startswith("error: [Errno 111]")
 
 
 def _raw_client(port: int):

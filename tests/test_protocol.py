@@ -49,8 +49,8 @@ from noisepad.transport import (
     SocketChannel,
     drive,
     handshake,
+    iter_frames,
     pack_keyblock,
-    read_transcript_levels,
     unpack_keyblock,
 )
 
@@ -565,13 +565,17 @@ def test_simulate_session_round_trip(tmp_path):
     assert res_a.confirm_tag == res_b.confirm_tag and res_a.confirm_tag
     assert res_a.cycles_completed == 4
     assert [tuple(d) for d in res_a.delivered] == [tuple(d) for d in res_b.delivered]
-    tape = read_transcript_levels(path, 40)
-    assert [cycle for cycle, _ in tape] == [1, 1, 2, 2, 3, 3, 4, 4]
+    # the tape holds every frame: an error-free cycle is 4 frames
+    frames = list(iter_frames(path.read_bytes()))
+    assert [t for t, _ in frames] == (
+        [MessageType.HELLO, MessageType.HELLO_ACK]
+        + [MessageType.KEYBLOCK, MessageType.PA_SEED] * 8
+        + [MessageType.CONFIRM] * 2)
+    blocks = [unpack_keyblock(p, 40) for t, p in frames if t == MessageType.KEYBLOCK]
+    assert [cycle for cycle, _ in blocks] == [1, 1, 2, 2, 3, 3, 4, 4]
     # block Y_j is masked under K_{j-1}, so it has that key's length
-    assert [len(levels) for _, levels in tape] == [
+    assert [len(levels) for _, levels in blocks] == [
         len(k.bits) for k in res_a.chain.keys[:-1]]
-    # per-record public data lines up with chain indices 1..8
-    assert [r.key_index for r in res_a.pa_records] == list(range(1, 9))
 
 
 def test_simulate_session_needs_k0_of_the_block_length():
@@ -592,16 +596,17 @@ def test_simulate_session_early_stop_on_exhaustion():
     assert res_a.confirm_tag == res_b.confirm_tag
 
 
-def test_pa_records_keep_a_half_cycle_cut_by_exhaustion():
+def test_tape_keeps_a_half_cycle_cut_by_exhaustion(tmp_path):
     # cycle 2's A->B key is delivered, then its B->A direction runs out
     params = SessionParams(1e4, 2.0 ** -30, 40, 160, safety_bits=40)
     k0 = np.random.default_rng(71).integers(0, 2, 160, dtype=np.uint8)
-    for res in simulate_session(params, k0, 1, 2, cycles=10):
+    path = tmp_path / "wire.bin"
+    for res in simulate_session(params, k0, 1, 2, cycles=10, transcript_path=path):
         assert res.cycles_completed == 1 and res.early_stop is not None
         assert len(res.chain.keys) == 4
-        assert [(r.key_index, r.cycle_index, r.direction)
-                for r in res.pa_records] == [(1, 1, A_TO_B), (2, 1, B_TO_A),
-                                             (3, 2, A_TO_B)]
+    seeds = [_PA_SEED.unpack_from(p) for t, p in iter_frames(path.read_bytes())
+             if t == MessageType.PA_SEED]
+    assert seeds == [(1, A_TO_B), (1, B_TO_A), (2, A_TO_B)]
 
 
 def test_simulate_session_progress_records():

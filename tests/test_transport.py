@@ -31,7 +31,6 @@ from noisepad.transport import (
     iter_frames,
     pack_hello,
     pack_keyblock,
-    read_transcript_levels,
     record_transcript,
     recv_keyblock,
     send_keyblock,
@@ -153,16 +152,19 @@ def test_handshake_rejects_block_length_mismatch():
     assert isinstance(out["a_err"], HandshakeError)
 
 
-def test_keyblock_over_loopback_with_tap(tmp_path):
+def test_tap_records_every_frame_sent_and_received_in_wire_order(tmp_path):
     path = tmp_path / "tap.bin"
     levels = np.arange(6, dtype=np.uint64)
+    seed = b"\x00" * 21
 
     def side_a(ch):
         tap = record_transcript(ch, path)
         try:
             send_keyblock(ch, 1, levels, 16)
-            ch.send(MessageType.PA_SEED, b"\x00" * 21)   # non-keyblock: not taped
-            return drive(recv_keyblock(16), ch)
+            ch.send(MessageType.PA_SEED, seed)
+            got = drive(recv_keyblock(16), ch)
+            ch.recv()
+            return got
         finally:
             tap.close()
 
@@ -170,15 +172,19 @@ def test_keyblock_over_loopback_with_tap(tmp_path):
         got = drive(recv_keyblock(16, expected_count=6), ch)
         ch.recv()
         send_keyblock(ch, 1, levels[::-1], 16)
+        ch.send(MessageType.ERROR, b"stop")
         return got
 
     out = socketpair_call(side_a, side_b)
     assert np.array_equal(out["b"][1], levels)
     assert np.array_equal(out["a"][1], levels[::-1])
-    entries = read_transcript_levels(path, 16)
-    assert len(entries) == 2
-    assert np.array_equal(entries[0][1], levels)
-    assert np.array_equal(entries[1][1], levels[::-1])
+    frames = list(iter_frames(path.read_bytes()))
+    assert [t for t, _ in frames] == [MessageType.KEYBLOCK, MessageType.PA_SEED,
+                                      MessageType.KEYBLOCK, MessageType.ERROR]
+    assert np.array_equal(unpack_keyblock(frames[0][1], 16)[1], levels)
+    assert frames[1][1] == seed
+    assert np.array_equal(unpack_keyblock(frames[2][1], 16)[1], levels[::-1])
+    assert frames[3][1] == b"stop"
 
 
 def test_recv_keyblock_count_mismatch():
@@ -199,7 +205,7 @@ def test_tap_failure_does_not_break_sessions(tmp_path):
     with pytest.raises(OSError):
         TranscriptTap(tmp_path / "no" / "such" / "dir" / "f.bin")
     tap = TranscriptTap("/dev/full")             # every flush fails
-    tap.observe(b"data", MessageType.KEYBLOCK)  # swallowed
+    tap.observe(b"data")                        # swallowed
     assert tap.error is not None
     with pytest.raises(OSError, match="/dev/full is incomplete"):
         tap.finish()
@@ -210,7 +216,7 @@ def test_empty_transcript_file(tmp_path):
     tap = TranscriptTap(path)
     tap.close()
     assert path.stat().st_size == 0
-    assert read_transcript_levels(path, 16) == []
+    assert list(iter_frames(path.read_bytes())) == []
 
 
 def test_peer_channel_recv_while_peer_waits_raises_at_once():
