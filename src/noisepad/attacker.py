@@ -5,9 +5,8 @@ Eve's empirical attack is a classical phase-measurement maximum-likelihood
 discriminator; the quantum discrimination bound is reported alongside as
 the floor no strategy of hers can beat.  Once a chain key is revealed,
 every later key falls from the recorded wire alone.  Eve's only input is
-the tape of every frame: its HELLO gives the operating point, each
-KEYBLOCK a level array, each PA_SEED the public amplification seed, and a
-locate request shows that a syndrome was charged.
+the tape of every frame: its HELLO gives the operating point, and she
+replays the legitimate receiver's own core over each key block's frames.
 """
 
 from __future__ import annotations
@@ -27,28 +26,37 @@ from .encode import (
     quantize,
     wrap_pi,
 )
-from .errors import KeyExhaustedError, ProtocolError
+from .errors import NoisepadError, ProtocolError
 from .phys import CoherentStateParams, eavesdropper_error, q_gaussian
 from .protocol import (
-    LeakLedger,
+    A_TO_B,
+    B_TO_A,
+    ChainKey,
     SessionParams,
     pa_output_length,
     privacy_amplify,
-    recover_block,
+    receive_block,
     unpack_pa_seed,
 )
-from .transport import MessageType, iter_frames, unpack_hello, unpack_keyblock
+from .transport import (
+    MessageType,
+    TapeChannel,
+    drive,
+    iter_frames,
+    unpack_hello,
+    unpack_keyblock,
+)
 
 PI = math.pi
 
 
 @dataclass
 class TapedBlock:
-    """One key block and the public facts the tape holds about it."""
+    """One KEYBLOCK on the tape and the frames after it, up to the next."""
 
-    levels: np.ndarray
-    pa_seed: bytes | None = None    # None if its PA_SEED is not on the tape
-    located: bool = False           # a locate request followed it
+    keyblock: bytes                 # its payload
+    symbols: int                    # its level count
+    frames: list = field(default_factory=list)    # (msg_type, payload) pairs
 
 
 @dataclass
@@ -61,8 +69,9 @@ def read_tape(path) -> Tape:
     """Parse a recorded wire into its operating point and its key blocks.
 
     Block Y_j (index j-1) carries K_j's raw bits under basis K_{j-1}.  A
-    malformed frame raises FrameError or ProtocolError; an operating point
-    that SessionParams rejects raises ValueError.
+    malformed frame, KEYBLOCK or PA_SEED, or a PA_SEED that does not
+    directly follow its KEYBLOCK, raises FrameError or ProtocolError; an
+    operating point that SessionParams rejects raises ValueError.
     """
     with open(path, "rb") as fh:
         frames = iter_frames(fh.read())
@@ -74,13 +83,14 @@ def read_tape(path) -> Tape:
     for msg_type, payload in frames:
         if msg_type == MessageType.KEYBLOCK:
             _, levels = unpack_keyblock(payload, params.resolution_bits)
-            blocks.append(TapedBlock(levels))
-        elif msg_type == MessageType.PA_SEED:
-            if not blocks or blocks[-1].pa_seed is not None:
+            blocks.append(TapedBlock(payload, len(levels)))
+            continue
+        if msg_type == MessageType.PA_SEED:
+            if not blocks or blocks[-1].frames:
                 raise ProtocolError(f"tape {path} has a PA_SEED without its KEYBLOCK")
-            blocks[-1].pa_seed = unpack_pa_seed(payload, len(blocks[-1].levels))[3]
-        elif msg_type == MessageType.PARITY_REQ and blocks:
-            blocks[-1].located = True
+            unpack_pa_seed(payload, blocks[-1].symbols)     # its length
+        if blocks:
+            blocks[-1].frames.append((msg_type, payload))
     return Tape(params, blocks)
 
 
@@ -199,12 +209,13 @@ def chain_compromise(tape: Tape, known_key_index: int,
                      known_key) -> ChainRecovery:
     """Walk the key chain forward from one revealed key, from the tape alone.
 
-    Key K_{j-1} is the basis of block Y_j, so decoding Y_j exactly as the
-    legitimate receiver yields K_j's raw bits.  Its length is replayed with
-    the parties' own ledger rule (one parity bit, plus n.bit_length() if a
-    locate request followed), and its public PA seed then gives K_j.  A
-    missing or wrong-length block, a block without its PA_SEED, or one that
-    leaves no key ends recovery with an explicit gap entry.
+    Key K_{j-1} is the basis of block Y_j, so replaying the legitimate
+    receiver's core over Y_j's frames with it yields K_j's reconciled bits,
+    charged as the parties charge them; the public PA seed then gives K_j.
+    Every frame the receiver would send must be on the tape, so the taped
+    parity and digest confirm or refute the guessed key.  A missing block,
+    a frame the core rejects or would send that the tape does not hold, or
+    a block that leaves no key ends recovery with a gap entry naming Y_j.
     """
     if known_key_index < 0:
         raise ValueError(f"known key index must be >= 0, got {known_key_index}")
@@ -217,25 +228,18 @@ def chain_compromise(tape: Tape, known_key_index: int,
                         f"K{j - 1}")
             break
         block = tape.blocks[j - 1]
-        n = len(block.levels)
-        if n != len(current):
-            gaps.append(f"block Y{j} carries {n} symbols but K{j - 1} has "
-                        f"{len(current)} bits")
-            break
-        if block.pa_seed is None:
-            gaps.append(f"no PA_SEED on the tape for Y{j}")
-            break
-        ledger = LeakLedger(n * params.per_symbol_leak)
-        ledger.add_parities(1)
-        if block.located:
-            ledger.add_parities(n.bit_length())
+        n = len(current)
+        delta = params.block_ledger(n)
+        # Y_j is sent in cycle ceil(j/2), A to B when j is odd
+        core = receive_block(params, ChainKey(j - 1, current), (j + 1) // 2,
+                             A_TO_B if j % 2 else B_TO_A, delta, block.keyblock)
         try:
-            m = pa_output_length(n, ledger, params.safety_bits)
-        except KeyExhaustedError as exc:
-            gaps.append(f"Y{j} leaves no key: {exc}")
+            bits, pa_seed = drive(core, TapeChannel(block.frames))
+            m = pa_output_length(n, delta, params.safety_bits)
+        except NoisepadError as exc:
+            gaps.append(f"Y{j}: {exc}")
             break
-        raw = recover_block(block.levels, current, params.constellation)
-        current = privacy_amplify(raw, m, block.pa_seed)
+        current = privacy_amplify(bits, m, pa_seed)
         recovered.append((j, current))
     return ChainRecovery(recovered, gaps)
 

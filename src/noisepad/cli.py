@@ -384,7 +384,7 @@ def cmd_attack_kpa(args) -> int:
     recovered = attacker.known_plaintext_attack(cipher, plain)
     exact = bool(np.array_equal(recovered, key))
     report = attacker.AttackReport(
-        symbols_observed=sum(len(block.levels) for block in tape.blocks),
+        symbols_observed=sum(block.symbols for block in tape.blocks),
         recovered_keys=[(args.known_key_index, recovered)],
         notes={"mode": "demo", "recovered_exact": exact})
     print(report.to_json(indent=2))
@@ -400,7 +400,7 @@ def cmd_attack_chain(args) -> int:
         raw = bytes.fromhex(args.known_key_hex)
         known = np.unpackbits(np.frombuffer(raw, dtype=np.uint8))
         if 0 <= index < len(tape.blocks):   # trim the hex padding
-            known = known[:len(tape.blocks[index].levels)]
+            known = known[:tape.blocks[index].symbols]
     else:
         truth, tape = _demo_session(args, max(3, args.cycles))
         known = truth.chain.keys[index].bits
@@ -413,7 +413,7 @@ def cmd_attack_chain(args) -> int:
             for idx, bits in recovery.recovered if idx < len(keys))
         notes["chain_length"] = len(keys)
     report = attacker.AttackReport(
-        symbols_observed=sum(len(block.levels) for block in tape.blocks),
+        symbols_observed=sum(block.symbols for block in tape.blocks),
         recovered_keys=recovery.recovered, notes=notes)
     print(report.to_json(indent=2))
     return EXIT_OK if notes.get("recovered_exact", True) else EXIT_RUNTIME

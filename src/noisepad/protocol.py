@@ -31,8 +31,8 @@ Each party's half of the dialogue is a sans-I/O core (see transport): it
 yields frames to send or RECV, and one core serves both roles.  run_session
 drives it over a channel; simulate_session steps role B's core behind a
 transport.PeerChannel, so both parties share one thread.  A block leaves
-only its key: everything public about it is on the wire, and Eve reads
-PA_SEED from her tape with the receiver's own unpack_pa_seed.
+only its key: everything public about it is on the wire, and Eve replays
+receive_block, the receiver's own core, over her tape of it.
 """
 
 from __future__ import annotations
@@ -64,6 +64,7 @@ TAG_BITS = 256
 
 _PA_SEED = struct.Struct(">IB")     # cycle, direction; the check and the seed follow
 _CHECK = struct.Struct(">B32s")     # parity and SHA-256 digest of the sender's bits
+_CHECK_BITS = 1                     # ledger charge of that check, per direction
 _SYNDROME = struct.Struct(">I")
 _SUB_PROBE = 1                      # PARITY_REQ subtype of the locate request
 
@@ -109,6 +110,10 @@ class SessionParams:
         """The responder's parameters: the operating point a HELLO proposed."""
         return cls(hello.avg_photon_number, hello.delta_phi,
                    hello.resolution_bits, hello.block_length, hello.safety_bits)
+
+    def block_ledger(self, n: int) -> "LeakLedger":
+        """A fresh ledger for one n-bit block, charged its statistical leak."""
+        return LeakLedger(n * self.per_symbol_leak)
 
     @property
     def reconciliation_block(self) -> int:
@@ -290,7 +295,7 @@ def _receiver_core(bits: np.ndarray, ledger: LeakLedger, check: bytes):
     if parity > 1:
         raise ProtocolError(f"sender parity is {parity}, not 0 or 1")
     n = len(bits)
-    ledger.add_parities(1)
+    ledger.add_parities(_CHECK_BITS)
     if parity != _parity(bits):
         yield MessageType.PARITY_REQ, bytes([_SUB_PROBE])
         ledger.add_parities(n.bit_length())
@@ -319,7 +324,7 @@ def reconcile_sender_core(bits, ledger: LeakLedger):
 
 
 def _sender_core(bits: np.ndarray, ledger: LeakLedger):
-    ledger.add_parities(1)
+    ledger.add_parities(_CHECK_BITS)
     frame = yield from expect(MessageType.PARITY_REQ, MessageType.KEYBLOCK,
                               MessageType.CONFIRM)
     if frame[0] == MessageType.PARITY_REQ:
@@ -465,40 +470,48 @@ class SessionResult:
         return self.chain.total_delivered() / k0
 
 
-def _direction(state: PartyState, cycle_index: int, direction: int,
-               delta: LeakLedger, frame: tuple | None):
-    """Core of one direction of a cycle, up to privacy amplification.
+def _send_direction(state: PartyState, cycle_index: int, direction: int,
+                    delta: LeakLedger):
+    """Core: the sender's half of one direction, up to privacy amplification.
 
-    The sender masks fresh bits under its chain tip, sends KEYBLOCK and
-    PA_SEED and answers a locate request; the receiver decodes the KEYBLOCK
-    `frame` with its tip and reconciles against PA_SEED's check.  Returns
-    (bits, PA seed, the sender's next frame or None).
+    Masks fresh bits under the chain tip, sends KEYBLOCK and PA_SEED and
+    answers a locate request.  Returns (bits, PA seed, the peer's next frame).
     """
     params = state.params
     tip = state.chain.tip
-    if (state.role == "A") == (direction == A_TO_B):
-        bits = state.fresh_rng.integers(0, 2, len(tip.bits), dtype=np.uint8)
-        yield (MessageType.KEYBLOCK, transport.pack_keyblock(
-            cycle_index, send_block(bits, tip, params, state.noise),
-            params.resolution_bits))
-        pa_seed = state.pub_rng.bytes(pa_seed_bytes(len(bits)))
-        yield (MessageType.PA_SEED, _PA_SEED.pack(cycle_index, direction)
-               + _check(bits) + pa_seed)
-        frame = yield from _sender_core(bits, delta)
-        return bits, pa_seed, frame
+    bits = state.fresh_rng.integers(0, 2, len(tip.bits), dtype=np.uint8)
+    yield (MessageType.KEYBLOCK, transport.pack_keyblock(
+        cycle_index, send_block(bits, tip, params, state.noise),
+        params.resolution_bits))
+    pa_seed = state.pub_rng.bytes(pa_seed_bytes(len(bits)))
+    yield (MessageType.PA_SEED, _PA_SEED.pack(cycle_index, direction)
+           + _check(bits) + pa_seed)
+    frame = yield from _sender_core(bits, delta)
+    return bits, pa_seed, frame
+
+
+def receive_block(params: SessionParams, basis: ChainKey, cycle_index: int,
+                  direction: int, delta: LeakLedger, keyblock: bytes):
+    """Core: the receiver's half of one direction, up to privacy amplification.
+
+    Decodes the KEYBLOCK payload `keyblock` with `basis`, consuming it,
+    reads PA_SEED and reconciles against its check, charging `delta`.  The
+    session runs it over the wire and Eve over her tape.  Returns
+    (bits, PA seed).
+    """
     got_cycle, levels = yield from transport.recv_keyblock(
-        params.resolution_bits, len(tip.bits), frame[1])
+        params.resolution_bits, len(basis.bits), keyblock)
     if got_cycle != cycle_index:
         raise ProtocolError(
             f"expected cycle {cycle_index}, peer sent {got_cycle}")
-    bits = recover_block(levels, tip.consume(), params.constellation)
-    del frame, levels   # a received block is dropped once decoded
+    bits = recover_block(levels, basis.consume(), params.constellation)
+    del keyblock, levels   # a received block is dropped once decoded
     _, payload = yield from expect(MessageType.PA_SEED)
     cycle, way, check, pa_seed = unpack_pa_seed(payload, len(bits))
     if (cycle, way) != (cycle_index, direction):
         raise ProtocolError("PA_SEED frame does not match the current block")
     bits = yield from _receiver_core(bits, delta, check)
-    return bits, pa_seed, None
+    return bits, pa_seed
 
 
 def _confirm_message(state: PartyState, cycles_completed: int) -> bytes:
@@ -546,9 +559,9 @@ def session_core(state: PartyState, cycles: int | None = None, progress=None):
         cycle_index += direction == A_TO_B
         sending = initiator == (direction == A_TO_B)
         n = len(state.chain.tip.bits)
-        delta = LeakLedger(n * params.per_symbol_leak)
-        try:    # a block is sent only if, charged one parity, it leaves a key
-            pa_output_length(n, LeakLedger(delta.statistical_leak, 1),
+        delta = params.block_ledger(n)
+        try:    # a block is sent only if, charged its check, it leaves a key
+            pa_output_length(n, LeakLedger(delta.statistical_leak, _CHECK_BITS),
                              params.safety_bits)
         except KeyExhaustedError as exc:
             early_stop = str(exc)
@@ -560,9 +573,13 @@ def session_core(state: PartyState, cycles: int | None = None, progress=None):
                                                 MessageType.CONFIRM))
             if frame[0] == MessageType.CONFIRM:
                 break
-        # hand the KEYBLOCK on without keeping it here
-        core, frame = _direction(state, cycle_index, direction, delta, frame), None
-        bits, pa_seed, frame = yield from core
+        if sending:
+            bits, pa_seed, frame = yield from _send_direction(
+                state, cycle_index, direction, delta)
+        else:   # hand the KEYBLOCK on without keeping it here
+            core, frame = receive_block(params, state.chain.tip, cycle_index,
+                                        direction, delta, frame[1]), None
+            bits, pa_seed = yield from core
         state.ledger.merge(delta)
         try:
             m = pa_output_length(n, delta, params.safety_bits)

@@ -16,8 +16,10 @@ beyond the protocol itself.
 Each frame exchange is written once, as a generator *core* that does no
 I/O: it yields `(msg_type, payload)` to send a frame, or `RECV` to get the
 next received `(msg_type, payload)` back, and returns its result.
-`drive(core, channel)` runs a core over a blocking channel (a socket);
-`PeerChannel(peer_core)` steps the peer's core in process instead.  A
+A core meets one of three drivers: `drive(core, channel)` runs it over a
+blocking channel (a socket); `PeerChannel(peer_core)` steps the peer's
+core in process instead; and `drive(core, TapeChannel(frames))` replays a
+recorded wire to it, checking every frame it sends against the record.  A
 TranscriptTap on one end keeps the eavesdropper's tape: every frame, in
 wire order.
 """
@@ -282,6 +284,42 @@ class SocketChannel(Channel):
             pass
 
 
+class TapeChannel(Channel):
+    """Replays recorded frames to a core, as the far end of a tape.
+
+    Each frame the core receives is the tape's next frame; each frame it
+    sends must equal the tape's next frame.  A frame the tape does not
+    hold there, or a tape that has run out, raises ChannelError.
+    """
+
+    def __init__(self, frames):
+        super().__init__()
+        self._frames = iter(frames)
+
+    def _send_frame(self, frame: bytes) -> None:
+        taped = next(self._frames, None)
+        if taped is None or frame != frame_encode(*taped):
+            held = "ends" if taped is None else f"holds {_describe(*taped)}"
+            raise ChannelError(
+                f"sent {_describe(*_decode_at(frame, 0)[:2])}, but the tape {held}")
+
+    def _recv_frame(self, timeout: float):
+        taped = next(self._frames, None)
+        if taped is None:
+            raise ChannelError("the tape ends before the next received frame")
+        return (*taped, frame_encode(*taped))
+
+
+def _describe(msg_type: int, payload: bytes) -> str:
+    """A frame's type, and an ERROR frame's text."""
+    if msg_type == MessageType.ERROR:
+        return f"ERROR {payload.decode('utf-8', 'replace')!r}"
+    try:
+        return MessageType(msg_type).name
+    except ValueError:
+        return f"frame type {msg_type:#04x}"
+
+
 def record_transcript(channel: Channel, path) -> TranscriptTap:
     """Install a tap on one endpoint of a wire; returns the tap."""
     tap = TranscriptTap(path)
@@ -428,13 +466,13 @@ def send_keyblock(channel: Channel, cycle_index: int, levels,
                  pack_keyblock(cycle_index, levels, resolution_bits))
 
 
-def recv_keyblock(resolution_bits: int, expected_count: int | None = None,
-                  payload: bytes | None = None):
-    """Core: receive (or parse an already-received) KEYBLOCK payload."""
-    if payload is None:
-        _, payload = yield from expect(MessageType.KEYBLOCK)
+def recv_keyblock(resolution_bits: int, expected_count: int, payload: bytes):
+    """Core: parse a received KEYBLOCK payload of expected_count symbols.
+
+    A block of another length is answered with an ERROR frame and raised.
+    """
     cycle_index, levels = unpack_keyblock(payload, resolution_bits)
-    if expected_count is not None and len(levels) != expected_count:
+    if len(levels) != expected_count:
         yield (MessageType.ERROR,
                f"expected {expected_count} symbols, got {len(levels)}".encode())
         raise ProtocolError(

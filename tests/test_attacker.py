@@ -16,6 +16,7 @@ from noisepad.attacker import (
     simulate_double_emission,
 )
 from noisepad.encode import Constellation, quantize, transmit_symbol
+from noisepad.errors import ProtocolError
 from noisepad.phys import CoherentStateParams, eavesdropper_error, q_gaussian
 from noisepad.protocol import (
     ChainKey,
@@ -163,17 +164,24 @@ def rewrite_tape(path, keep):
                               if keep(i, t)))
 
 
-def slip_role_a_keyblock(monkeypatch, cycle: int) -> None:
-    """Add a pi phase slip to symbol 0 of role A's KEYBLOCK of `cycle`."""
-    def send(self, msg_type, payload=b""):
+def slip_keyblock(monkeypatch, role: str, cycle: int, symbols=(0,)) -> None:
+    """Add a pi phase slip to `symbols` of `role`'s KEYBLOCK of `cycle`.
+
+    Role A sends through the PeerChannel, role B through its plain peer end.
+    """
+    send = Channel.send
+
+    def slipped(self, msg_type, payload=b""):
         if msg_type == MessageType.KEYBLOCK and \
+                isinstance(self, PeerChannel) == (role == "A") and \
                 struct.unpack_from(">I", payload)[0] == cycle:
             levels = unpack_keyblock(payload, 40)[1]
-            levels[0] = (int(levels[0]) + (1 << 39)) % (1 << 40)
+            for i in symbols:
+                levels[i] = (int(levels[i]) + (1 << 39)) % (1 << 40)
             payload = pack_keyblock(cycle, levels, 40)
-        Channel.send(self, msg_type, payload)
+        send(self, msg_type, payload)
 
-    monkeypatch.setattr(PeerChannel, "send", send, raising=False)
+    monkeypatch.setattr(Channel, "send", slipped)
 
 
 @pytest.mark.parametrize("n, cycles, safety_bits", [
@@ -197,23 +205,33 @@ def test_chain_compromise_rebuilds_every_key_from_the_tape_alone(
         chain_compromise(tape, -1, keys[0].bits)
 
 
-def test_chain_compromise_wrong_known_key_decodes_to_noise(tmp_path):
+@pytest.mark.parametrize("guess", ["random", "one bit off"])
+def test_chain_compromise_wrong_guess_ends_at_y2_with_a_gap(tmp_path, guess):
+    # Y2 decodes to other bits; the receiver would then send a locate
+    # request or an ERROR, and the tape holds neither
     res_a, path = session_tape(tmp_path / "wire.bin")
-    k1, k2 = (k.bits for k in res_a.chain.keys[1:3])
-    guess = np.random.default_rng(14).integers(0, 2, len(k1), dtype=np.uint8)
-    rec = chain_compromise(read_tape(path), 1, guess)
-    assert rec.recovered[0][0] == 2 and len(rec.recovered[0][1]) == len(k2)
-    agree = float(np.mean(rec.recovered[0][1] == k2))
-    assert abs(agree - 0.5) < oracles.binom_3sigma(0.5, len(k2))
+    wrong = res_a.chain.keys[1].bits.copy()
+    if guess == "random":
+        wrong = np.random.default_rng(14).integers(0, 2, len(wrong), dtype=np.uint8)
+    else:
+        wrong[100] ^= 1
+    rec = chain_compromise(read_tape(path), 1, wrong)
+    assert rec.recovered == []
+    assert rec.gaps == [{
+        "random": "Y2: sent ERROR 'keys still differ after reconciliation', "
+                  "but the tape ends",
+        "one bit off": "Y2: sent PARITY_REQ, but the tape ends"}[guess]]
 
 
 def test_chain_compromise_missing_block_reports_gap(tmp_path):
     # drop Y4's KEYBLOCK and PA_SEED (frames 2 + 2 * 3 and the next)
     res_a, path = session_tape(tmp_path / "wire.bin")
+    keys = res_a.chain.keys
     rewrite_tape(path, lambda i, _: i not in (8, 9))
-    rec = chain_compromise(read_tape(path), 1, res_a.chain.keys[1].bits)
+    rec = chain_compromise(read_tape(path), 1, keys[1].bits)
     assert [i for i, _ in rec.recovered] == [2, 3]
-    assert rec.gaps[0].startswith("block Y4 carries ")
+    assert rec.gaps == [f"Y4: sent ERROR 'expected {len(keys[3].bits)} symbols, "
+                        f"got {len(keys[4].bits)}', but the tape holds PA_SEED"]
 
 
 def test_chain_compromise_keyblock_without_its_pa_seed_reports_gap(tmp_path):
@@ -221,37 +239,59 @@ def test_chain_compromise_keyblock_without_its_pa_seed_reports_gap(tmp_path):
     rewrite_tape(path, lambda i, _: i != 7)          # Y3's PA_SEED
     rec = chain_compromise(read_tape(path), 1, res_a.chain.keys[1].bits)
     assert [i for i, _ in rec.recovered] == [2]
-    assert rec.gaps == ["no PA_SEED on the tape for Y3"]
+    assert rec.gaps == ["Y3: the tape ends before the next received frame"]
 
 
-def test_chain_compromise_replays_the_syndrome_charge(monkeypatch, tmp_path):
-    # a pi slip in Y3 costs a locate request and a 12-bit syndrome; Eve's
-    # key lengths must follow the parties' ledger.  She does not apply the
-    # syndrome, so from K3 on her keys differ in their bits.
-    slip_role_a_keyblock(monkeypatch, 2)
+@pytest.mark.parametrize("role, j", [("A", 3), ("B", 4)], ids=["A->B", "B->A"])
+def test_chain_compromise_replays_the_syndrome_charge(monkeypatch, tmp_path,
+                                                      role, j):
+    # a pi slip in Y_j costs a locate request and a 12-bit syndrome; Eve
+    # replays both, so every key she rebuilds equals the parties'
+    slip_keyblock(monkeypatch, role, 2)
     res_a, path = session_tape(tmp_path / "wire.bin", 4096, 3)
     keys = res_a.chain.keys
-    assert res_a.ledger.disclosed_parity_bits == 6 + len(keys[2].bits).bit_length()
+    assert res_a.ledger.disclosed_parity_bits == \
+        6 + len(keys[j - 1].bits).bit_length()
     types = {t for t, _ in iter_frames(path.read_bytes())}
     assert types == set(MessageType) - {MessageType.ERROR}
     tape = read_tape(path)
-    assert [b.located for b in tape.blocks] == [False, False, True, False,
-                                                False, False]
+    located = [MessageType.PA_SEED, MessageType.PARITY_REQ, MessageType.PARITY_RESP]
+    assert [[t for t, _ in b.frames] for b in tape.blocks[:-1]] == [
+        located if i == j else [MessageType.PA_SEED] for i in range(1, 6)]
     rec = chain_compromise(tape, 1, keys[1].bits)
-    assert [len(bits) for _, bits in rec.recovered] == [
-        len(k.bits) for k in keys[2:]]
-    assert np.array_equal(rec.recovered[0][1], keys[2].bits)
+    assert [i for i, _ in rec.recovered] == list(range(2, len(keys)))
+    for idx, bits in rec.recovered:
+        assert np.array_equal(bits, keys[idx].bits)
 
 
 def test_chain_compromise_block_that_leaves_no_key_reports_gap(monkeypatch,
                                                                 tmp_path):
     # a 9-bit syndrome exhausts A's cycle-2 block (both parties stop there)
-    slip_role_a_keyblock(monkeypatch, 2)
+    slip_keyblock(monkeypatch, "A", 2)
     res_a, path = session_tape(tmp_path / "wire.bin", 909, 10, safety_bits=300)
-    assert "would leave" in res_a.early_stop and len(res_a.chain.keys) == 3
-    rec = chain_compromise(read_tape(path), 0, res_a.chain.keys[0].bits)
+    keys = res_a.chain.keys
+    assert "would leave" in res_a.early_stop and len(keys) == 3
+    rec = chain_compromise(read_tape(path), 0, keys[0].bits)
     assert [i for i, _ in rec.recovered] == [1, 2]
-    assert len(rec.gaps) == 1 and rec.gaps[0].startswith("Y3 leaves no key: ")
+    assert all(np.array_equal(bits, keys[i].bits) for i, bits in rec.recovered)
+    assert rec.gaps == [f"Y3: {res_a.early_stop}"]
+
+
+def test_chain_compromise_tape_ending_on_the_receivers_error_reports_gap(
+        monkeypatch, tmp_path):
+    # two slips in Y3 keep its parity: the digest differs and B sends ERROR
+    res_a, _ = session_tape(tmp_path / "clean.bin", 4096, 3)
+    slip_keyblock(monkeypatch, "A", 2, symbols=(0, 1))
+    with pytest.raises(ProtocolError, match="keys still differ"):
+        session_tape(tmp_path / "wire.bin", 4096, 3)
+    tape = read_tape(tmp_path / "wire.bin")
+    assert tape.blocks[2].frames[-1] == (
+        MessageType.ERROR, b"keys still differ after reconciliation")
+    rec = chain_compromise(tape, 0, res_a.chain.keys[0].bits)
+    assert [i for i, _ in rec.recovered] == [1, 2]
+    assert all(np.array_equal(bits, res_a.chain.keys[i].bits)
+               for i, bits in rec.recovered)
+    assert rec.gaps == ["Y3: keys still differ after reconciliation"]
 
 
 def test_basis_attack_report_fields():

@@ -185,6 +185,8 @@ HOSTILE_TAPES = {
     "PA_SEED too long for its block": (
         lambda f: encode_tape([*f[:3], (f[3][0], f[3][1] + b"\x00"), *f[4:]]),
         2, "PA_SEED of a 256-bit block"),
+    "PA_SEED twice": (lambda f: encode_tape([*f[:4], f[3], *f[4:]]), 2,
+                      "PA_SEED without its KEYBLOCK"),
     "invalid operating point": (
         lambda f: encode_tape([_bad_hello(f[0]), *f[1:]]), 1, "operating condition"),
 }

@@ -22,6 +22,7 @@ from noisepad.transport import (
     MessageType,
     PeerChannel,
     SocketChannel,
+    TapeChannel,
     TranscriptTap,
     drive,
     expect,
@@ -162,14 +163,14 @@ def test_tap_records_every_frame_sent_and_received_in_wire_order(tmp_path):
         try:
             send_keyblock(ch, 1, levels, 16)
             ch.send(MessageType.PA_SEED, seed)
-            got = drive(recv_keyblock(16), ch)
+            got = unpack_keyblock(ch.recv()[1], 16)
             ch.recv()
             return got
         finally:
             tap.close()
 
     def side_b(ch):
-        got = drive(recv_keyblock(16, expected_count=6), ch)
+        got = drive(recv_keyblock(16, 6, ch.recv()[1]), ch)
         ch.recv()
         send_keyblock(ch, 1, levels[::-1], 16)
         ch.send(MessageType.ERROR, b"stop")
@@ -188,15 +189,36 @@ def test_tap_records_every_frame_sent_and_received_in_wire_order(tmp_path):
 
 
 def test_recv_keyblock_count_mismatch():
-    def side_a(ch):
-        send_keyblock(ch, 1, np.arange(4, dtype=np.uint64), 16)
-        return None
+    # the core answers with ERROR, then raises
+    payload = pack_keyblock(1, np.arange(4, dtype=np.uint64), 16)
+    error = (MessageType.ERROR, b"expected 9 symbols, got 4")
+    with pytest.raises(ProtocolError, match="carries 4 symbols, expected 9"):
+        drive(recv_keyblock(16, 9, payload), TapeChannel([error]))
 
-    def side_b(ch):
-        return drive(recv_keyblock(16, expected_count=9), ch)
 
-    out = socketpair_call(side_a, side_b)
-    assert isinstance(out["b_err"], ProtocolError)
+def test_tape_channel_replays_received_frames_and_checks_sent_ones():
+    def core():
+        got = yield from expect(MessageType.PA_SEED)
+        yield MessageType.PARITY_REQ, b"\x01"
+        got += yield from expect(MessageType.PARITY_RESP)
+        return got
+
+    seed, req = (MessageType.PA_SEED, b"s"), (MessageType.PARITY_REQ, b"\x01")
+    resp = (MessageType.PARITY_RESP, b"r")
+    assert drive(core(), TapeChannel([seed, req, resp])) == (*seed, *resp)
+    cases = {
+        "sent PARITY_REQ, but the tape ends": [seed],
+        "sent PARITY_REQ, but the tape holds PARITY_RESP": [seed, resp],
+        "sent PARITY_REQ, but the tape holds ERROR 'no'": [
+            seed, (MessageType.ERROR, b"no")],
+        "sent PARITY_REQ, but the tape holds frame type 0x42": [seed, (0x42, b"")],
+        "the tape ends before the next received frame": [seed, req],
+        "sent ERROR 'unexpected frame type 0x05', but the tape ends": [resp],
+    }
+    for reason, frames in cases.items():
+        with pytest.raises(ChannelError) as exc:
+            drive(core(), TapeChannel(frames))
+        assert str(exc.value) == reason
 
 
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
