@@ -16,6 +16,7 @@ from noisepad.errors import (
     ProtocolError,
     TruncatedFrameError,
 )
+from noisepad.protocol import PartyState, SessionParams, run_session
 from noisepad.transport import (
     RECV,
     HelloParams,
@@ -348,3 +349,103 @@ def test_expect_unexpected_type_answers_with_error():
     out = socketpair_call(side_a, side_b)
     assert isinstance(out["b_err"], ProtocolError)
     assert out["a"][0] == MessageType.ERROR
+
+
+class _LoggedSocket:
+    """A socket that logs each write's bytes and each read's byte count."""
+
+    def __init__(self, sock, log: list):
+        self._sock, self._log = sock, log
+
+    def sendall(self, data):
+        self._log.append(("write", bytes(data)))
+        self._sock.sendall(data)
+
+    def recv_into(self, buf):
+        got = self._sock.recv_into(buf)
+        self._log.append(("read", got))
+        return got
+
+    def __getattr__(self, name):
+        return getattr(self._sock, name)
+
+
+def test_socket_session_writes_once_per_turn():
+    params = SessionParams(1e4, 2.0 ** -30, 40, 1024)
+    k0_a = np.random.default_rng(3).integers(0, 2, 1024, dtype=np.uint8)
+    k0_b = k0_a.copy()
+    k0_b[0] ^= 1    # a wrong basis bit: with these seeds, block 1 needs locating
+    logs = {"a": [], "b": []}
+    sock_a, sock_b = socket.socketpair()
+    ch_a = SocketChannel(_LoggedSocket(sock_a, logs["a"]))
+    ch_b = SocketChannel(_LoggedSocket(sock_b, logs["b"]))
+
+    def role_b():
+        handshake(ch_b, "B", expected_block_length=1024)
+        run_session(ch_b, PartyState.create("B", params, k0_b, 2))
+
+    peer = threading.Thread(target=role_b, daemon=True)
+    peer.start()
+    try:
+        handshake(ch_a, "A", params.hello())
+        result = run_session(ch_a, PartyState.create("A", params, k0_a, 1),
+                             cycles=1 << 20)
+    finally:
+        peer.join(timeout=30)
+        ch_a.close()
+        ch_b.close()
+    assert not peer.is_alive()
+    assert result.early_stop is not None and result.cycles_completed > 1
+    kinds = []
+    for log in logs.values():
+        ops = [op for op, _ in log]
+        assert ("write", "write") not in zip(ops, ops[1:])
+        for op, data in log:
+            if op == "write":        # whole frames only, or iter_frames raises
+                kinds.append([t for t, _ in iter_frames(data)])
+    for types in kinds:
+        for i, t in enumerate(types):
+            if t == MessageType.KEYBLOCK:
+                assert types[i + 1:i + 2] == [MessageType.PA_SEED]
+    keyblocks = sum(t.count(MessageType.KEYBLOCK) for t in kinds)
+    assert keyblocks >= 2 * result.cycles_completed
+    assert any(MessageType.PARITY_REQ in t for t in kinds)
+
+
+def _error_then_raise():
+    yield MessageType.ERROR, b"bad block"
+    raise ProtocolError("bad block")
+
+
+def _confirm_then_return():
+    yield MessageType.CONFIRM, b"tag"
+    return "done"
+
+
+def test_drive_writes_held_frames_and_uncorks_when_the_core_ends():
+    ch_a, ch_b = socket_pair()
+    try:
+        assert drive(_confirm_then_return(), ch_a) == "done"
+        assert ch_b.recv(timeout=5.0) == (MessageType.CONFIRM, b"tag")
+        ch_a.send(MessageType.HELLO, b"1")      # uncorked: leaves at once
+        assert ch_b.recv(timeout=5.0) == (MessageType.HELLO, b"1")
+        with pytest.raises(ProtocolError, match="bad block"):
+            drive(_error_then_raise(), ch_a)
+        assert ch_b.recv(timeout=5.0) == (MessageType.ERROR, b"bad block")
+        ch_a.send(MessageType.HELLO, b"2")
+        assert ch_b.recv(timeout=5.0) == (MessageType.HELLO, b"2")
+    finally:
+        ch_a.close()
+        ch_b.close()
+
+
+def test_failed_flush_does_not_replace_the_cores_exception():
+    ch_a, ch_b = socket_pair()
+    ch_b.close()                        # every write to ch_a now fails
+    try:
+        with pytest.raises(ProtocolError, match="bad block"):
+            drive(_error_then_raise(), ch_a)
+        with pytest.raises(ChannelError, match="send failed"):
+            ch_a.send(MessageType.HELLO, b"")   # uncorked: written, and fails
+    finally:
+        ch_a.close()
