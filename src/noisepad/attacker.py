@@ -22,8 +22,7 @@ from .encode import (
     Constellation,
     classify_set,
     dequantize,
-    modulate,
-    quantize,
+    transmit_symbol,
     wrap_pi,
 )
 from .errors import NoisepadError, ProtocolError
@@ -148,13 +147,11 @@ def eve_ml_basis_guess(msg_levels, reuse_levels, c: Constellation) -> np.ndarray
     return out
 
 
-def eve_bit_guess_rate(levels, c: Constellation, true_bits, seed: int = 0,
-                       basis_oracle=None) -> float:
+def eve_bit_guess_rate(levels, c: Constellation, true_bits, seed: int = 0) -> float:
     """Eve's bit-error rate without basis knowledge.
 
     She reads each symbol's set exactly, guesses the basis uniformly at
-    random, and infers bit = set XOR basis-guess.  Supplying a basis
-    oracle instead reduces her to the legitimate decoder.
+    random, and infers bit = set XOR basis-guess.
     """
     true_bits = np.asarray(true_bits, dtype=np.uint8)
     symbols = np.asarray(levels, dtype=np.uint64)
@@ -163,11 +160,8 @@ def eve_bit_guess_rate(levels, c: Constellation, true_bits, seed: int = 0,
     if len(true_bits) != len(symbols):
         raise ValueError("true_bits and transcript lengths differ")
     sets = np.asarray(classify_set(symbols, c))
-    if basis_oracle is not None:
-        basis = np.asarray(basis_oracle, dtype=np.uint8)
-    else:
-        basis = np.random.default_rng(seed).integers(
-            0, 2, len(symbols), dtype=np.uint8)
+    basis = np.random.default_rng(seed).integers(
+        0, 2, len(symbols), dtype=np.uint8)
     guesses = np.bitwise_xor(sets.astype(np.uint8), basis)
     return float(np.mean(guesses != true_bits))
 
@@ -181,22 +175,6 @@ def known_plaintext_attack(ciphertext_bits, plaintext_bits) -> np.ndarray:
             f"ciphertext ({cipher.size}) and plaintext ({plain.size}) "
             f"lengths differ")
     return np.bitwise_xor(cipher, plain)
-
-
-def known_plaintext_attack_noisy(levels, plaintext_bits,
-                                 c: Constellation) -> np.ndarray:
-    """Recover the basis key from a noise-masked encryption of known bits.
-
-    Noise does not help: the set of each symbol is macroscopic and equals
-    bit XOR basis, so a known plaintext exposes the basis key directly.
-    The roles of key and message are symmetric.
-    """
-    plain = np.asarray(plaintext_bits, dtype=np.uint8)
-    sets = np.asarray(classify_set(np.asarray(levels, dtype=np.uint64), c),
-                      dtype=np.uint8)
-    if sets.shape != plain.shape:
-        raise ValueError("plaintext and symbol counts differ")
-    return np.bitwise_xor(sets, plain)
 
 
 @dataclass
@@ -261,12 +239,8 @@ def simulate_double_emission(params: CoherentStateParams, c: Constellation,
     k = rng.integers(0, 2, n_bits, dtype=np.uint8)
     prev_basis = rng.integers(0, 2, n_bits, dtype=np.uint8)
     next_msg = rng.integers(0, 2, n_bits, dtype=np.uint8)
-    msg_levels = quantize(
-        modulate(k, prev_basis, c) + rng.normal(0.0, sigma, n_bits),
-        c.resolution_bits)
-    reuse_levels = quantize(
-        modulate(next_msg, k, c) + rng.normal(0.0, sigma, n_bits),
-        c.resolution_bits)
+    msg_levels = transmit_symbol(k, prev_basis, c, rng.normal(0.0, sigma, n_bits))
+    reuse_levels = transmit_symbol(next_msg, k, c, rng.normal(0.0, sigma, n_bits))
     return msg_levels, reuse_levels, k
 
 

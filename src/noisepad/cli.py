@@ -22,7 +22,7 @@ import numpy as np
 
 from . import analysis, attacker, protocol, transport
 from .encode import Constellation, transmit_symbol
-from .errors import HandshakeError, NoisepadError
+from .errors import NoisepadError
 from .phys import CoherentStateParams
 
 log = logging.getLogger("noisepad")
@@ -77,6 +77,14 @@ def _positive_int(text: str) -> int:
     return int(text)
 
 
+def _exponent(text: str) -> int:
+    """argparse type for --delta-phi-exp: an integer k whose 2**k is a finite float."""
+    if not text.removeprefix("-").isdigit() or int(text) >= sys.float_info.max_exp:
+        raise argparse.ArgumentTypeError(
+            f"expected an integer below {sys.float_info.max_exp}, got {text!r}")
+    return int(text)
+
+
 def _add_key_flags(p: argparse.ArgumentParser):
     p.add_argument("--seed", type=int, default=0, help="party seed")
     p.add_argument("--k0-bits", type=_positive_int, default=1024)
@@ -88,7 +96,7 @@ def _add_key_flags(p: argparse.ArgumentParser):
 def _add_session_flags(p: argparse.ArgumentParser):
     _add_key_flags(p)
     p.add_argument("--n-avg", type=float, default=1e4)
-    p.add_argument("--delta-phi-exp", type=int, default=-30)
+    p.add_argument("--delta-phi-exp", type=_exponent, default=-30)
     p.add_argument("--resolution-bits", type=int, default=40)
     p.add_argument("--safety-bits", type=int, default=32)
 
@@ -146,6 +154,9 @@ def cmd_analyze(args) -> int:
 def cmd_surface(args) -> int:
     n_grid = [float(x) for x in args.n_grid.split(",") if x]
     exp_grid = [float(x) for x in args.exp_grid.split(",") if x]
+    if not all(exp < sys.float_info.max_exp for exp in exp_grid):    # nan too
+        raise ValueError(f"--exp-grid exponents must lie below "
+                         f"{sys.float_info.max_exp}, got {args.exp_grid!r}")
     text = analysis.emit_surface(n_grid, exp_grid, args.quantity)
     try:
         with open(args.out, "w") as fh:
@@ -306,12 +317,6 @@ def cmd_connect(args) -> int:
         if channel.tap is not None:
             channel.tap.finish()
         return EXIT_OK
-    except HandshakeError as exc:
-        print(f"handshake rejected: {exc}", file=sys.stderr)
-        return EXIT_RUNTIME
-    except NoisepadError as exc:
-        print(f"session failed: {exc}", file=sys.stderr)
-        return EXIT_RUNTIME
     finally:
         channel.close()
 
@@ -430,7 +435,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("analyze", help="leak figures for one operating point")
     p.add_argument("--n-avg", type=float, required=True)
-    p.add_argument("--delta-phi-exp", type=int, required=True)
+    p.add_argument("--delta-phi-exp", type=_exponent, required=True)
     p.add_argument("--ratio", type=float, default=8.0)
     p.add_argument("--resolution-bits", type=int, default=40)
     p.add_argument("--k0-bits", type=_positive_int, default=256)
@@ -471,7 +476,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("attack-basis", help="Monte-Carlo ML basis attack")
     p.add_argument("--n-avg", type=float, required=True)
-    p.add_argument("--delta-phi-exp", type=int, required=True)
+    p.add_argument("--delta-phi-exp", type=_exponent, required=True)
     p.add_argument("--resolution-bits", type=int, default=24)
     p.add_argument("--bits", type=_positive_int, default=100_000)
     p.add_argument("--seed", type=int, default=0)

@@ -98,8 +98,9 @@ class SessionParams:
         if self.block_length < 8:
             raise ValueError(
                 f"block_length must be >= 8, got {self.block_length}")
-        if self.safety_bits < 0:
-            raise ValueError("safety_bits must be >= 0")
+        if not 0 <= self.safety_bits <= 0xFFFF:    # HELLO carries 16 bits
+            raise ValueError(
+                f"safety_bits must lie in [0, 65535], got {self.safety_bits}")
         self.constellation  # grid invariant
         report = analysis.validate_params(self.coherent, self.delta_phi)
         if not report.ok:
@@ -152,10 +153,6 @@ class ChainKey:
     used_as_basis: bool = False
     tag_bits_used: int = 0
 
-    @property
-    def status(self) -> str:
-        return "consumed" if self.used_as_basis else "basis-available"
-
     def consume(self) -> np.ndarray:
         """Use this key as basis material, once; returns its bits."""
         if self.used_as_basis:
@@ -199,9 +196,6 @@ class LeakLedger:
     @property
     def total(self) -> float:
         return self.statistical_leak + self.disclosed_parity_bits
-
-    def add_symbols(self, count: int, per_symbol: float) -> None:
-        self.statistical_leak += count * per_symbol
 
     def add_parities(self, count: int) -> None:
         self.disclosed_parity_bits += count
@@ -271,26 +265,24 @@ def _unpack(fmt: struct.Struct, payload: bytes, what: str) -> tuple:
     return fmt.unpack(payload)
 
 
+# The blocking wrappers are not on the session path; perfbench/tracer.py
+# wraps them by name.
 def reconcile_receiver(bits, channel: Channel, ledger: LeakLedger,
                        check: bytes) -> np.ndarray:
-    """Run reconcile_receiver_core over a channel."""
-    return transport.drive(reconcile_receiver_core(bits, ledger, check), channel)
+    """Run _receiver_core over a channel on a copy of bits; returns it corrected."""
+    return transport.drive(_receiver_core(_as_bits(bits).copy(), ledger, check),
+                           channel)
 
 
-def reconcile_receiver_core(bits, ledger: LeakLedger, check: bytes):
-    """Core: correct this side's candidate bits toward the sender's reference.
+def _receiver_core(bits: np.ndarray, ledger: LeakLedger, check: bytes):
+    """Core: correct this side's candidate bits, in place, toward the sender's.
 
     `check` is the sender's parity and digest, as PA_SEED carries them.  On
     a parity mismatch, the XOR of the sender's syndrome and its own names
     the bit to flip; a digest that still differs is answered with ERROR.
     Both sides charge 1 bit per parity and n.bit_length() bits per
-    syndrome.  Returns the corrected bits, a copy.
+    syndrome.  Returns the corrected bits.
     """
-    return _receiver_core(_as_bits(bits).copy(), ledger, check)
-
-
-def _receiver_core(bits: np.ndarray, ledger: LeakLedger, check: bytes):
-    # corrects in place
     parity, digest = _unpack(_CHECK, check, "reconciliation check")
     if parity > 1:
         raise ProtocolError(f"sender parity is {parity}, not 0 or 1")
@@ -310,20 +302,16 @@ def _receiver_core(bits: np.ndarray, ledger: LeakLedger, check: bytes):
 
 
 def reconcile_sender(bits, channel: Channel, ledger: LeakLedger) -> tuple:
-    """Run reconcile_sender_core over a channel."""
-    return transport.drive(reconcile_sender_core(bits, ledger), channel)
+    """Run _sender_core over a channel."""
+    return transport.drive(_sender_core(_as_bits(bits), ledger), channel)
 
 
-def reconcile_sender_core(bits, ledger: LeakLedger):
+def _sender_core(bits: np.ndarray, ledger: LeakLedger):
     """Core: the sender's side, once PA_SEED carried _check(bits).
 
     Answers one locate request, if the receiver sends one.  Returns the
     first frame after the dialogue: the peer's next KEYBLOCK or CONFIRM.
     """
-    return _sender_core(_as_bits(bits), ledger)
-
-
-def _sender_core(bits: np.ndarray, ledger: LeakLedger):
     ledger.add_parities(_CHECK_BITS)
     frame = yield from expect(MessageType.PARITY_REQ, MessageType.KEYBLOCK,
                               MessageType.CONFIRM)
@@ -412,17 +400,16 @@ def tag_bytes(key_bits, message: bytes) -> bytes:
     return hashlib.sha256(kb + message + kb).digest()
 
 
-def authenticate_tag(key: ChainKey, message: bytes,
-                     length_bits: int = TAG_BITS) -> bytes:
-    """Tag a message with fresh bits of a chain key, consuming them."""
+def authenticate_tag(key: ChainKey, message: bytes) -> bytes:
+    """Tag a message with TAG_BITS fresh bits of a chain key, consuming them."""
     available = len(key.bits) - key.tag_bits_used
-    if available < length_bits:
+    if available < TAG_BITS:
         raise KeyExhaustedError(
             f"key K{key.index} has {available} unconsumed bits, "
-            f"tag needs {length_bits}")
+            f"tag needs {TAG_BITS}")
     start = key.tag_bits_used
-    key.tag_bits_used += length_bits
-    return tag_bytes(key.bits[start:start + length_bits], message)
+    key.tag_bits_used += TAG_BITS
+    return tag_bytes(key.bits[start:start + TAG_BITS], message)
 
 
 # ---------------------------------------------------------------------------

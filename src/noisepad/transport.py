@@ -37,10 +37,7 @@ from collections import deque
 from dataclasses import dataclass
 from enum import IntEnum
 
-import numpy as np
-
-from . import analysis
-from .encode import Constellation, pack_levels, unpack_levels
+from .encode import pack_levels, unpack_levels
 from .errors import (
     BadMagicError,
     BadVersionError,
@@ -51,7 +48,6 @@ from .errors import (
     ProtocolError,
     TruncatedFrameError,
 )
-from .phys import CoherentStateParams
 
 MAGIC = b"NOTP"
 VERSION = 0x02
@@ -436,16 +432,11 @@ def unpack_hello(payload: bytes) -> HelloParams:
 def _check_proposal(p: HelloParams,
                     expected_block_length: int | None) -> str | None:
     """Reason string if the proposal is unacceptable, else None."""
+    from .protocol import SessionParams     # protocol imports this module
     try:
-        params = CoherentStateParams(p.avg_photon_number)
-        Constellation(p.delta_phi, p.resolution_bits)
+        SessionParams.from_hello(p)
     except ValueError as exc:
         return str(exc)
-    report = analysis.validate_params(params, p.delta_phi)
-    if not report.ok:
-        return report.describe()
-    if p.block_length < 8:
-        return f"block_length {p.block_length} is too short"
     if expected_block_length is not None and p.block_length != expected_block_length:
         return (f"block_length {p.block_length} does not match this side's "
                 f"key length {expected_block_length}")

@@ -168,7 +168,6 @@ def test_criterion_6_known_plaintext_and_chain(tmp_path):
 
 def test_criterion_7_boost_claim():
     params = SessionParams(1e4, 2.0 ** -30, 40, 256)
-    per_symbol = params.per_symbol_leak
     k0 = np.random.default_rng(77).integers(0, 2, 256, dtype=np.uint8)
     noise_a = PhaseNoiseModel(params.coherent.sigma_phi, 78)
     fresh_rng = np.random.default_rng(79)
@@ -182,7 +181,7 @@ def test_criterion_7_boost_claim():
         levels = send_block(fresh, ChainKey(blocks, tip), params, noise_a)
         recovered = recover_block(levels, tip, params.constellation)
         assert np.array_equal(recovered, fresh)     # chain must stay exact
-        ledger.add_symbols(len(fresh), per_symbol)
+        ledger.merge(params.block_ledger(len(fresh)))
         delivered += len(fresh)
         symbols += len(fresh)
         tip = recovered

@@ -11,18 +11,17 @@ from noisepad.attacker import (
     eve_bit_guess_rate,
     eve_ml_basis_guess,
     known_plaintext_attack,
-    known_plaintext_attack_noisy,
     read_tape,
     simulate_double_emission,
 )
-from noisepad.encode import Constellation, quantize, transmit_symbol
+from noisepad.encode import Constellation, classify_set, quantize, transmit_symbol
 from noisepad.errors import ProtocolError
 from noisepad.phys import CoherentStateParams, eavesdropper_error, q_gaussian
 from noisepad.protocol import (
-    ChainKey,
     SessionParams,
-    send_block,
+    privacy_amplify,
     simulate_session,
+    unpack_pa_seed,
 )
 from noisepad.transport import (
     Channel,
@@ -95,12 +94,6 @@ def test_bit_guess_rate_blind():
     assert abs(rate - 0.5) < 0.015
 
 
-def test_bit_guess_rate_with_oracle_equals_legitimate():
-    rng = np.random.default_rng(5)
-    levels, bits, basis = make_block(rng, C, None, 10_000, P.sigma_phi)
-    assert eve_bit_guess_rate(levels, C, bits, basis_oracle=basis) == 0.0
-
-
 def test_bit_guess_rate_validation():
     with pytest.raises(ValueError):
         eve_bit_guess_rate(np.array([], dtype=np.uint64), C,
@@ -132,19 +125,37 @@ def test_known_plaintext_attack_on_session_key():
     assert np.array_equal(recovered, k1)
 
 
-def test_known_plaintext_attack_noisy_channel():
-    # noise-masked encryption of a known plaintext still gives up the key:
-    # the set is macroscopic and equals bit XOR basis
-    rng = np.random.default_rng(11)
-    n = 20_000
-    params = SessionParams(1e4, 2.0 ** -10, 16, n)
-    plain = rng.integers(0, 2, n, dtype=np.uint8)
-    key = ChainKey(0, rng.integers(0, 2, n, dtype=np.uint8))
-    from noisepad.phys import PhaseNoiseModel
-    levels = send_block(plain, key, params,
-                        PhaseNoiseModel(params.coherent.sigma_phi, 12))
-    recovered = known_plaintext_attack_noisy(levels, plain, params.constellation)
-    assert np.array_equal(recovered, key.bits)
+def test_every_chain_key_is_affine_in_k0(tmp_path):
+    # Without bit errors, Y_j's bits are its public sets XOR K_{j-1}, and PA
+    # is linear over GF(2): each key is affine in K0, with coefficients from
+    # the tape alone, so all the keys together hold at most |K0| secret bits.
+    params = SessionParams(1e4, 2.0 ** -30, 40, 256)
+    k0 = np.random.default_rng(3).integers(0, 2, 256, dtype=np.uint8)
+    res_a, _ = simulate_session(params, k0, 1, 2, cycles=10,
+                                transcript_path=tmp_path / "wire.bin")
+    keys = [key.bits for key in res_a.chain.keys[1:]]
+    tape = read_tape(tmp_path / "wire.bin")
+    assert not any(t == MessageType.PARITY_REQ
+                   for block in tape.blocks for t, _ in block.frames)
+    steps = []      # (sets, key length, PA seed) of each block
+    for block, key in zip(tape.blocks, keys, strict=True):
+        levels = unpack_keyblock(block.keyblock, params.resolution_bits)[1]
+        sets = np.asarray(classify_set(levels, params.constellation), np.uint8)
+        seed = unpack_pa_seed(block.frames[0][1], block.symbols)[3]
+        steps.append((sets, len(key), seed))
+
+    def chain(x):
+        out = []
+        for sets, m, seed in steps:
+            x = privacy_amplify(sets ^ x, m, seed)
+            out.append(x)
+        return out
+
+    assert (len(keys), sum(map(len, keys))) == (7, 840)
+    assert all(map(np.array_equal, chain(k0), keys))
+    x, y, z = np.random.default_rng(4).integers(0, 2, (3, 256), dtype=np.uint8)
+    for gx, gy, gz, gxyz in zip(chain(x), chain(y), chain(z), chain(x ^ y ^ z)):
+        assert np.array_equal(gx ^ gy ^ gz, gxyz)
 
 
 def session_tape(path, n=1024, cycles=3, safety_bits=32):

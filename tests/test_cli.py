@@ -155,6 +155,16 @@ CHAIN_FILE_MODE = ("attack-chain", "--transcript", "@tape.bin",
     CHAIN_FILE_MODE[:3],
     ("attack-kpa", "--ciphertext-file", "@tape.bin"),
     ("attack-kpa", "--plaintext-file", "@tape.bin"),
+    ("simulate", "--safety-bits", "70000"),         # HELLO carries 16 bits
+    ("connect", "--addr", "127.0.0.1:9", "--safety-bits", "70000"),
+    ("analyze", "--n-avg", "1e4", "--delta-phi-exp", "2000"),   # 2**k overflows
+    ("simulate", "--delta-phi-exp", "2000"),
+    ("connect", "--addr", "127.0.0.1:9", "--delta-phi-exp", "2000"),
+    ("attack-basis", "--n-avg", "1e4", "--delta-phi-exp", "2000"),
+    ("attack-kpa", "--delta-phi-exp", "2000"),
+    ("attack-chain", "--delta-phi-exp", "2000"),
+    ("surface", "--quantity", "delta_h", "--n-grid", "1e4", "--exp-grid",
+     "-10,2000", "--out", os.devnull),
 ], ids=" ".join)
 def test_bad_operator_input_exits_1_without_traceback(args, tmp_path, tape_frames):
     (tmp_path / "tape.bin").write_bytes(encode_tape(tape_frames))
@@ -163,7 +173,8 @@ def test_bad_operator_input_exits_1_without_traceback(args, tmp_path, tape_frame
     assert res.returncode == 1
     assert "Traceback" not in res.stderr
     assert "error:" in res.stderr.splitlines()[-1]
-    if args[-2] in ("--cycles", "--k0-bits", "--bits") and int(args[-1]) < 1:
+    if args[-2] in ("--cycles", "--k0-bits", "--bits") and int(args[-1]) < 1 \
+            or args[-2] == "--delta-phi-exp" and int(args[-1]) > 1023:
         assert f"argument {args[-2]}:" in res.stderr.splitlines()[-1]
     if args[0] == "attack-kpa" and args[1].endswith("-file"):  # names the other
         missing = ({"--ciphertext-file", "--plaintext-file"} - {args[1]}).pop()

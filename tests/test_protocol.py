@@ -19,6 +19,8 @@ from noisepad.protocol import (
     _PA_SEED,
     _SUB_PROBE,
     _check,
+    _receiver_core,
+    _sender_core,
     A_TO_B,
     B_TO_A,
     ChainKey,
@@ -33,8 +35,7 @@ from noisepad.protocol import (
     privacy_amplify,
     recover_block,
     reconcile_receiver,
-    reconcile_receiver_core,
-    reconcile_sender_core,
+    reconcile_sender,
     run_session,
     send_block,
     session_core,
@@ -90,7 +91,7 @@ def run_both(receiver_bits, sender_bits):
     led_r, led_s = LeakLedger(), LeakLedger()
     probes = []
     channel = PeerChannel(
-        logging_probes(reconcile_sender_core(sender_bits, led_s), probes))
+        logging_probes(_sender_core(sender_bits, led_s), probes))
     out = None
     errs = {}
     try:
@@ -116,6 +117,8 @@ def test_session_params_validation():
         SessionParams(1e4, 2.0 ** -30, 16, 1024)       # grid cannot resolve
     with pytest.raises(ValueError):
         SessionParams(1e4, 2.0 ** -30, 40, 7)          # block shorter than 8
+    with pytest.raises(ValueError, match="safety_bits"):
+        SessionParams(1e4, 2.0 ** -30, 40, 1024, 1 << 16)   # HELLO carries 16 bits
     p = SessionParams(1e4, 2.0 ** -30, 40, 1024)
     assert p.reconciliation_block == 1024               # always the whole key
     assert p.per_symbol_leak == analysis.entropy_leak(p.coherent, p.delta_phi) - 0.5
@@ -124,7 +127,8 @@ def test_session_params_validation():
 def test_session_params_from_hello_round_trip():
     for p in (PARAMS,
               SessionParams(1e4, 2.0 ** -10, 16, 8, safety_bits=0),
-              SessionParams(1e6, 2.0 ** -20, 32, 1 << 18, safety_bits=64)):
+              SessionParams(1e6, 2.0 ** -20, 32, 1 << 18, safety_bits=64),
+              SessionParams(1e4, 2.0 ** -30, 40, 1024, safety_bits=0xFFFF)):
         assert SessionParams.from_hello(p.hello()) == p
 
 
@@ -200,9 +204,9 @@ def test_recover_block_wrong_key_statistics():
 def test_keychain_discipline():
     chain = KeyChain(np.ones(16, dtype=np.uint8))
     k0 = chain.tip
-    assert k0.status == "basis-available"
+    assert not k0.used_as_basis
     k0.consume()
-    assert k0.status == "consumed"
+    assert k0.used_as_basis
     with pytest.raises(OneTimeViolationError):
         k0.consume()
     k1 = chain.append(np.zeros(12, dtype=np.uint8))
@@ -212,7 +216,7 @@ def test_keychain_discipline():
 
 def test_ledger_accounting():
     led = LeakLedger()
-    led.add_symbols(1000, 2e-8)
+    led.merge(LeakLedger(1000 * 2e-8))
     led.add_parities(3)
     assert led.total == pytest.approx(3.0 + 2e-5)
     other = LeakLedger(1e-6, 2)
@@ -386,10 +390,9 @@ def test_bit_inputs_are_checked_at_the_public_entry_points():
         "KeyChain": lambda: KeyChain(bad),
         "send_block": lambda: send_block(bad, key, PARAMS, noise_model(PARAMS)),
         "privacy_amplify": lambda: privacy_amplify(bad, 8, bytes(2)),
-        "reconcile_receiver_core": lambda: next(
-            reconcile_receiver_core(bad, LeakLedger(), _check(good))),
-        "reconcile_sender_core": lambda: next(
-            reconcile_sender_core(bad, LeakLedger())),
+        "reconcile_receiver": lambda: reconcile_receiver(
+            bad, None, LeakLedger(), _check(good)),
+        "reconcile_sender": lambda: reconcile_sender(bad, None, LeakLedger()),
         "tag_bytes": lambda: tag_bytes(bad, b"m"),
     }
     for name, call in calls.items():
@@ -784,11 +787,11 @@ def pa_seed_frame(cycle=1, seed_len=8):
 
 
 def _sender():
-    return reconcile_sender_core(K0_SMALL, LeakLedger())
+    return _sender_core(K0_SMALL, LeakLedger())
 
 
 def _receiver(check):
-    return lambda: reconcile_receiver_core(K0_SMALL, LeakLedger(), check)
+    return lambda: _receiver_core(K0_SMALL.copy(), LeakLedger(), check)
 
 
 def _responder():
