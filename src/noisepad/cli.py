@@ -70,11 +70,22 @@ def _session_params(args, block_length: int) -> protocol.SessionParams:
     )
 
 
-def _positive_int(text: str) -> int:
-    """argparse type for a count of at least 1."""
-    if not text.isdigit() or int(text) < 1:
-        raise argparse.ArgumentTypeError(f"expected an integer >= 1, got {text!r}")
-    return int(text)
+def _int_at_least(least: int):
+    """argparse type for an integer >= least: 1 for a count, 0 for a seed."""
+    def parse(text: str) -> int:
+        if not text.isdigit() or int(text) < least:
+            raise argparse.ArgumentTypeError(f"expected an integer >= {least}, got {text!r}")
+        return int(text)
+    return parse
+
+
+def _numbers(text: str) -> list:
+    """argparse type for a comma-separated list of numbers."""
+    try:
+        return [float(x) for x in text.split(",") if x]
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected comma-separated numbers, got {text!r}") from None
 
 
 def _exponent(text: str) -> int:
@@ -86,9 +97,9 @@ def _exponent(text: str) -> int:
 
 
 def _add_key_flags(p: argparse.ArgumentParser):
-    p.add_argument("--seed", type=int, default=0, help="party seed")
-    p.add_argument("--k0-bits", type=_positive_int, default=1024)
-    p.add_argument("--k0-seed", type=int, default=7,
+    p.add_argument("--seed", type=_int_at_least(0), default=0, help="party seed")
+    p.add_argument("--k0-bits", type=_int_at_least(1), default=1024)
+    p.add_argument("--k0-seed", type=_int_at_least(0), default=7,
                    help="derive K0 from a seed (test only, insecure)")
     p.add_argument("--k0-file", help="read K0 as raw bytes")
 
@@ -110,22 +121,25 @@ def cmd_analyze(args) -> int:
     delta_phi = 2.0 ** args.delta_phi_exp
     report = analysis.validate_params(params, delta_phi, args.ratio)
     point = analysis.security_point(params, delta_phi)
-    c = None
-    boost = None
+    boost = unusable = None
     try:
         c = Constellation(delta_phi, args.resolution_bits)
-        boost = analysis.boost_factor(c=c, params=params,
-                                      seed_key_length=args.k0_bits,
-                                      safety_bits=0)
-    except ValueError as exc:
-        log.info("no boost estimate: %s", exc)
+    except ValueError as exc:       # no session can run at this point
+        c, unusable = None, str(exc)
+    if c is not None:
+        try:
+            boost = analysis.boost_factor(c=c, params=params,
+                                          seed_key_length=args.k0_bits,
+                                          safety_bits=0)
+        except ValueError as exc:
+            log.info("no boost estimate: %s", exc)
     doc = {
         "n_avg": args.n_avg,
         "delta_phi_exp2": args.delta_phi_exp,
         "delta_phi": delta_phi,
         "sigma_phi": params.sigma_phi,
         "validation": {
-            "ok": report.ok,
+            "ok": report.ok and unusable is None,
             "ratio": args.ratio,
             "checks": [{"name": chk.name, "lhs": chk.lhs, "rhs": chk.rhs,
                         "margin": chk.margin, "ok": chk.ok}
@@ -148,16 +162,16 @@ def cmd_analyze(args) -> int:
         print(f"min_leak_length  = {point.leak_length:.6g} symbols")
         if boost is not None:
             print(f"boost_factor     = {boost:.6g} (K0 = {args.k0_bits} bits)")
+    if unusable is not None:
+        raise ValueError(unusable)
     return EXIT_OK if report.ok else EXIT_USAGE
 
 
 def cmd_surface(args) -> int:
-    n_grid = [float(x) for x in args.n_grid.split(",") if x]
-    exp_grid = [float(x) for x in args.exp_grid.split(",") if x]
-    if not all(exp < sys.float_info.max_exp for exp in exp_grid):    # nan too
+    if not all(exp < sys.float_info.max_exp for exp in args.exp_grid):  # nan too
         raise ValueError(f"--exp-grid exponents must lie below "
                          f"{sys.float_info.max_exp}, got {args.exp_grid!r}")
-    text = analysis.emit_surface(n_grid, exp_grid, args.quantity)
+    text = analysis.emit_surface(args.n_grid, args.exp_grid, args.quantity)
     try:
         with open(args.out, "w") as fh:
             fh.write(text)
@@ -438,22 +452,23 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--delta-phi-exp", type=_exponent, required=True)
     p.add_argument("--ratio", type=float, default=8.0)
     p.add_argument("--resolution-bits", type=int, default=40)
-    p.add_argument("--k0-bits", type=_positive_int, default=256)
+    p.add_argument("--k0-bits", type=_int_at_least(1), default=256)
     p.add_argument("--json", action="store_true")
     p.set_defaults(fn=cmd_analyze)
 
     p = sub.add_parser("surface", help="CSV leak surface over a parameter grid")
     p.add_argument("--quantity", choices=("delta_h", "leak_length"),
                    required=True)
-    p.add_argument("--n-grid", required=True, help="comma-separated <n> values")
-    p.add_argument("--exp-grid", required=True,
+    p.add_argument("--n-grid", type=_numbers, required=True,
+                   help="comma-separated <n> values")
+    p.add_argument("--exp-grid", type=_numbers, required=True,
                    help="comma-separated exponents (-inf for delta_phi = 0)")
     p.add_argument("--out", required=True)
     p.set_defaults(fn=cmd_surface)
 
     p = sub.add_parser("simulate", help="two-party session in one process")
     _add_session_flags(p)
-    p.add_argument("--cycles", type=_positive_int, default=10)
+    p.add_argument("--cycles", type=_int_at_least(1), default=10)
     p.add_argument("--transcript-out")
     p.add_argument("--progress-out", help="per-cycle JSON lines")
     p.set_defaults(fn=cmd_simulate)
@@ -470,7 +485,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("connect", help="run a session against a server")
     _add_session_flags(p)
     p.add_argument("--addr", type=_host_port, required=True, help="host:port")
-    p.add_argument("--cycles", type=_positive_int, default=10)
+    p.add_argument("--cycles", type=_int_at_least(1), default=10)
     p.add_argument("--transcript-out")
     p.set_defaults(fn=cmd_connect)
 
@@ -478,13 +493,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n-avg", type=float, required=True)
     p.add_argument("--delta-phi-exp", type=_exponent, required=True)
     p.add_argument("--resolution-bits", type=int, default=24)
-    p.add_argument("--bits", type=_positive_int, default=100_000)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--bits", type=_int_at_least(1), default=100_000)
+    p.add_argument("--seed", type=_int_at_least(0), default=0)
     p.set_defaults(fn=cmd_attack_basis)
 
     p = sub.add_parser("attack-kpa", help="known-plaintext key recovery")
     _add_session_flags(p)
-    p.add_argument("--cycles", type=_positive_int, default=1)
+    p.add_argument("--cycles", type=_int_at_least(1), default=1)
     p.add_argument("--ciphertext-file")
     p.add_argument("--plaintext-file")
     p.add_argument("--known-key-index", type=int, default=1)
@@ -492,7 +507,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("attack-chain", help="chain compromise from one key")
     _add_session_flags(p)
-    p.add_argument("--cycles", type=_positive_int, default=3)
+    p.add_argument("--cycles", type=_int_at_least(1), default=3)
     p.add_argument("--known-key-index", type=int, default=1)
     p.add_argument("--transcript", help="recorded tape (--transcript-out file)")
     p.add_argument("--known-key-hex")

@@ -23,10 +23,8 @@ recorded wire to it, checking every frame it sends against the record.  A
 TranscriptTap on one end keeps the eavesdropper's tape: every frame, in
 wire order.
 
-Over a socket, `drive` corks the channel: the frames a core yields
-between two receives leave in one write, so Nagle's algorithm never holds
-the second frame of a turn for the peer's delayed ACK.  The bytes on the
-wire are the same as when each frame is written alone.
+On TCP, Nagle is off: each frame leaves in its own write as a core
+yields it, and none waits for the peer's delayed ACK.
 """
 
 from __future__ import annotations
@@ -185,12 +183,6 @@ class Channel:
             self.tap.observe(raw)
         return msg_type, payload
 
-    def cork(self) -> None:
-        """Hold sent frames until the next receive or flush(); a no-op here."""
-
-    def flush(self) -> None:
-        """Write any held frames and stop holding them; a no-op here."""
-
     def _send_frame(self, frame: bytes) -> None:
         raise NotImplementedError
 
@@ -246,31 +238,15 @@ class PeerChannel(Channel):
 
 
 class SocketChannel(Channel):
-    """Stream socket; while corked, sent frames wait for one write at the next recv."""
-
     def __init__(self, sock: socket.socket):
         super().__init__()
         self._sock = sock
-        self._held: list | None = None   # a list while corked
-
-    def cork(self) -> None:
-        if self._held is None:
-            self._held = []
-
-    def flush(self) -> None:
-        held, self._held = self._held, None
-        if held:
-            self._write(b"".join(held))
+        if sock.family in (socket.AF_INET, socket.AF_INET6):
+            sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
 
     def _send_frame(self, frame: bytes) -> None:
-        if self._held is None:
-            self._write(frame)
-        else:
-            self._held.append(frame)
-
-    def _write(self, data: bytes) -> None:
         try:
-            self._sock.sendall(data)
+            self._sock.sendall(frame)
         except OSError as exc:
             raise ChannelError(f"send failed: {exc}") from exc
 
@@ -295,9 +271,6 @@ class SocketChannel(Channel):
         return buf
 
     def _recv_frame(self, timeout: float):
-        if self._held:
-            self.flush()
-            self.cork()
         self._sock.settimeout(timeout)
         header = self._read_exact(HEADER_LEN, "header")
         msg_type, length = _parse_header(header)
@@ -356,13 +329,7 @@ def record_transcript(channel: Channel, path) -> TranscriptTap:
 
 
 def drive(core, channel: Channel):
-    """Run a core to its end over a blocking channel; returns its result.
-
-    The channel stays corked while the core runs.  Frames still held when
-    it ends, like the ERROR frame yielded before a raise, are flushed; a
-    failed flush never hides the core's own exception.
-    """
-    channel.cork()
+    """Run a core to its end over a blocking channel; returns its result."""
     try:
         step = next(core)
         while True:
@@ -372,15 +339,7 @@ def drive(core, channel: Channel):
                 channel.send(*step)
                 step = next(core)
     except StopIteration as done:
-        result = done.value
-    except BaseException:
-        try:
-            channel.flush()
-        except ChannelError:
-            pass
-        raise
-    channel.flush()
-    return result
+        return done.value
 
 
 def expect(*want: int):

@@ -53,6 +53,22 @@ def test_analyze_violation_and_usage_exit_codes():
     res = run_cli("analyze", "--n-avg", "2")
     assert res.returncode == 1
     assert "delta-phi-exp" in res.stderr
+    # a point no Constellation admits: valid by the checks, yet no session runs
+    for exp, reason in (("-2000", "delta_phi must lie in"),     # 2**k is 0.0
+                        ("-1000", "does not resolve"), ("-40", "does not resolve")):
+        res = run_cli("analyze", "--n-avg", "1e4", "--delta-phi-exp", exp, "--json")
+        assert res.returncode == 1
+        assert json.loads(res.stdout)["validation"]["ok"] is False
+        assert reason in res.stderr.splitlines()[-1]
+        assert run_cli("simulate", "--delta-phi-exp", exp).returncode == 1
+    for exp, code in (("-10", 0), ("-6", 1)):     # -6 breaks sigma >> delta_phi
+        res = run_cli("analyze", "--n-avg", "1e4", "--delta-phi-exp", exp)
+        assert res.returncode == code
+        assert "error:" not in res.stderr
+    res = run_cli("analyze", "--n-avg", "1e4", "--delta-phi-exp", "-10",
+                  "--k0-bits", "100", "--json")         # too short for a boost
+    assert res.returncode == 0
+    assert json.loads(res.stdout)["boost_factor"] is None
 
 
 def test_surface_grid(tmp_path):
@@ -165,6 +181,11 @@ CHAIN_FILE_MODE = ("attack-chain", "--transcript", "@tape.bin",
     ("attack-chain", "--delta-phi-exp", "2000"),
     ("surface", "--quantity", "delta_h", "--n-grid", "1e4", "--exp-grid",
      "-10,2000", "--out", os.devnull),
+    ("surface", "--quantity", "delta_h", "--n-grid", "1e4", "--out", os.devnull,
+     "--exp-grid", "x"),
+    ("simulate", "--seed", "-1"),
+    ("simulate", "--k0-seed", "-1"),
+    ("attack-basis", "--n-avg", "1e4", "--delta-phi-exp", "-20", "--seed", "-1"),
 ], ids=" ".join)
 def test_bad_operator_input_exits_1_without_traceback(args, tmp_path, tape_frames):
     (tmp_path / "tape.bin").write_bytes(encode_tape(tape_frames))
@@ -174,8 +195,12 @@ def test_bad_operator_input_exits_1_without_traceback(args, tmp_path, tape_frame
     assert "Traceback" not in res.stderr
     assert "error:" in res.stderr.splitlines()[-1]
     if args[-2] in ("--cycles", "--k0-bits", "--bits") and int(args[-1]) < 1 \
-            or args[-2] == "--delta-phi-exp" and int(args[-1]) > 1023:
+            or args[-2] == "--delta-phi-exp" and int(args[-1]) > 1023 \
+            or args[-2] in ("--seed", "--k0-seed") and int(args[-1]) < 0:
         assert f"argument {args[-2]}:" in res.stderr.splitlines()[-1]
+    for grid in ("--n-grid", "--exp-grid"):     # a word where numbers belong
+        if grid in args and args[args.index(grid) + 1].isalpha():
+            assert f"argument {grid}:" in res.stderr.splitlines()[-1]
     if args[0] == "attack-kpa" and args[1].endswith("-file"):  # names the other
         missing = ({"--ciphertext-file", "--plaintext-file"} - {args[1]}).pop()
         assert missing in res.stderr.splitlines()[-1]

@@ -27,6 +27,7 @@ from noisepad.protocol import (
     KeyChain,
     LeakLedger,
     PartyState,
+    TAG_BITS,
     SessionParams,
     _modified_toeplitz,
     authenticate_tag,
@@ -597,6 +598,18 @@ def test_simulate_session_early_stop_on_exhaustion():
     assert res_a.cycles_completed < 10
     assert res_a.chain.bits_equal(res_b.chain)
     assert res_a.confirm_tag == res_b.confirm_tag
+
+
+def test_session_run_to_exhaustion_ends_with_an_untagged_confirm():
+    # at the default safety margin the last key is shorter than a tag, so
+    # the final CONFIRM carries no tag: only --cycles stops end tagged
+    k0 = np.random.default_rng(3).integers(0, 2, 1024, dtype=np.uint8)
+    res_a, res_b = simulate_session(PARAMS, k0, 3, 4, cycles=1000)
+    for res in (res_a, res_b):
+        assert res.early_stop is not None and res.cycles_completed < 1000
+        assert len(res.chain.tip.bits) < TAG_BITS
+        assert res.confirm_tag == b""
+    assert res_a.chain.bits_equal(res_b.chain)
 
 
 def test_tape_keeps_a_half_cycle_cut_by_exhaustion(tmp_path):

@@ -370,15 +370,28 @@ class _LoggedSocket:
         return getattr(self._sock, name)
 
 
-def test_socket_session_writes_once_per_turn():
+def _record_sends(channel, log: list) -> None:
+    """Log each (msg_type, payload) that reaches channel.send."""
+    send = channel.send
+
+    def logged(msg_type, payload=b""):
+        log.append((msg_type, payload))
+        send(msg_type, payload)
+    channel.send = logged
+
+
+def test_socket_session_writes_each_frame_alone():
     params = SessionParams(1e4, 2.0 ** -30, 40, 1024)
     k0_a = np.random.default_rng(3).integers(0, 2, 1024, dtype=np.uint8)
     k0_b = k0_a.copy()
     k0_b[0] ^= 1    # a wrong basis bit: with these seeds, block 1 needs locating
     logs = {"a": [], "b": []}
+    sent = {"a": [], "b": []}
     sock_a, sock_b = socket.socketpair()
     ch_a = SocketChannel(_LoggedSocket(sock_a, logs["a"]))
     ch_b = SocketChannel(_LoggedSocket(sock_b, logs["b"]))
+    _record_sends(ch_a, sent["a"])
+    _record_sends(ch_b, sent["b"])
 
     def role_b():
         handshake(ch_b, "B", expected_block_length=1024)
@@ -396,20 +409,17 @@ def test_socket_session_writes_once_per_turn():
         ch_b.close()
     assert not peer.is_alive()
     assert result.early_stop is not None and result.cycles_completed > 1
-    kinds = []
-    for log in logs.values():
+    types = []
+    for side, log in logs.items():
+        # one whole frame per write, or frame_decode raises; in core order
+        written = [frame_decode(data) for op, data in log if op == "write"]
+        assert written == sent[side]
         ops = [op for op, _ in log]
-        assert ("write", "write") not in zip(ops, ops[1:])
-        for op, data in log:
-            if op == "write":        # whole frames only, or iter_frames raises
-                kinds.append([t for t, _ in iter_frames(data)])
-    for types in kinds:
-        for i, t in enumerate(types):
-            if t == MessageType.KEYBLOCK:
-                assert types[i + 1:i + 2] == [MessageType.PA_SEED]
-    keyblocks = sum(t.count(MessageType.KEYBLOCK) for t in kinds)
+        assert ("write", "write") in zip(ops, ops[1:])   # KEYBLOCK, PA_SEED
+        types += [t for t, _ in written]
+    keyblocks = types.count(MessageType.KEYBLOCK)
     assert keyblocks >= 2 * result.cycles_completed
-    assert any(MessageType.PARITY_REQ in t for t in kinds)
+    assert MessageType.PARITY_REQ in types
 
 
 def _error_then_raise():
@@ -422,12 +432,12 @@ def _confirm_then_return():
     return "done"
 
 
-def test_drive_writes_held_frames_and_uncorks_when_the_core_ends():
+def test_drive_sends_frames_as_they_are_yielded():
     ch_a, ch_b = socket_pair()
     try:
         assert drive(_confirm_then_return(), ch_a) == "done"
         assert ch_b.recv(timeout=5.0) == (MessageType.CONFIRM, b"tag")
-        ch_a.send(MessageType.HELLO, b"1")      # uncorked: leaves at once
+        ch_a.send(MessageType.HELLO, b"1")      # a bare send after drive
         assert ch_b.recv(timeout=5.0) == (MessageType.HELLO, b"1")
         with pytest.raises(ProtocolError, match="bad block"):
             drive(_error_then_raise(), ch_a)
@@ -439,13 +449,29 @@ def test_drive_writes_held_frames_and_uncorks_when_the_core_ends():
         ch_b.close()
 
 
-def test_failed_flush_does_not_replace_the_cores_exception():
+def test_error_frame_to_a_closed_peer_raises_channel_error():
     ch_a, ch_b = socket_pair()
     ch_b.close()                        # every write to ch_a now fails
     try:
-        with pytest.raises(ProtocolError, match="bad block"):
-            drive(_error_then_raise(), ch_a)
         with pytest.raises(ChannelError, match="send failed"):
-            ch_a.send(MessageType.HELLO, b"")   # uncorked: written, and fails
+            drive(_error_then_raise(), ch_a)
     finally:
         ch_a.close()
+
+
+def test_tcp_socket_channels_turn_nagle_off():
+    server = socket.create_server(("127.0.0.1", 0))
+    try:
+        client = socket.create_connection(server.getsockname(), timeout=5.0)
+        conn, _ = server.accept()
+    finally:
+        server.close()
+    ends = SocketChannel(client), SocketChannel(conn)
+    try:
+        for sock in (client, conn):
+            assert sock.getsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY)
+        ends[0].send(MessageType.HELLO, b"x")
+        assert ends[1].recv(timeout=5.0) == (MessageType.HELLO, b"x")
+    finally:
+        for end in ends:
+            end.close()
