@@ -186,20 +186,21 @@ def cmd_surface(args) -> int:
 # simulate / serve / connect
 # ---------------------------------------------------------------------------
 
-def _summary(result: protocol.SessionResult, extra: dict | None = None) -> dict:
+def _summary(state: protocol.PartyState, extra: dict | None = None) -> dict:
+    total = state.chain.total_delivered()
     doc = {
-        "role": result.role,
-        "cycles_completed": result.cycles_completed,
-        "delivered_bits": [list(d) for d in result.delivered],
-        "total_delivered_bits": result.chain.total_delivered(),
-        "boost_factor_so_far": result.boost_factor_so_far(),
+        "role": state.role,
+        "cycles_completed": state.cycles_completed,
+        "delivered_bits": [list(d) for d in state.delivered],
+        "total_delivered_bits": total,
+        "boost_factor_so_far": total / len(state.chain.keys[0].bits),
         "ledger": {
-            "statistical_leak": result.ledger.statistical_leak,
-            "disclosed_parity_bits": result.ledger.disclosed_parity_bits,
-            "total": result.ledger.total,
+            "statistical_leak": state.ledger.statistical_leak,
+            "disclosed_parity_bits": state.ledger.disclosed_parity_bits,
+            "total": state.ledger.total,
         },
-        "confirm_tag": result.confirm_tag.hex(),
-        "early_stop": result.early_stop,
+        "confirm_tag": state.confirm_tag.hex(),
+        "early_stop": state.early_stop,
     }
     if extra:
         doc.update(extra)
@@ -215,19 +216,19 @@ def cmd_simulate(args) -> int:
         progress = lambda rec: print(json.dumps(rec, sort_keys=True),
                                      file=progress_fh, flush=True)
     try:
-        result_a, result_b = protocol.simulate_session(
+        state_a, state_b = protocol.simulate_session(
             params, k0, seed_a=args.seed, seed_b=args.seed + 1,
             cycles=args.cycles, transcript_path=args.transcript_out,
             progress=progress)
     finally:
         if progress_fh is not None:
             progress_fh.close()
-    agreement = result_a.chain.bits_equal(result_b.chain)
-    _json_out(_summary(result_a, {
+    agreement = state_a.chain.bits_equal(state_b.chain)
+    _json_out(_summary(state_a, {
         "seed": args.seed,
         "k0_bits": len(k0),
         "agreement": agreement,
-        "confirm_match": result_a.confirm_tag == result_b.confirm_tag,
+        "confirm_match": state_a.confirm_tag == state_b.confirm_tag,
         "transcript_out": args.transcript_out,
     }))
     return EXIT_OK if agreement else EXIT_RUNTIME
@@ -262,6 +263,9 @@ def cmd_serve(args) -> int:
     material, so every later connection is refused with an ERROR frame.
     """
     k0 = _k0_bits(args)
+    if len(k0) < protocol.MIN_BLOCK_LENGTH:     # every HELLO would be refused
+        raise ValueError(f"K0 has {len(k0)} bits; a session needs at least "
+                         f"{protocol.MIN_BLOCK_LENGTH}")
     host, port = args.listen
     server = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
     server.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
@@ -283,8 +287,8 @@ def cmd_serve(args) -> int:
             spent = True
             state = protocol.PartyState.create(
                 "B", protocol.SessionParams.from_hello(hello), k0, args.seed)
-            result = protocol.run_session(channel, state)
-            _json_out(_summary(result, {"seed": args.seed, "k0_bits": len(k0)}))
+            protocol.run_session(channel, state)
+            _json_out(_summary(state, {"seed": args.seed, "k0_bits": len(k0)}))
             if channel.tap is not None:
                 channel.tap.finish()
             return EXIT_OK
@@ -326,8 +330,8 @@ def cmd_connect(args) -> int:
     try:
         transport.handshake(channel, "A", proposal)
         state = protocol.PartyState.create("A", params, k0, args.seed)
-        result = protocol.run_session(channel, state, cycles=args.cycles)
-        _json_out(_summary(result, {"seed": args.seed, "k0_bits": len(k0)}))
+        protocol.run_session(channel, state, cycles=args.cycles)
+        _json_out(_summary(state, {"seed": args.seed, "k0_bits": len(k0)}))
         if channel.tap is not None:
             channel.tap.finish()
         return EXIT_OK
@@ -356,7 +360,7 @@ def cmd_attack_basis(args) -> int:
 
 
 def _demo_session(args, cycles: int):
-    """Run a session; return role A's result and the tape it recorded.
+    """Run a session; return role A's state and the tape it recorded.
 
     Raises ValueError unless --known-key-index names a key of the chain.
     """
@@ -364,17 +368,17 @@ def _demo_session(args, cycles: int):
     params = _session_params(args, len(k0))
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "wire.bin")
-        result_a, result_b = protocol.simulate_session(
+        state_a, state_b = protocol.simulate_session(
             params, k0, seed_a=args.seed, seed_b=args.seed + 1, cycles=cycles,
             transcript_path=path)
         tape = attacker.read_tape(path)
-    if not result_a.chain.bits_equal(result_b.chain):
+    if not state_a.chain.bits_equal(state_b.chain):
         raise NoisepadError("demo session failed to agree")
-    if not 0 <= args.known_key_index < len(result_a.chain.keys):
+    if not 0 <= args.known_key_index < len(state_a.chain.keys):
         raise ValueError(
             f"--known-key-index {args.known_key_index} is outside the demo "
-            f"chain K0..K{len(result_a.chain.keys) - 1}")
-    return result_a, tape
+            f"chain K0..K{len(state_a.chain.keys) - 1}")
+    return state_a, tape
 
 
 def cmd_attack_kpa(args) -> int:
@@ -395,8 +399,8 @@ def cmd_attack_kpa(args) -> int:
         return EXIT_OK
     # Demo: run a session, let A and B encrypt a plaintext Eve knows with
     # the chain key K_i, and recover K_i from the public XOR.
-    result, tape = _demo_session(args, cycles=args.cycles)
-    key = result.chain.keys[args.known_key_index].bits
+    state, tape = _demo_session(args, cycles=args.cycles)
+    key = state.chain.keys[args.known_key_index].bits
     plain = np.random.default_rng([args.seed, 99]).integers(
         0, 2, len(key), dtype=np.uint8)
     cipher = np.bitwise_xor(plain, key)

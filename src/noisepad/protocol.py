@@ -30,9 +30,10 @@ physical entropy sources.
 Each party's half of the dialogue is a sans-I/O core (see transport): it
 yields frames to send or RECV, and one core serves both roles.  run_session
 drives it over a channel; simulate_session steps role B's core behind a
-transport.PeerChannel, so both parties share one thread.  A block leaves
-only its key: everything public about it is on the wire, and Eve replays
-receive_block, the receiver's own core, over her tape of it.
+transport.PeerChannel, so both parties share one thread.  A session returns
+the PartyState it ran: its chain, ledger, CONFIRM tag and early-stop reason.
+A block leaves only its key: everything public about it is on the wire, and
+Eve replays receive_block, the receiver's own core, over her tape of it.
 """
 
 from __future__ import annotations
@@ -61,6 +62,7 @@ A_TO_B = 0
 B_TO_A = 1
 
 TAG_BITS = 256
+MIN_BLOCK_LENGTH = 8
 
 _PA_SEED = struct.Struct(">IB")     # cycle, direction; the check and the seed follow
 _CHECK = struct.Struct(">B32s")     # parity and SHA-256 digest of the sender's bits
@@ -95,9 +97,9 @@ class SessionParams:
     safety_bits: int = 32
 
     def __post_init__(self):
-        if self.block_length < 8:
-            raise ValueError(
-                f"block_length must be >= 8, got {self.block_length}")
+        if self.block_length < MIN_BLOCK_LENGTH:
+            raise ValueError(f"block_length must be >= {MIN_BLOCK_LENGTH}, "
+                             f"got {self.block_length}")
         if not 0 <= self.safety_bits <= 0xFFFF:    # HELLO carries 16 bits
             raise ValueError(
                 f"safety_bits must lie in [0, 65535], got {self.safety_bits}")
@@ -418,6 +420,8 @@ def authenticate_tag(key: ChainKey, message: bytes) -> bytes:
 
 @dataclass
 class PartyState:
+    """One party of a session; session_core fills in the last two fields."""
+
     role: str
     params: SessionParams
     chain: KeyChain
@@ -425,6 +429,8 @@ class PartyState:
     noise: PhaseNoiseModel
     fresh_rng: np.random.Generator
     pub_rng: np.random.Generator
+    confirm_tag: bytes = b""
+    early_stop: str | None = None
 
     @classmethod
     def create(cls, role: str, params: SessionParams, k0_bits, seed: int) -> "PartyState":
@@ -441,20 +447,17 @@ class PartyState:
             pub_rng=np.random.default_rng([seed, 2]),
         )
 
+    @property
+    def cycles_completed(self) -> int:
+        """Each completed direction appends one key, each cycle two."""
+        return (len(self.chain.keys) - 1) // 2
 
-@dataclass
-class SessionResult:
-    role: str
-    cycles_completed: int
-    delivered: list
-    ledger: LeakLedger
-    chain: KeyChain
-    confirm_tag: bytes
-    early_stop: str | None = None
-
-    def boost_factor_so_far(self) -> float:
-        k0 = len(self.chain.keys[0].bits)
-        return self.chain.total_delivered() / k0
+    @property
+    def delivered(self) -> list:
+        """The key lengths of each completed cycle, one pair per cycle."""
+        keys = self.chain.keys
+        return [(len(keys[i].bits), len(keys[i + 1].bits))
+                for i in range(1, 2 * self.cycles_completed, 2)]
 
 
 def _send_direction(state: PartyState, cycle_index: int, direction: int,
@@ -501,26 +504,26 @@ def receive_block(params: SessionParams, basis: ChainKey, cycle_index: int,
     return bits, pa_seed
 
 
-def _confirm_message(state: PartyState, cycles_completed: int) -> bytes:
+def _confirm_message(state: PartyState) -> bytes:
     tip = state.chain.tip
     return (b"NOTP confirm" +
-            struct.pack(">IQQdI", cycles_completed,
+            struct.pack(">IQQdI", state.cycles_completed,
                         state.chain.total_delivered(),
                         state.ledger.disclosed_parity_bits,
                         state.ledger.statistical_leak,
                         len(tip.bits)))
 
 
-def _confirm_tag(state: PartyState, cycles_completed: int) -> bytes:
+def _confirm_tag(state: PartyState) -> bytes:
     tip = state.chain.tip
     if len(tip.bits) - tip.tag_bits_used < TAG_BITS:
         return b""
-    return authenticate_tag(tip, _confirm_message(state, cycles_completed))
+    return authenticate_tag(tip, _confirm_message(state))
 
 
 def run_session(channel: Channel, state: PartyState, cycles: int | None = None,
-                progress=None) -> SessionResult:
-    """Run session_core over a channel."""
+                progress=None) -> PartyState:
+    """Run session_core over a channel; returns the party's state."""
     return transport.drive(session_core(state, cycles, progress), channel)
 
 
@@ -529,16 +532,16 @@ def session_core(state: PartyState, cycles: int | None = None, progress=None):
 
     The initiator (role A) drives `cycles` cycles; the responder follows
     the peer's frames.  Key exhaustion stops cycling early on both sides
-    and is reported, not raised: whether it comes before a block, where
-    both parties see it, or from a syndrome's charge.  The party whose turn
-    it is to send then sends CONFIRM first.  Returns a SessionResult.
+    and is reported on state.early_stop, not raised: whether it comes
+    before a block, where both parties see it, or from a syndrome's charge.
+    The party whose turn it is to send then sends CONFIRM first.  Returns
+    `state`, with its CONFIRM tag on state.confirm_tag.
     """
     initiator, params = state.role == "A", state.params
     if initiator and cycles is None:
         raise ValueError("initiator needs an explicit cycle count")
-    delivered = []
-    early_stop = frame = None
-    cycle_index = cycles_completed = 0
+    frame = None
+    cycle_index = 0
     direction = B_TO_A
 
     while True:
@@ -551,7 +554,7 @@ def session_core(state: PartyState, cycles: int | None = None, progress=None):
             pa_output_length(n, LeakLedger(delta.statistical_leak, _CHECK_BITS),
                              params.safety_bits)
         except KeyExhaustedError as exc:
-            early_stop = str(exc)
+            state.early_stop = str(exc)
             break
         if sending and initiator and cycle_index > cycles:
             break
@@ -571,21 +574,19 @@ def session_core(state: PartyState, cycles: int | None = None, progress=None):
         try:
             m = pa_output_length(n, delta, params.safety_bits)
         except KeyExhaustedError as exc:   # a syndrome's charge
-            early_stop = str(exc)
+            state.early_stop = str(exc)
             sending = not sending   # the receiver stops on its sending turn
             break
         state.chain.append(privacy_amplify(bits, m, pa_seed))
-        if direction == B_TO_A:
-            cycles_completed = cycle_index
-            delivered.append(tuple(len(k.bits) for k in state.chain.keys[-2:]))
-            if progress is not None:
-                led = state.ledger
-                progress({"cycle": cycle_index, "delivered_bits": list(delivered[-1]),
-                          "statistical_leak": led.statistical_leak,
-                          "disclosed_parity_bits": led.disclosed_parity_bits,
-                          "ledger_total": led.total})
+        if direction == B_TO_A and progress is not None:
+            led = state.ledger
+            progress({"cycle": cycle_index,
+                      "delivered_bits": [len(k.bits) for k in state.chain.keys[-2:]],
+                      "statistical_leak": led.statistical_leak,
+                      "disclosed_parity_bits": led.disclosed_parity_bits,
+                      "ledger_total": led.total})
 
-    tag = _confirm_tag(state, cycles_completed)
+    tag = state.confirm_tag = _confirm_tag(state)
     if sending:
         yield MessageType.CONFIRM, tag
     frame = frame or (yield from expect(MessageType.CONFIRM))
@@ -594,22 +595,14 @@ def session_core(state: PartyState, cycles: int | None = None, progress=None):
     if frame != (MessageType.CONFIRM, tag):
         raise ConfirmMismatchError(
             "peers computed different session confirmation tags")
-    return SessionResult(
-        role=state.role,
-        cycles_completed=cycles_completed,
-        delivered=delivered,
-        ledger=state.ledger,
-        chain=state.chain,
-        confirm_tag=tag,
-        early_stop=early_stop,
-    )
+    return state
 
 
 def simulate_session(params: SessionParams, k0_bits, seed_a: int, seed_b: int,
                      cycles: int, transcript_path=None, progress=None):
     """Drive a full two-party session in process, on the calling thread.
 
-    Returns (result_a, result_b).  The handshake, key blocks, parity
+    Returns (state_a, state_b).  The handshake, key blocks, parity
     dialogue and confirmation cross a PeerChannel as framed bytes exactly
     as they would a socket; a transcript tap may record the eavesdropper's
     view, and raises OSError after the session if it lost a frame.
@@ -632,11 +625,11 @@ def simulate_session(params: SessionParams, k0_bits, seed_a: int, seed_b: int,
     try:
         transport.handshake(channel, "A", proposal)
         state_a = PartyState.create("A", params, k0, seed_a)
-        result_a = run_session(channel, state_a, cycles=cycles, progress=progress)
+        run_session(channel, state_a, cycles=cycles, progress=progress)
     finally:
         channel.close()
     if channel.error is not None:
         raise channel.error
     if channel.tap is not None:
         channel.tap.finish()
-    return result_a, channel.result
+    return state_a, channel.result

@@ -448,6 +448,22 @@ def test_serve_connect_with_k0_file(tmp_path):
     assert doc["confirm_tag"] == json.loads(out)["confirm_tag"]
 
 
+@pytest.mark.parametrize("k0_flag", [("--k0-bits", "5"), ("--k0-file", "@empty.bin")],
+                         ids=" ".join)
+def test_serve_refuses_a_k0_no_session_can_use(k0_flag, tmp_path):
+    # every HELLO would be refused on block length, so serve must not listen;
+    # the short timeout fails this test instead of hanging on a server that does
+    (tmp_path / "empty.bin").write_bytes(b"")
+    flag, value = k0_flag
+    res = run_cli("serve", "--once", flag,
+                  str(tmp_path / value[1:]) if value.startswith("@") else value,
+                  timeout=10)
+    assert res.returncode == 1 and res.stdout == ""
+    bits = 5 if flag == "--k0-bits" else 0
+    assert res.stderr.splitlines() == [
+        f"error: K0 has {bits} bits; a session needs at least 8"]
+
+
 def test_serve_connect_k0_mismatch_fails():
     server = ServeProc("--seed", "100", "--k0-seed", "9", "--k0-bits", "1024")
     res = run_cli("connect", "--addr", f"127.0.0.1:{server.port}",

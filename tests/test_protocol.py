@@ -488,7 +488,7 @@ def run_pair(a, b, cycles):
     return result_a, channel.result
 
 
-def test_run_cycle_agreement():
+def test_session_core_agreement():
     a, b = fresh_pair()
     run_pair(a, b, cycles=1)
     k1, k2 = (k.bits for k in a.chain.keys[1:])
@@ -499,7 +499,7 @@ def test_run_cycle_agreement():
     assert len(k2) == len(k1) - 34
 
 
-def test_run_cycle_ledger_matches_analysis():
+def test_session_core_ledger_matches_analysis():
     a, b = fresh_pair()
     cycles = 5
     run_pair(a, b, cycles)
@@ -511,7 +511,7 @@ def test_run_cycle_ledger_matches_analysis():
     assert a.ledger.disclosed_parity_bits == 2 * cycles
 
 
-def test_run_cycle_shrinkage_invariant():
+def test_session_core_shrinkage_invariant():
     params = SessionParams(1e4, 2.0 ** -30, 40, 2048)
     a, b = fresh_pair(params, k0_bits=2048)
     run_pair(a, b, cycles=4)
@@ -522,7 +522,7 @@ def test_run_cycle_shrinkage_invariant():
                for prev, k in zip(a.chain.keys, a.chain.keys[1:]))
 
 
-def test_run_cycle_exhaustion():
+def test_session_core_exhaustion():
     params = SessionParams(1e4, 2.0 ** -30, 40, 128, safety_bits=60)
     a, b = fresh_pair(params, k0_bits=128)
     results = run_pair(a, b, cycles=3)
@@ -536,7 +536,7 @@ def test_run_cycle_exhaustion():
     assert all(k.used_as_basis for k in a.chain.keys[:-1])
 
 
-def test_run_cycle_param_mismatch():
+def test_session_core_param_mismatch():
     # without a handshake to reject it, a session between parties that
     # disagree on the operating point fails
     a, _ = fresh_pair()
@@ -813,16 +813,16 @@ def _responder():
 
 HOSTILE_FRAMES = {
     "empty parity request": (_sender, [(REQ, b"")]),
-    "bulk request without parities": (_sender, [(REQ, bytes([0]))]),
-    "bulk parity of 2": (_sender, [(REQ, bytes([0, 2]))]),
+    "parity request of subtype 0": (_sender, [(REQ, bytes([0]))]),
+    "2-byte parity request of subtype 0": (_sender, [(REQ, bytes([0, 2]))]),
     "locate request with trailing bytes": (_sender, [
         (REQ, bytes([_SUB_PROBE, 0]))]),
     "second locate request": (_sender, [
         (REQ, bytes([_SUB_PROBE])), (REQ, bytes([_SUB_PROBE]))]),
-    "empty bulk reply": (_receiver(b""), []),
-    "bulk reply of 2": (_receiver(b"\x02" + CHECK_SMALL[1:]), []),
-    "empty probe reply": (_receiver(MISMATCHED), [(RESP, b"")]),
-    "probe reply of 2": (_receiver(MISMATCHED), [(RESP, b"\x02")]),
+    "PA_SEED with an empty check": (_receiver(b""), []),
+    "PA_SEED check with a parity of 2": (_receiver(b"\x02" + CHECK_SMALL[1:]), []),
+    "empty syndrome reply": (_receiver(MISMATCHED), [(RESP, b"")]),
+    "1-byte syndrome reply": (_receiver(MISMATCHED), [(RESP, b"\x02")]),
     "3-byte syndrome reply": (_receiver(MISMATCHED), [(RESP, b"\x00" * 3)]),
     "KEYBLOCK shorter than its cycle index": (_responder, [(KB, b"\x00\x00")]),
     "ragged KEYBLOCK levels": (_responder, [(KB, KEYBLOCK[:-1])]),
