@@ -6,7 +6,8 @@ discriminator; the quantum discrimination bound is reported alongside as
 the floor no strategy of hers can beat.  Once a chain key is revealed,
 every later key falls from the recorded wire alone.  Eve's only input is
 the tape of every frame: its HELLO gives the operating point, and she
-replays the legitimate receiver's own core over each key block's frames.
+replays the legitimate receiver's own core over each key block's frames,
+then charges and amplifies each block with the parties' own steps.
 """
 
 from __future__ import annotations
@@ -27,16 +28,8 @@ from .encode import (
 )
 from .errors import NoisepadError, ProtocolError
 from .phys import CoherentStateParams, eavesdropper_error, q_gaussian
-from .protocol import (
-    A_TO_B,
-    B_TO_A,
-    ChainKey,
-    SessionParams,
-    pa_output_length,
-    privacy_amplify,
-    receive_block,
-    unpack_pa_seed,
-)
+from .protocol import (ChainKey, SessionParams, amplify_block, receive_block,
+                       unpack_pa_seed)
 from .transport import (
     MessageType,
     TapeChannel,
@@ -188,8 +181,8 @@ def chain_compromise(tape: Tape, known_key_index: int,
     """Walk the key chain forward from one revealed key, from the tape alone.
 
     Key K_{j-1} is the basis of block Y_j, so replaying the legitimate
-    receiver's core over Y_j's frames with it yields K_j's reconciled bits,
-    charged as the parties charge them; the public PA seed then gives K_j.
+    receiver's core over Y_j's frames with it yields K_j's reconciled bits;
+    block_charge and the public PA seed then give K_j, as for the parties.
     Every frame the receiver would send must be on the tape, so the taped
     parity and digest confirm or refute the guessed key.  A missing block,
     a frame the core rejects or would send that the tape does not hold, or
@@ -206,18 +199,14 @@ def chain_compromise(tape: Tape, known_key_index: int,
                         f"K{j - 1}")
             break
         block = tape.blocks[j - 1]
-        n = len(current)
-        delta = params.block_ledger(n)
-        # Y_j is sent in cycle ceil(j/2), A to B when j is odd
-        core = receive_block(params, ChainKey(j - 1, current), (j + 1) // 2,
-                             A_TO_B if j % 2 else B_TO_A, delta, block.keyblock)
+        core = receive_block(params, ChainKey(j - 1, current), j, block.keyblock)
         try:
-            bits, pa_seed = drive(core, TapeChannel(block.frames))
-            m = pa_output_length(n, delta, params.safety_bits)
+            bits, pa_seed, located = drive(core, TapeChannel(block.frames))
+            current = amplify_block(params, bits, pa_seed,
+                                    params.block_charge(len(bits), located))
         except NoisepadError as exc:
             gaps.append(f"Y{j}: {exc}")
             break
-        current = privacy_amplify(bits, m, pa_seed)
         recovered.append((j, current))
     return ChainRecovery(recovered, gaps)
 

@@ -1,15 +1,16 @@
 """Alice/Bob key-distribution state machines.
 
-One distribution cycle sends fresh random bits from A to B, noise-masked
-under the current shared key (used exactly once as basis material), then
-fresh bits from B back to A under the key that was just delivered.  Each
-direction is parity-reconciled, charged to a leak ledger, and compressed
-with a modified Toeplitz hash [I | T] (dual universal) before joining the
-key chain.  Its n-1 public seed bits are drawn by the sender and travel in
-PA_SEED; packed into one Python int, they make T x[m:] one shift and XOR
-per set bit.
+Block Y_j carries fresh random bits noise-masked under key K_{j-1}, used
+exactly once as basis material, and becomes key K_j.  The parties take
+turns, so the chain says whose turn it is: a chain of L keys is due block
+Y_L, and turn(L) gives its cycle, ceil(L/2), and direction, A to B for odd
+L.  Each block is parity-reconciled, charged to a leak ledger
+(SessionParams.block_charge), and compressed with a modified Toeplitz hash
+[I | T] (dual universal) before joining the key chain.  Its n-1 public
+seed bits are drawn by the sender and travel in PA_SEED; packed into one
+Python int, they make T x[m:] one shift and XOR per set bit.
 
-A direction is one-way: the sender writes KEYBLOCK, then PA_SEED with the
+A block is one-way: the sender writes KEYBLOCK, then PA_SEED with the
 cycle, the direction, the parity and SHA-256 digest of its bits, and the
 PA seed.  The whole key is the one parity block (the handshake admits a
 bit-error rate of at most 2Q(8) ~ 1e-15).  A receiver whose parity and
@@ -23,7 +24,8 @@ Every chained key is a little shorter than its predecessor (the discarded
 bits pay for disclosed parities, the statistical basis leak, and a safety
 margin), so a chain eventually exhausts and a fresh shared seed must
 restart the process.  A block that would leave no key even without a
-syndrome is never sent; the party whose turn it is sends CONFIRM instead.
+syndrome is never sent; the party due to send the next block sends CONFIRM
+first instead.
 All party randomness is drawn from seeded generators standing in for
 physical entropy sources.
 
@@ -66,7 +68,7 @@ MIN_BLOCK_LENGTH = 8
 
 _PA_SEED = struct.Struct(">IB")     # cycle, direction; the check and the seed follow
 _CHECK = struct.Struct(">B32s")     # parity and SHA-256 digest of the sender's bits
-_CHECK_BITS = 1                     # ledger charge of that check, per direction
+_CHECK_BITS = 1                     # ledger charge of that check, per block
 _SYNDROME = struct.Struct(">I")
 _SUB_PROBE = 1                      # PARITY_REQ subtype of the locate request
 
@@ -114,9 +116,11 @@ class SessionParams:
         return cls(hello.avg_photon_number, hello.delta_phi,
                    hello.resolution_bits, hello.block_length, hello.safety_bits)
 
-    def block_ledger(self, n: int) -> "LeakLedger":
-        """A fresh ledger for one n-bit block, charged its statistical leak."""
-        return LeakLedger(n * self.per_symbol_leak)
+    def block_charge(self, n: int, located: bool = False) -> "LeakLedger":
+        """An n-bit block's charge: its statistical leak, the check, and the
+        n.bit_length() bits of a syndrome if an error was located."""
+        return LeakLedger(n * self.per_symbol_leak,
+                          _CHECK_BITS + (n.bit_length() if located else 0))
 
     @property
     def reconciliation_block(self) -> int:
@@ -204,7 +208,7 @@ class LeakLedger:
 
     def merge(self, other: "LeakLedger") -> None:
         self.statistical_leak += other.statistical_leak
-        self.disclosed_parity_bits += other.disclosed_parity_bits
+        self.add_parities(other.disclosed_parity_bits)
 
 
 # ---------------------------------------------------------------------------
@@ -269,61 +273,56 @@ def _unpack(fmt: struct.Struct, payload: bytes, what: str) -> tuple:
 
 # The blocking wrappers are not on the session path; perfbench/tracer.py
 # wraps them by name.
-def reconcile_receiver(bits, channel: Channel, ledger: LeakLedger,
-                       check: bytes) -> np.ndarray:
-    """Run _receiver_core over a channel on a copy of bits; returns it corrected."""
-    return transport.drive(_receiver_core(_as_bits(bits).copy(), ledger, check),
-                           channel)
+def reconcile_receiver(bits, channel: Channel, check: bytes) -> tuple:
+    """Run _receiver_core over a channel on a copy of bits."""
+    return transport.drive(_receiver_core(_as_bits(bits).copy(), check), channel)
 
 
-def _receiver_core(bits: np.ndarray, ledger: LeakLedger, check: bytes):
+def _receiver_core(bits: np.ndarray, check: bytes):
     """Core: correct this side's candidate bits, in place, toward the sender's.
 
     `check` is the sender's parity and digest, as PA_SEED carries them.  On
     a parity mismatch, the XOR of the sender's syndrome and its own names
     the bit to flip; a digest that still differs is answered with ERROR.
-    Both sides charge 1 bit per parity and n.bit_length() bits per
-    syndrome.  Returns the corrected bits.
+    Returns the corrected bits and whether it sent a locate request.
     """
     parity, digest = _unpack(_CHECK, check, "reconciliation check")
     if parity > 1:
         raise ProtocolError(f"sender parity is {parity}, not 0 or 1")
-    n = len(bits)
-    ledger.add_parities(_CHECK_BITS)
-    if parity != _parity(bits):
+    located = parity != _parity(bits)
+    if located:
         yield MessageType.PARITY_REQ, bytes([_SUB_PROBE])
-        ledger.add_parities(n.bit_length())
         _, payload = yield from expect(MessageType.PARITY_RESP)
         pos = _unpack(_SYNDROME, payload, "syndrome reply")[0] ^ _syndrome(bits)
-        if 0 < pos <= n:
+        if 0 < pos <= len(bits):
             bits[pos - 1] ^= 1
     if _digest(bits) != digest:
         yield MessageType.ERROR, b"keys still differ after reconciliation"
         raise ReconciliationError("keys still differ after reconciliation")
-    return bits
+    return bits, located
 
 
-def reconcile_sender(bits, channel: Channel, ledger: LeakLedger) -> tuple:
+def reconcile_sender(bits, channel: Channel) -> tuple:
     """Run _sender_core over a channel."""
-    return transport.drive(_sender_core(_as_bits(bits), ledger), channel)
+    return transport.drive(_sender_core(_as_bits(bits)), channel)
 
 
-def _sender_core(bits: np.ndarray, ledger: LeakLedger):
+def _sender_core(bits: np.ndarray):
     """Core: the sender's side, once PA_SEED carried _check(bits).
 
-    Answers one locate request, if the receiver sends one.  Returns the
-    first frame after the dialogue: the peer's next KEYBLOCK or CONFIRM.
+    Answers one locate request, if the receiver sends one.  Returns whether
+    it answered one, and the first frame after the dialogue: the peer's
+    next KEYBLOCK or CONFIRM.
     """
-    ledger.add_parities(_CHECK_BITS)
     frame = yield from expect(MessageType.PARITY_REQ, MessageType.KEYBLOCK,
                               MessageType.CONFIRM)
-    if frame[0] == MessageType.PARITY_REQ:
+    located = frame[0] == MessageType.PARITY_REQ
+    if located:
         if frame[1] != bytes([_SUB_PROBE]):
             raise ProtocolError(f"unexpected reconciliation request {frame[1][:8].hex()}")
-        ledger.add_parities(len(bits).bit_length())
         yield MessageType.PARITY_RESP, _SYNDROME.pack(_syndrome(bits))
         frame = yield from expect(MessageType.KEYBLOCK, MessageType.CONFIRM)
-    return frame
+    return located, frame
 
 
 # ---------------------------------------------------------------------------
@@ -356,6 +355,13 @@ def _modified_toeplitz(seed: int, vec: np.ndarray, m: int) -> np.ndarray:
         acc ^= seed >> (k - 1 - j)
     out = (acc & ((1 << m) - 1)).to_bytes(-(-m // 8), "little")
     return np.unpackbits(np.frombuffer(out, np.uint8), count=m, bitorder="little")
+
+
+def amplify_block(params: SessionParams, bits: np.ndarray, pa_seed: bytes,
+                  charge: LeakLedger) -> np.ndarray:
+    """A block's key: its bits hashed down by its charge and the safety margin."""
+    m = pa_output_length(len(bits), charge, params.safety_bits)
+    return privacy_amplify(bits, m, pa_seed)
 
 
 def pa_seed_bytes(n: int) -> int:
@@ -418,6 +424,11 @@ def authenticate_tag(key: ChainKey, message: bytes) -> bytes:
 # Party state and session driver
 # ---------------------------------------------------------------------------
 
+def turn(j: int) -> tuple[int, int]:
+    """Block Y_j's cycle, ceil(j/2), and direction: A_TO_B for odd j."""
+    return divmod(j + 1, 2)
+
+
 @dataclass
 class PartyState:
     """One party of a session; session_core fills in the last two fields."""
@@ -447,10 +458,14 @@ class PartyState:
             pub_rng=np.random.default_rng([seed, 2]),
         )
 
+    def sends(self, j: int) -> bool:
+        """Whether this party sends block Y_j: A sends each A_TO_B block."""
+        return (turn(j)[1] == A_TO_B) == (self.role == "A")
+
     @property
     def cycles_completed(self) -> int:
-        """Each completed direction appends one key, each cycle two."""
-        return (len(self.chain.keys) - 1) // 2
+        """The cycles before the one the chain is due next."""
+        return turn(len(self.chain.keys))[0] - 1
 
     @property
     def delivered(self) -> list:
@@ -460,48 +475,46 @@ class PartyState:
                 for i in range(1, 2 * self.cycles_completed, 2)]
 
 
-def _send_direction(state: PartyState, cycle_index: int, direction: int,
-                    delta: LeakLedger):
-    """Core: the sender's half of one direction, up to privacy amplification.
+def _send_direction(state: PartyState, j: int):
+    """Core: the sender's half of block Y_j, up to privacy amplification.
 
     Masks fresh bits under the chain tip, sends KEYBLOCK and PA_SEED and
-    answers a locate request.  Returns (bits, PA seed, the peer's next frame).
+    answers a locate request.  Returns (bits, PA seed, whether it answered
+    one, the peer's next frame).
     """
-    params = state.params
-    tip = state.chain.tip
+    params, tip = state.params, state.chain.tip
     bits = state.fresh_rng.integers(0, 2, len(tip.bits), dtype=np.uint8)
     yield (MessageType.KEYBLOCK, transport.pack_keyblock(
-        cycle_index, send_block(bits, tip, params, state.noise),
+        turn(j)[0], send_block(bits, tip, params, state.noise),
         params.resolution_bits))
     pa_seed = state.pub_rng.bytes(pa_seed_bytes(len(bits)))
-    yield (MessageType.PA_SEED, _PA_SEED.pack(cycle_index, direction)
-           + _check(bits) + pa_seed)
-    frame = yield from _sender_core(bits, delta)
-    return bits, pa_seed, frame
+    yield MessageType.PA_SEED, _PA_SEED.pack(*turn(j)) + _check(bits) + pa_seed
+    located, frame = yield from _sender_core(bits)
+    return bits, pa_seed, located, frame
 
 
-def receive_block(params: SessionParams, basis: ChainKey, cycle_index: int,
-                  direction: int, delta: LeakLedger, keyblock: bytes):
-    """Core: the receiver's half of one direction, up to privacy amplification.
+def receive_block(params: SessionParams, basis: ChainKey, j: int,
+                  keyblock: bytes):
+    """Core: the receiver's half of block Y_j, up to privacy amplification.
 
     Decodes the KEYBLOCK payload `keyblock` with `basis`, consuming it,
-    reads PA_SEED and reconciles against its check, charging `delta`.  The
-    session runs it over the wire and Eve over her tape.  Returns
-    (bits, PA seed).
+    reads PA_SEED and reconciles against its check.  The session runs it
+    over the wire and Eve over her tape.  Returns (bits, PA seed, whether
+    it located an error).
     """
+    cycle = turn(j)[0]
     got_cycle, levels = yield from transport.recv_keyblock(
         params.resolution_bits, len(basis.bits), keyblock)
-    if got_cycle != cycle_index:
-        raise ProtocolError(
-            f"expected cycle {cycle_index}, peer sent {got_cycle}")
+    if got_cycle != cycle:
+        raise ProtocolError(f"expected cycle {cycle}, peer sent {got_cycle}")
     bits = recover_block(levels, basis.consume(), params.constellation)
     del keyblock, levels   # a received block is dropped once decoded
     _, payload = yield from expect(MessageType.PA_SEED)
-    cycle, way, check, pa_seed = unpack_pa_seed(payload, len(bits))
-    if (cycle, way) != (cycle_index, direction):
+    *got, check, pa_seed = unpack_pa_seed(payload, len(bits))
+    if tuple(got) != turn(j):
         raise ProtocolError("PA_SEED frame does not match the current block")
-    bits = yield from _receiver_core(bits, delta, check)
-    return bits, pa_seed
+    bits, located = yield from _receiver_core(bits, check)
+    return bits, pa_seed, located
 
 
 def _confirm_message(state: PartyState) -> bytes:
@@ -530,67 +543,62 @@ def run_session(channel: Channel, state: PartyState, cycles: int | None = None,
 def session_core(state: PartyState, cycles: int | None = None, progress=None):
     """Core: all distribution cycles plus the confirmation exchange.
 
-    The initiator (role A) drives `cycles` cycles; the responder follows
-    the peer's frames.  Key exhaustion stops cycling early on both sides
-    and is reported on state.early_stop, not raised: whether it comes
+    One loop over the chain: with L keys it is due block Y_L, and turn(L)
+    says its cycle and sender.  The party runs the sender's or the
+    receiver's half, charges the block, amplifies and appends.  The
+    initiator (role A) stops before cycle `cycles` + 1; the responder
+    follows the peer's frames.  Key exhaustion stops cycling early on both
+    sides and is reported on state.early_stop, not raised: whether it comes
     before a block, where both parties see it, or from a syndrome's charge.
-    The party whose turn it is to send then sends CONFIRM first.  Returns
-    `state`, with its CONFIRM tag on state.confirm_tag.
+    The party due to send the next block sends CONFIRM first: Y_L, or
+    Y_{L+1} once Y_L used the tip.  Returns `state`, with its CONFIRM tag
+    on state.confirm_tag.
     """
-    initiator, params = state.role == "A", state.params
+    initiator, params, chain = state.role == "A", state.params, state.chain
     if initiator and cycles is None:
         raise ValueError("initiator needs an explicit cycle count")
     frame = None
-    cycle_index = 0
-    direction = B_TO_A
 
     while True:
-        direction ^= 1
-        cycle_index += direction == A_TO_B
-        sending = initiator == (direction == A_TO_B)
-        n = len(state.chain.tip.bits)
-        delta = params.block_ledger(n)
+        j, n = len(chain.keys), len(chain.tip.bits)
         try:    # a block is sent only if, charged its check, it leaves a key
-            pa_output_length(n, LeakLedger(delta.statistical_leak, _CHECK_BITS),
-                             params.safety_bits)
+            pa_output_length(n, params.block_charge(n), params.safety_bits)
         except KeyExhaustedError as exc:
             state.early_stop = str(exc)
             break
-        if sending and initiator and cycle_index > cycles:
-            break
-        if not sending:
+        if state.sends(j):
+            if initiator and turn(j)[0] > cycles:
+                break
+            bits, pa_seed, located, frame = yield from _send_direction(state, j)
+        else:
             frame = frame or (yield from expect(MessageType.KEYBLOCK,
                                                 MessageType.CONFIRM))
             if frame[0] == MessageType.CONFIRM:
                 break
-        if sending:
-            bits, pa_seed, frame = yield from _send_direction(
-                state, cycle_index, direction, delta)
-        else:   # hand the KEYBLOCK on without keeping it here
-            core, frame = receive_block(params, state.chain.tip, cycle_index,
-                                        direction, delta, frame[1]), None
-            bits, pa_seed = yield from core
-        state.ledger.merge(delta)
+            # hand the KEYBLOCK on without keeping it here
+            core, frame = receive_block(params, chain.tip, j, frame[1]), None
+            bits, pa_seed, located = yield from core
+        charge = params.block_charge(n, located)
+        state.ledger.merge(charge)
         try:
-            m = pa_output_length(n, delta, params.safety_bits)
+            chain.append(amplify_block(params, bits, pa_seed, charge))
         except KeyExhaustedError as exc:   # a syndrome's charge
             state.early_stop = str(exc)
-            sending = not sending   # the receiver stops on its sending turn
             break
-        state.chain.append(privacy_amplify(bits, m, pa_seed))
-        if direction == B_TO_A and progress is not None:
+        if turn(j)[1] == B_TO_A and progress is not None:
             led = state.ledger
-            progress({"cycle": cycle_index,
-                      "delivered_bits": [len(k.bits) for k in state.chain.keys[-2:]],
+            progress({"cycle": turn(j)[0],
+                      "delivered_bits": [len(k.bits) for k in chain.keys[-2:]],
                       "statistical_leak": led.statistical_leak,
                       "disclosed_parity_bits": led.disclosed_parity_bits,
                       "ledger_total": led.total})
 
+    first = state.sends(len(chain.keys) + chain.tip.used_as_basis)
     tag = state.confirm_tag = _confirm_tag(state)
-    if sending:
+    if first:
         yield MessageType.CONFIRM, tag
     frame = frame or (yield from expect(MessageType.CONFIRM))
-    if not sending:
+    if not first:
         yield MessageType.CONFIRM, tag
     if frame != (MessageType.CONFIRM, tag):
         raise ConfirmMismatchError(

@@ -24,11 +24,13 @@ R = 40
 class _RoleAEnd(transport.PeerChannel):
     """Role A's end of simulate_session: hashes the frames it sends.
 
-    The symbols listed in `slips` (by index in A's first KEYBLOCK) get a
-    pi phase slip before the frame is encoded.
+    The symbols listed in `slips` (by index in A's KEYBLOCK number
+    `slip_block`, counted from 0) get a pi phase slip before the frame is
+    encoded.
     """
 
     slips: tuple = ()
+    slip_block: int = 0
     opened: list = []
 
     def __init__(self, peer_core):
@@ -39,7 +41,7 @@ class _RoleAEnd(transport.PeerChannel):
 
     def send(self, msg_type, payload=b""):
         if msg_type == MessageType.KEYBLOCK:
-            if self.keyblocks == 0 and self.slips:
+            if self.keyblocks == self.slip_block and self.slips:
                 cycle, levels = unpack_keyblock(payload, R)
                 for i in self.slips:
                     levels[i] = (int(levels[i]) + (1 << (R - 1))) % (1 << R)
@@ -83,3 +85,44 @@ def test_role_a_wire_and_keys_are_pinned(monkeypatch, n, cycles, slips,
     assert parity_bits == 2 * cycles + len(slips) * n.bit_length()
     assert end.frames.hexdigest() == frames_sha
     assert _keys_sha256(res_a.chain) == keys_sha
+
+
+@pytest.mark.parametrize(
+    "n, safety, slip_block, tape_sha, early_stop, ledger, tag_hex", [
+        (1200, 400, None,
+         "758a88b0813248e062ab35876a58eec19cf2e90704e3f043f06cc1c3d8015aef",
+         "privacy amplification would leave -6 bits; a fresh shared seed is required",
+         (2.912428844092929e-05, 2),
+         "167ad6bc13af4b782812062fa5ec4dac6feb443f7c7ce0fe55304dd5ae2f15aa"),
+        (1500, 400, None,
+         "400ef9c8feb5fb856e2f0d162badf63fce1e73998248599b72aa1c1773524482",
+         "privacy amplification would leave -108 bits; a fresh shared seed is required",
+         (4.8015718780991534e-05, 3),
+         "cfe40b3dde0bed3b8a24e7518b7d0b9ec99fc7edd0958bd4173b3e0a93f52239"),
+        (909, 300, 1,
+         "ea18134b58c8ad011280212a10ed38656e2a89d8267212bc9634eb58a0023824",
+         "privacy amplification would leave -6 bits; a fresh shared seed is required",
+         (2.654420883430042e-05, 12),
+         "58d97e20f8ac1290e6605d056e5a2188fe8c725ef22891c980d471edb723ee57"),
+    ], ids=["A stops", "B stops", "syndrome stops"])
+def test_early_stops_are_pinned(monkeypatch, tmp_path, n, safety, slip_block,
+                                tape_sha, early_stop, ledger, tag_hex):
+    # The three ways a chain runs out: the tip leaves no key for A's block,
+    # or for B's, or a slipped block's 9-bit syndrome exhausts it.  The tape
+    # pins every frame both ways, so also who sends CONFIRM first.
+    if slip_block is not None:
+        monkeypatch.setattr(_RoleAEnd, "slips", (0,))
+        monkeypatch.setattr(_RoleAEnd, "slip_block", slip_block)
+    monkeypatch.setattr(_RoleAEnd, "opened", [])
+    monkeypatch.setattr(transport, "PeerChannel", _RoleAEnd)
+    params = SessionParams(1e4, 2.0 ** -30, R, n, safety_bits=safety)
+    k0 = np.random.default_rng([n, 9]).integers(0, 2, n, dtype=np.uint8)
+    tape = tmp_path / "wire.bin"
+    parties = simulate_session(params, k0, 101, 202, cycles=10,
+                               transcript_path=tape)
+    assert hashlib.sha256(tape.read_bytes()).hexdigest() == tape_sha
+    for state in parties:
+        assert state.early_stop == early_stop
+        assert (state.ledger.statistical_leak,
+                state.ledger.disclosed_parity_bits) == ledger
+        assert state.confirm_tag.hex() == tag_hex

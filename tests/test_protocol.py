@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from noisepad import analysis
+from noisepad.attacker import read_tape
 from noisepad.encode import quantize
 from noisepad.errors import (
     KeyExhaustedError,
@@ -42,6 +43,7 @@ from noisepad.protocol import (
     session_core,
     simulate_session,
     tag_bytes,
+    turn,
 )
 from noisepad.transport import (
     RECV,
@@ -86,22 +88,26 @@ def run_both(receiver_bits, sender_bits):
     """Drive both reconciliation roles on this thread; the sender is a peer core.
 
     The receiver gets the sender's check as PA_SEED would carry it.  Returns
-    (receiver's bits or None, receiver ledger, sender ledger, errors by
-    side, locate requests the sender received).
+    (receiver's bits or None, the block's charge on the receiver's side and
+    on the sender's, errors by side, locate requests the sender received).
+    A side's charge is block_charge of whether it saw a located error.
     """
-    led_r, led_s = LeakLedger(), LeakLedger()
     probes = []
-    channel = PeerChannel(
-        logging_probes(_sender_core(sender_bits, led_s), probes))
-    out = None
+    channel = PeerChannel(logging_probes(_sender_core(sender_bits), probes))
+    out = led_r = led_s = None
     errs = {}
     try:
-        out = reconcile_receiver(receiver_bits, channel, led_r,
-                                 _check(sender_bits))
+        out, located = reconcile_receiver(receiver_bits, channel,
+                                          _check(sender_bits))
+        led_r = PARAMS.block_charge(len(out), located)
+        channel.send(MessageType.CONFIRM)   # the frame that ends the sender's half
     except Exception as exc:  # noqa: BLE001
         errs["r"] = exc
     if channel.error is not None:
         errs["s"] = channel.error
+    elif channel.result is not None:
+        located, _ = channel.result
+        led_s = PARAMS.block_charge(len(sender_bits), located)
     return out, led_r, led_s, errs, probes
 
 
@@ -391,9 +397,8 @@ def test_bit_inputs_are_checked_at_the_public_entry_points():
         "KeyChain": lambda: KeyChain(bad),
         "send_block": lambda: send_block(bad, key, PARAMS, noise_model(PARAMS)),
         "privacy_amplify": lambda: privacy_amplify(bad, 8, bytes(2)),
-        "reconcile_receiver": lambda: reconcile_receiver(
-            bad, None, LeakLedger(), _check(good)),
-        "reconcile_sender": lambda: reconcile_sender(bad, None, LeakLedger()),
+        "reconcile_receiver": lambda: reconcile_receiver(bad, None, _check(good)),
+        "reconcile_sender": lambda: reconcile_sender(bad, None),
         "tag_bytes": lambda: tag_bytes(bad, b"m"),
     }
     for name, call in calls.items():
@@ -788,6 +793,28 @@ def test_both_parties_stop_alike(monkeypatch, k0_bits, safety, slip, first,
     assert sum(t == KB for _, t, _ in frames) == len(a.chain.keys) - 1 + bool(slip)
 
 
+def test_turn_and_block_charge_match_a_slipped_tape(monkeypatch, tmp_path):
+    # each PA_SEED names turn(j) of its block Y_j, and each party's ledger
+    # is the sum of its blocks' charges, with only the slipped Y_1 located
+    params = SessionParams(1e4, 2.0 ** -30, 40, 4096)
+    k0 = np.random.default_rng(76).integers(0, 2, 4096, dtype=np.uint8)
+    _slip_role_a_keyblock(monkeypatch, 1)
+    path = tmp_path / "wire.bin"
+    parties = simulate_session(params, k0, 1, 2, cycles=2, transcript_path=path)
+    blocks = read_tape(path).blocks
+    assert [_PA_SEED.unpack_from(block.frames[0][1]) for block in blocks] == [
+        turn(j) for j in range(1, 5)] == [(1, A_TO_B), (1, B_TO_A), (2, A_TO_B),
+                                          (2, B_TO_A)]
+    located = [any(t == REQ for t, _ in block.frames) for block in blocks]
+    assert located == [True, False, False, False]
+    charges = [params.block_charge(block.symbols, loc)
+               for block, loc in zip(blocks, located)]
+    for state in parties:
+        assert state.ledger.statistical_leak == sum(c.statistical_leak for c in charges)
+        assert state.ledger.disclosed_parity_bits == 4 + 13 == sum(
+            c.disclosed_parity_bits for c in charges)
+
+
 SMALL = SessionParams(1e4, 2.0 ** -30, 40, 64)
 K0_SMALL = np.random.default_rng(75).integers(0, 2, 64, dtype=np.uint8)
 KEYBLOCK = pack_keyblock(1, np.zeros(64, dtype=np.uint64), 40)
@@ -800,11 +827,11 @@ def pa_seed_frame(cycle=1, seed_len=8):
 
 
 def _sender():
-    return _sender_core(K0_SMALL, LeakLedger())
+    return _sender_core(K0_SMALL)
 
 
 def _receiver(check):
-    return lambda: _receiver_core(K0_SMALL.copy(), LeakLedger(), check)
+    return lambda: _receiver_core(K0_SMALL.copy(), check)
 
 
 def _responder():
