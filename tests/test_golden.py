@@ -1,8 +1,10 @@
 """Golden wire: fixed-seed sessions must keep every byte role A sends.
 
-The digests pin role A's frames and its delivered keys for two in-process
+The digests pin role A's frames and its delivered keys for three in-process
 sessions, so any change to a kernel (noise, modulation, packing, decoding,
-reconciliation, PA, tags) that alters one byte fails here.  The values
+reconciliation, PA, tags) that alters one byte fails here.  The largest
+block, two full 2^15-symbol chunks and a 17-symbol tail, pins the chunk
+seams of send_block and recover_block.  The values
 were re-pinned when the PA seed moved onto the wire (every key changed);
 the PA they pin is checked bit for bit against the dense and slice-loop
 reference products in test_protocol.
@@ -69,7 +71,10 @@ def _keys_sha256(chain) -> str:
     (4096, 2, (1234,),
      "4d0b812cbd4aa40bb63240de5b21631767b5722a5c0450ab5b9b39037a858451",
      "6937f37f359a26847bc8af00e0e5224b77e3f782dd4433d99470dff4df90022f"),
-], ids=["1k-3-cycles", "4k-2-cycles-one-slip"])
+    (2 * 2 ** 15 + 17, 2, (40000,),
+     "3c3606c527b7a8fc458be11285c690ca73990923baf24dcfa4d4d837d52a2685",
+     "b9e5d6b57d6aef41c2bb074edbc27fafbcca4f128d0c097f17c72158aa5128a2"),
+], ids=["1k-3-cycles", "4k-2-cycles-one-slip", "64k+17-2-cycles-one-slip"])
 def test_role_a_wire_and_keys_are_pinned(monkeypatch, n, cycles, slips,
                                         frames_sha, keys_sha):
     monkeypatch.setattr(_RoleAEnd, "slips", slips)
