@@ -7,7 +7,9 @@ a symbol falls in -- that equals bit XOR basis -- but resolving the
 delta_phi offset through the phase noise is what requires basis knowledge.
 
 Quantized phases are plain integer levels in [0, 2^R); array operations use
-numpy and accept scalars or arrays interchangeably.
+numpy and accept scalars or arrays interchangeably.  quantize fuses two
+steps exactly: x / (2pi/2^R) equals x / 2pi * 2^R, since a power-of-two
+scale commutes with rounding, and frac + 1/2 >= 1/2 casts to its floor.
 
 Decoding works on levels, not phases.  The bit-1 levels of each basis form
 one circular window of the 2^R-level ring: with q = 2^R/4 and
@@ -98,19 +100,18 @@ def quantize(phase, resolution_bits: int):
         raise ValueError(f"resolution_bits must lie in [8, 56], got {resolution_bits!r}")
     n_levels = 1 << resolution_bits
     phase = np.asarray(phase, dtype=float)
-    if phase.size and -TWO_PI < phase.min() and phase.max() < 2.0 * TWO_PI:
+    if phase.size and -TWO_PI < phase.min() and (top := phase.max()) < 2.0 * TWO_PI:
         # np.mod(x, 2pi) is x + 2pi below 0 and x - 2pi (exact, by Sterbenz)
         # from 2pi on; frac is a new array for the in-place steps below.
-        wraps = (phase >= TWO_PI).view(np.int8) - (phase < 0.0).view(np.int8)
-        frac = np.asarray(TWO_PI * wraps)
-        np.subtract(phase, frac, out=frac)
+        frac = np.asarray(np.multiply(phase < 0.0, TWO_PI))
+        frac += phase
+        if top >= TWO_PI:
+            frac -= (phase >= TWO_PI) * TWO_PI
     else:
         frac = np.asarray(np.mod(phase, TWO_PI))
-    frac /= TWO_PI
-    frac *= n_levels
+    frac /= TWO_PI / n_levels
     frac += 0.5
-    np.floor(frac, out=frac)
-    level = frac.astype(np.uint64)
+    level = frac.astype(np.uint64)     # frac >= 0.5: the cast is the floor
     level &= np.uint64(n_levels - 1)
     return int(level) if level.ndim == 0 else level
 
@@ -167,13 +168,18 @@ def bytes_per_symbol(resolution_bits: int) -> int:
     return (resolution_bits + 7) // 8
 
 
-def pack_levels(levels, resolution_bits: int) -> bytes:
-    """Serialize levels as ceil(R/8) little-endian bytes each, concatenated."""
+def pack_levels(levels, resolution_bits: int, out=None):
+    """Serialize levels as ceil(R/8) little-endian bytes each, concatenated,
+    into new bytes or into `out`, a writable buffer of that size."""
     nbytes = bytes_per_symbol(resolution_bits)
     arr = np.ascontiguousarray(levels, dtype="<u8").reshape(-1)
     if arr.size and int(arr.max()) >> resolution_bits:
         raise ValueError("level out of range for resolution_bits")
-    return arr.view(_SLOTS[nbytes])["low"].tobytes()
+    low = arr.view(_SLOTS[nbytes])["low"]
+    if out is None:
+        return low.tobytes()
+    np.frombuffer(out, low.dtype)[...] = low
+    return out
 
 
 def unpack_levels(data, resolution_bits: int) -> np.ndarray:

@@ -36,6 +36,9 @@ transport.PeerChannel, so both parties share one thread.  A session returns
 the PartyState it ran: its chain, ledger, CONFIRM tag and early-stop reason.
 A block leaves only its key: everything public about it is on the wire, and
 Eve replays receive_block, the receiver's own core, over her tape of it.
+Blocks stream through the symbol kernels CHUNK symbols at a time, so no
+pass holds a block-sized temporary; noise in pieces equals one draw.  Fresh
+bits stay one draw: a bounded uint8 draw buffers bytes within a call.
 """
 
 from __future__ import annotations
@@ -65,6 +68,7 @@ B_TO_A = 1
 
 TAG_BITS = 256
 MIN_BLOCK_LENGTH = 8
+CHUNK = 1 << 15                     # symbols per pass of the block kernels
 
 _PA_SEED = struct.Struct(">IB")     # cycle, direction; the check and the seed follow
 _CHECK = struct.Struct(">B32s")     # parity and SHA-256 digest of the sender's bits
@@ -227,9 +231,9 @@ def send_block(fresh_bits, basis_key: ChainKey, params: SessionParams,
         raise ProtocolError(
             f"fresh bits ({len(fresh)}) and basis key ({len(basis_key.bits)}) "
             f"lengths differ")
-    basis = basis_key.consume()
-    noise = noise_model.sample(len(fresh))
-    return transmit_symbol(fresh, basis, params.constellation, noise)
+    return _by_chunks(np.uint64, lambda bits, key: transmit_symbol(
+        bits, key, params.constellation, noise_model.sample(len(bits))),
+        fresh, basis_key.consume())
 
 
 def recover_block(levels: np.ndarray, basis_bits,
@@ -239,7 +243,19 @@ def recover_block(levels: np.ndarray, basis_bits,
     if len(basis) != len(levels):
         raise ProtocolError(
             f"basis key ({len(basis)}) and block ({len(levels)}) lengths differ")
-    return decode_with_basis(levels, basis, constellation)
+    return _by_chunks(np.uint8, lambda chunk, key: decode_with_basis(
+        chunk, key, constellation), levels, basis)
+
+
+def _by_chunks(dtype, kernel, *arrays) -> np.ndarray:
+    """kernel over CHUNK-symbol slices of equal-length arrays, into one array;
+    a block of one chunk returns the kernel's own array, with no copy."""
+    if len(arrays[0]) <= CHUNK:
+        return kernel(*arrays)
+    out = np.empty(len(arrays[0]), dtype)
+    for i in range(0, len(out), CHUNK):
+        out[i:i + CHUNK] = kernel(*(a[i:i + CHUNK] for a in arrays))
+    return out
 
 
 # ---------------------------------------------------------------------------

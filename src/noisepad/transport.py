@@ -35,7 +35,7 @@ from collections import deque
 from dataclasses import dataclass
 from enum import IntEnum
 
-from .encode import pack_levels, unpack_levels
+from .encode import bytes_per_symbol, pack_levels, unpack_levels
 from .errors import (
     BadMagicError,
     BadVersionError,
@@ -442,8 +442,11 @@ def handshake_core(role: str, proposal: HelloParams | None = None,
 # Key blocks
 # ---------------------------------------------------------------------------
 
-def pack_keyblock(cycle_index: int, levels, resolution_bits: int) -> bytes:
-    return struct.pack(">I", cycle_index) + pack_levels(levels, resolution_bits)
+def pack_keyblock(cycle_index: int, levels, resolution_bits: int) -> bytearray:
+    payload = bytearray(4 + len(levels) * bytes_per_symbol(resolution_bits))
+    struct.pack_into(">I", payload, 0, cycle_index)
+    pack_levels(levels, resolution_bits, out=memoryview(payload)[4:])
+    return payload
 
 
 def unpack_keyblock(payload: bytes, resolution_bits: int):

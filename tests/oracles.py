@@ -110,6 +110,26 @@ def float_quantize(phase, resolution_bits):
     return int(level) if level.ndim == 0 else level
 
 
+def wrap_floor_quantize(phase, resolution_bits):
+    """encode.quantize before its passes were fused: wrap by -1/0/+1 turns,
+    divide by 2pi, scale by 2^R, add 1/2, floor, cast, mask."""
+    n_levels = 1 << resolution_bits
+    phase = np.asarray(phase, dtype=float)
+    if phase.size and -_TWO_PI < phase.min() and phase.max() < 2.0 * _TWO_PI:
+        wraps = (phase >= _TWO_PI).view(np.int8) - (phase < 0.0).view(np.int8)
+        frac = np.asarray(_TWO_PI * wraps)
+        np.subtract(phase, frac, out=frac)
+    else:
+        frac = np.asarray(np.mod(phase, _TWO_PI))
+    frac /= _TWO_PI
+    frac *= n_levels
+    frac += 0.5
+    np.floor(frac, out=frac)
+    level = frac.astype(np.uint64)
+    level &= np.uint64(n_levels - 1)
+    return int(level) if level.ndim == 0 else level
+
+
 def float_transmit_symbol(bit, basis, delta_phi, resolution_bits, noise):
     return float_quantize(float_modulate(bit, basis, delta_phi) + noise,
                           resolution_bits)

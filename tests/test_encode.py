@@ -306,6 +306,35 @@ def test_quantize_matches_float_at_the_wrap_points():
                                   oracles.float_quantize(part, r))
 
 
+_TWO_PI = 2.0 * PI
+_EDGES = [-0.0, 0.0, _TWO_PI, np.nextafter(2.0 * _TWO_PI, 0.0),
+          np.nextafter(-_TWO_PI, 0.0)]
+# Inside (-2pi, 4pi) quantize wraps by whole turns; one phase outside sends
+# the whole array through np.mod.
+_INSIDE = st.one_of(st.sampled_from(_EDGES),
+                    st.floats(-_TWO_PI, 2.0 * _TWO_PI, exclude_min=True,
+                              exclude_max=True))
+_OUTSIDE = st.one_of(st.sampled_from([-_TWO_PI, 2.0 * _TWO_PI]),
+                     st.floats(2.0 * _TWO_PI, 1e6), st.floats(-1e6, -_TWO_PI))
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(r=st.sampled_from([8, 16, 40, 56]),
+       inside=st.lists(_INSIDE, min_size=1, max_size=40),
+       outside=st.lists(_OUTSIDE, min_size=1, max_size=3))
+def test_fused_quantize_matches_the_wrap_and_floor_passes(r, inside, outside):
+    # quantize divides once by 2pi/2^R and casts without np.floor; both are
+    # exact rewrites of the passes in oracles.wrap_floor_quantize.
+    for phases in (inside, inside + outside):
+        arr = np.array(phases)
+        got = quantize(arr, r)
+        assert got.dtype == np.uint64
+        assert np.array_equal(got, oracles.wrap_floor_quantize(arr, r))
+    for phase in _EDGES + inside[:3] + outside[:1]:
+        got = quantize(phase, r)
+        assert type(got) is int and got == oracles.wrap_floor_quantize(phase, r)
+
+
 def test_kernels_take_and_return_scalars():
     c = Constellation(2.0 ** -30, 40)
     for bit in (0, 1):

@@ -191,6 +191,16 @@ def test_phase_noise_stream_equals_scaled_normal():
         assert got.tobytes() == ref.normal(0.0, 0.0141, count).tobytes()
 
 
+def test_phase_noise_in_chunk_pieces_equals_one_draw():
+    # send_block draws a block's noise one 2^15-sample chunk at a time; the
+    # pieces, ragged tail included, must be the one draw the block used to make.
+    n = 2 * 2 ** 15 + 17
+    pieces = PhaseNoiseModel(0.0141, 5)
+    got = np.concatenate([pieces.sample(len(r))
+                          for r in np.array_split(np.arange(n), [2 ** 15, 2 ** 16])])
+    assert got.tobytes() == PhaseNoiseModel(0.0141, 5).sample(n).tobytes()
+
+
 def test_phase_noise_statistics():
     count = 1_000_000
     samples = PhaseNoiseModel(0.5, 2024).sample(count)

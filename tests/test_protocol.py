@@ -1,14 +1,15 @@
 import socket
 import struct
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from noisepad import analysis
+from noisepad import analysis, protocol
 from noisepad.attacker import read_tape
-from noisepad.encode import quantize
+from noisepad.encode import quantize, transmit_symbol
 from noisepad.errors import (
     KeyExhaustedError,
     OneTimeViolationError,
@@ -187,6 +188,55 @@ def test_recover_block_round_trip():
     assert np.array_equal(recover_block(levels, basis, p.constellation), fresh)
     with pytest.raises(ProtocolError):
         recover_block(levels, basis[:10], p.constellation)
+
+
+def test_send_block_in_chunks_equals_one_pass():
+    # Two full chunks and a ragged tail: the chunked levels are the one-pass
+    # kernel's on the one noise draw of an identically seeded model.
+    n = 2 * protocol.CHUNK + 17
+    rng = np.random.default_rng(6)
+    fresh, basis = bits(rng, n), bits(rng, n)
+    levels = send_block(fresh, ChainKey(0, basis), PARAMS, noise_model(PARAMS, 11))
+    twin = noise_model(PARAMS, 11)
+    want = transmit_symbol(fresh, basis, PARAMS.constellation, twin.sample(n))
+    assert levels.dtype == np.uint64 and np.array_equal(levels, want)
+    got = recover_block(levels, basis, PARAMS.constellation)
+    assert got.dtype == np.uint8 and np.array_equal(got, fresh)
+
+
+def _traced_peak(fn) -> int:
+    """Bytes that fn holds at its peak beyond what was live before, by tracemalloc."""
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        fn()
+        return tracemalloc.get_traced_memory()[1] - before
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+
+
+def test_block_kernels_allocate_no_block_sized_temporaries():
+    # numpy reports its buffers to tracemalloc, so these are exact byte
+    # counts.  A 2^18-symbol block at R = 40 holds 2 MiB of uint64 levels
+    # and 0.25 MiB of bits; per-chunk temporaries add at most 1.25 MiB, one
+    # block-sized float or uint64 temporary would add 2 MiB.  (Before the
+    # chunking: 10.25 and 4.75 MiB.)
+    mib = 1 << 20
+    n = 1 << 18
+    p = SessionParams(1e4, 2.0 ** -30, resolution_bits=40, block_length=n)
+    rng = np.random.default_rng(7)
+    fresh, basis = bits(rng, n), bits(rng, n)
+    model = noise_model(p, 12)
+    out = {}
+    assert _traced_peak(lambda: out.setdefault("levels", send_block(
+        fresh, ChainKey(0, basis), p, model))) <= 4 * mib
+    payload = bytes(pack_keyblock(1, out.pop("levels"), 40))
+    assert _traced_peak(lambda: recover_block(
+        unpack_keyblock(payload, 40)[1], basis, p.constellation)) <= 2.75 * mib
 
 
 def test_recover_block_wrong_key_statistics():
