@@ -204,16 +204,16 @@ def test_send_block_in_chunks_equals_one_pass():
     assert got.dtype == np.uint8 and np.array_equal(got, fresh)
 
 
-def _traced_peak(fn) -> int:
-    """Bytes that fn holds at its peak beyond what was live before, by tracemalloc."""
+def _traced_peak(fn):
+    """fn() and the bytes it held at its peak beyond what was live before."""
     tracing = tracemalloc.is_tracing()
     if not tracing:
         tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
         tracemalloc.reset_peak()
-        fn()
-        return tracemalloc.get_traced_memory()[1] - before
+        result = fn()
+        return result, tracemalloc.get_traced_memory()[1] - before
     finally:
         if not tracing:
             tracemalloc.stop()
@@ -221,22 +221,24 @@ def _traced_peak(fn) -> int:
 
 def test_block_kernels_allocate_no_block_sized_temporaries():
     # numpy reports its buffers to tracemalloc, so these are exact byte
-    # counts.  A 2^18-symbol block at R = 40 holds 2 MiB of uint64 levels
-    # and 0.25 MiB of bits; per-chunk temporaries add at most 1.25 MiB, one
-    # block-sized float or uint64 temporary would add 2 MiB.  (Before the
-    # chunking: 10.25 and 4.75 MiB.)
+    # counts.  A 2^18-symbol block at R = 40 is 2 MiB of uint64 levels and
+    # 0.25 MiB of bits.  On top, the sender's chunk temporaries peak at 1.25
+    # MiB and the receiver's at 0.38 MiB; one block-sized temporary adds
+    # 0.25 (bool) to 2 MiB (float).  Before chunking: 10.25 and 4.75 MiB.
     mib = 1 << 20
     n = 1 << 18
     p = SessionParams(1e4, 2.0 ** -30, resolution_bits=40, block_length=n)
     rng = np.random.default_rng(7)
     fresh, basis = bits(rng, n), bits(rng, n)
     model = noise_model(p, 12)
-    out = {}
-    assert _traced_peak(lambda: out.setdefault("levels", send_block(
-        fresh, ChainKey(0, basis), p, model))) <= 4 * mib
-    payload = bytes(pack_keyblock(1, out.pop("levels"), 40))
-    assert _traced_peak(lambda: recover_block(
-        unpack_keyblock(payload, 40)[1], basis, p.constellation)) <= 2.75 * mib
+    levels, peak = _traced_peak(
+        lambda: send_block(fresh, ChainKey(0, basis), p, model))
+    assert peak <= 4 * mib
+    payload = bytes(pack_keyblock(1, levels, 40))
+    del levels
+    _, peak = _traced_peak(lambda: recover_block(
+        unpack_keyblock(payload, 40)[1], basis, p.constellation))
+    assert peak <= 2.75 * mib
 
 
 def test_recover_block_wrong_key_statistics():
