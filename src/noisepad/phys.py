@@ -131,10 +131,10 @@ class PhaseNoiseModel:
                 f"sigma_phi must lie in (0, pi/2), got {self.sigma_phi!r}")
         self._rng = np.random.default_rng(self.seed)
 
-    def sample(self, count: int) -> np.ndarray:
+    def sample(self, count: int, out=None) -> np.ndarray:
         if count < 0:
             raise ValueError(f"count must be >= 0, got {count!r}")
-        noise = self._rng.standard_normal(count)
+        noise = self._rng.standard_normal(count, out=out)
         noise *= self.sigma_phi
         return noise
 

@@ -36,17 +36,18 @@ transport.PeerChannel, so both parties share one thread.  A session returns
 the PartyState it ran: its chain, ledger, CONFIRM tag and early-stop reason.
 A block leaves only its key: everything public about it is on the wire, and
 Eve replays receive_block, the receiver's own core, over her tape of it.
-Blocks stream through the symbol kernels CHUNK symbols at a time, so no
-pass holds a block-sized temporary; noise in pieces equals one draw.  Fresh
-bits stay one draw: a bounded uint8 draw buffers bytes within a call.
+Blocks stream CHUNK symbols at a time, noise to KEYBLOCK payload to bits.
+A party draws its next block's noise before it waits on the peer
+(_read_ahead); fresh bits stay one draw: a bounded uint8 draw buffers bytes.
 """
 
 from __future__ import annotations
 
 import hashlib
 import math
+import mmap
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -75,6 +76,7 @@ _CHECK = struct.Struct(">B32s")     # parity and SHA-256 digest of the sender's 
 _CHECK_BITS = 1                     # ledger charge of that check, per block
 _SYNDROME = struct.Struct(">I")
 _SUB_PROBE = 1                      # PARITY_REQ subtype of the locate request
+_EXHAUSTED = "privacy amplification would leave {} bits; a fresh shared seed is required"
 
 
 def _as_bits(bits) -> np.ndarray:
@@ -125,6 +127,10 @@ class SessionParams:
         n.bit_length() bits of a syndrome if an error was located."""
         return LeakLedger(n * self.per_symbol_leak,
                           _CHECK_BITS + (n.bit_length() if located else 0))
+
+    def key_length(self, n: int) -> int:
+        """The key an n-bit block leaves with no error located; <= 0: none."""
+        return n - math.ceil(self.block_charge(n).total) - self.safety_bits
 
     @property
     def reconciliation_block(self) -> int:
@@ -219,43 +225,42 @@ class LeakLedger:
 # Block transfer
 # ---------------------------------------------------------------------------
 
-def send_block(fresh_bits, basis_key: ChainKey, params: SessionParams,
-               noise_model: PhaseNoiseModel) -> np.ndarray:
-    """Noise-mask fresh bits under a one-time basis key; returns the levels.
+def send_block(fresh_bits, basis_key: ChainKey, params: SessionParams, noise,
+               out=None, *, trusted: bool = False):
+    """Noise-mask fresh bits under a one-time basis key, CHUNK symbols at a time.
 
-    Marks the basis key consumed; offering a consumed key raises
-    OneTimeViolationError.
+    `noise` is the block's phase noise, or a model to draw it from.  Packs the
+    levels into the tail of `out` (a KEYBLOCK payload) and returns `out`, or
+    returns the levels.  Consumes the basis key; `trusted` bits go unchecked.
     """
-    fresh = _as_bits(fresh_bits)
-    if len(fresh) != len(basis_key.bits):
-        raise ProtocolError(
-            f"fresh bits ({len(fresh)}) and basis key ({len(basis_key.bits)}) "
-            f"lengths differ")
-    return _by_chunks(np.uint64, lambda bits, key: transmit_symbol(
-        bits, key, params.constellation, noise_model.sample(len(bits))),
-        fresh, basis_key.consume())
+    fresh = fresh_bits if trusted else _as_bits(fresh_bits)
+    n, r = len(fresh), params.resolution_bits
+    if n != len(basis_key.bits):
+        raise ProtocolError(f"{n} fresh bits for a {len(basis_key.bits)}-bit basis key")
+    key, size = basis_key.consume(), transport.bytes_per_symbol(r)
+    noise = noise if isinstance(noise, np.ndarray) else noise.sample(n)
+    view = memoryview(bytearray(n * size) if out is None else out)[-n * size:]
+    for i in range(0, n, CHUNK):
+        transport.pack_levels(transmit_symbol(
+            fresh[i:i + CHUNK], key[i:i + CHUNK], params.constellation,
+            noise[i:i + CHUNK]), r, out=view[i * size:(i + CHUNK) * size])
+    return out if out is not None else transport.unpack_levels(view, r)
 
 
-def recover_block(levels: np.ndarray, basis_bits,
-                  constellation: Constellation) -> np.ndarray:
-    """Decode a received block's levels with the shared basis key."""
-    basis = _as_bits(basis_bits)
-    if len(basis) != len(levels):
-        raise ProtocolError(
-            f"basis key ({len(basis)}) and block ({len(levels)}) lengths differ")
-    return _by_chunks(np.uint8, lambda chunk, key: decode_with_basis(
-        chunk, key, constellation), levels, basis)
-
-
-def _by_chunks(dtype, kernel, *arrays) -> np.ndarray:
-    """kernel over CHUNK-symbol slices of equal-length arrays, into one array;
-    a block of one chunk returns the kernel's own array, with no copy."""
-    if len(arrays[0]) <= CHUNK:
-        return kernel(*arrays)
-    out = np.empty(len(arrays[0]), dtype)
-    for i in range(0, len(out), CHUNK):
-        out[i:i + CHUNK] = kernel(*(a[i:i + CHUNK] for a in arrays))
-    return out
+def recover_block(levels, basis_bits, constellation: Constellation, *,
+                  trusted: bool = False) -> np.ndarray:
+    """Decode a block's packed level bytes (or its levels) with the shared basis
+    key, CHUNK symbols at a time; `trusted` basis bits go unchecked."""
+    basis = basis_bits if trusted else _as_bits(basis_bits)
+    r = constellation.resolution_bits
+    levels = transport.pack_levels(levels, r) if isinstance(levels, np.ndarray) else levels
+    size, bits = transport.bytes_per_symbol(r), np.empty(len(basis), np.uint8)
+    if len(levels) != len(basis) * size:
+        raise ProtocolError(f"{len(levels)} level bytes for a {len(basis)}-bit basis key")
+    for i in range(0, len(bits), CHUNK):
+        bits[i:i + CHUNK] = decode_with_basis(transport.unpack_levels(
+            levels[i * size:(i + CHUNK) * size], r), basis[i:i + CHUNK], constellation)
+    return bits
 
 
 # ---------------------------------------------------------------------------
@@ -352,9 +357,7 @@ def pa_output_length(n: int, ledger: LeakLedger, safety_bits: int) -> int:
     """
     m = n - math.ceil(ledger.total) - safety_bits
     if m <= 0:
-        raise KeyExhaustedError(
-            f"privacy amplification would leave {m} bits; a fresh shared "
-            f"seed is required")
+        raise KeyExhaustedError(_EXHAUSTED.format(m))
     return m
 
 
@@ -377,7 +380,7 @@ def amplify_block(params: SessionParams, bits: np.ndarray, pa_seed: bytes,
                   charge: LeakLedger) -> np.ndarray:
     """A block's key: its bits hashed down by its charge and the safety margin."""
     m = pa_output_length(len(bits), charge, params.safety_bits)
-    return privacy_amplify(bits, m, pa_seed)
+    return privacy_amplify(bits, m, pa_seed, trusted=True)
 
 
 def pa_seed_bytes(n: int) -> int:
@@ -395,16 +398,16 @@ def unpack_pa_seed(payload: bytes, n: int) -> tuple[int, int, bytes, bytes]:
     return cycle, direction, bytes(payload[_PA_SEED.size:head]), bytes(payload[head:])
 
 
-def privacy_amplify(bits, out_len: int, seed: bytes) -> np.ndarray:
+def privacy_amplify(bits, out_len: int, seed: bytes, *, trusted=False) -> np.ndarray:
     """Compress bits to out_len bits with a modified Toeplitz hash [I | T].
 
     Seed bit t is bit t of int.from_bytes(seed, "little"); bits past n-2
     are unused.  The family is dual universal (Hayashi & Tsurumaru, IEEE
     Trans. IT 2016) and universal_2 at the output length, so the
     leftover-hash bound holds as for a full Toeplitz matrix; at out_len == n
-    it is the identity.
+    it is the identity.  `trusted` bits go unchecked.
     """
-    bits = _as_bits(bits)
+    bits = bits if trusted else _as_bits(bits)
     n = len(bits)
     if not 0 < out_len <= n:
         raise ValueError(f"out_len must lie in [1, {n}], got {out_len}")
@@ -447,7 +450,7 @@ def turn(j: int) -> tuple[int, int]:
 
 @dataclass
 class PartyState:
-    """One party of a session; session_core fills in the last two fields."""
+    """One party of a session; session_core fills in the last three fields."""
 
     role: str
     params: SessionParams
@@ -456,8 +459,10 @@ class PartyState:
     noise: PhaseNoiseModel
     fresh_rng: np.random.Generator
     pub_rng: np.random.Generator
+    noise_buf: np.ndarray = field(repr=False)   # each block's noise; mmap'd, off the heap
     confirm_tag: bytes = b""
     early_stop: str | None = None
+    noise_ahead: int = 0    # samples at its start drawn for the next block
 
     @classmethod
     def create(cls, role: str, params: SessionParams, k0_bits, seed: int) -> "PartyState":
@@ -472,6 +477,7 @@ class PartyState:
             noise=PhaseNoiseModel(params.coherent.sigma_phi, noise_seed),
             fresh_rng=np.random.default_rng([seed, 1]),
             pub_rng=np.random.default_rng([seed, 2]),
+            noise_buf=np.frombuffer(mmap.mmap(-1, 8 * params.block_length)),
         )
 
     def sends(self, j: int) -> bool:
@@ -491,20 +497,37 @@ class PartyState:
                 for i in range(1, 2 * self.cycles_completed, 2)]
 
 
-def _send_direction(state: PartyState, j: int):
+def _read_ahead(state: PartyState, j: int, k: int, cycles: int | None) -> None:
+    """Draw the noise of this party's block Y_k while the chain is due Y_j: as
+    long as the key Y_j's base leaves k - j blocks on with no error located,
+    and none if the pre-send check or role A's cycle count would stop Y_k."""
+    n, a = len(state.chain.tip.bits), state.noise_ahead
+    for _ in range(k - j):
+        n = state.params.key_length(n)
+    stops = state.role == "A" and turn(k)[0] > cycles
+    if n > a and state.params.key_length(n) > 0 and not stops:
+        state.noise.sample(n - a, out=state.noise_buf[a:n])
+        state.noise_ahead = n
+
+
+def _send_direction(state: PartyState, j: int, cycles: int | None):
     """Core: the sender's half of block Y_j, up to privacy amplification.
 
-    Masks fresh bits under the chain tip, sends KEYBLOCK and PA_SEED and
-    answers a locate request.  Returns (bits, PA seed, whether it answered
-    one, the peer's next frame).
+    Masks fresh bits under the chain tip, sends KEYBLOCK and PA_SEED, draws
+    ahead (see _read_ahead) and answers a locate request.  Returns (bits,
+    PA seed, whether it answered one, the peer's next frame).
     """
-    params, tip = state.params, state.chain.tip
-    bits = state.fresh_rng.integers(0, 2, len(tip.bits), dtype=np.uint8)
-    yield (MessageType.KEYBLOCK, transport.pack_keyblock(
-        turn(j)[0], send_block(bits, tip, params, state.noise),
-        params.resolution_bits))
-    pa_seed = state.pub_rng.bytes(pa_seed_bytes(len(bits)))
+    params, tip, n = state.params, state.chain.tip, len(state.chain.tip.bits)
+    bits = state.fresh_rng.integers(0, 2, n, dtype=np.uint8)
+    _read_ahead(state, j, j, cycles)
+    yield MessageType.KEYBLOCK, send_block(       # no reference kept once sent
+        bits, tip, params, state.noise_buf[:n],
+        transport.keyblock_payload(turn(j)[0], n, params.resolution_bits), trusted=True)
+    state.noise_ahead -= n      # samples left over start the next block
+    state.noise_buf[:state.noise_ahead] = state.noise_buf[n:n + state.noise_ahead]
+    pa_seed = state.pub_rng.bytes(pa_seed_bytes(n))
     yield MessageType.PA_SEED, _PA_SEED.pack(*turn(j)) + _check(bits) + pa_seed
+    _read_ahead(state, j, j + 2, cycles)
     located, frame = yield from _sender_core(bits)
     return bits, pa_seed, located, frame
 
@@ -523,7 +546,8 @@ def receive_block(params: SessionParams, basis: ChainKey, j: int,
         params.resolution_bits, len(basis.bits), keyblock)
     if got_cycle != cycle:
         raise ProtocolError(f"expected cycle {cycle}, peer sent {got_cycle}")
-    bits = recover_block(levels, basis.consume(), params.constellation)
+    bits = recover_block(levels, basis.consume(), params.constellation,
+                         trusted=True)
     del keyblock, levels   # a received block is dropped once decoded
     _, payload = yield from expect(MessageType.PA_SEED)
     *got, check, pa_seed = unpack_pa_seed(payload, len(bits))
@@ -577,18 +601,17 @@ def session_core(state: PartyState, cycles: int | None = None, progress=None):
 
     while True:
         j, n = len(chain.keys), len(chain.tip.bits)
-        try:    # a block is sent only if, charged its check, it leaves a key
-            pa_output_length(n, params.block_charge(n), params.safety_bits)
-        except KeyExhaustedError as exc:
-            state.early_stop = str(exc)
+        if params.key_length(n) <= 0:   # a block is sent only if it leaves a key
+            state.early_stop = _EXHAUSTED.format(params.key_length(n))
             break
         if state.sends(j):
             if initiator and turn(j)[0] > cycles:
                 break
-            bits, pa_seed, located, frame = yield from _send_direction(state, j)
+            bits, pa_seed, located, frame = yield from _send_direction(state, j, cycles)
         else:
-            frame = frame or (yield from expect(MessageType.KEYBLOCK,
-                                                MessageType.CONFIRM))
+            if frame is None:   # role B, before Y1
+                _read_ahead(state, j, j + 1, cycles)
+                frame = yield from expect(MessageType.KEYBLOCK, MessageType.CONFIRM)
             if frame[0] == MessageType.CONFIRM:
                 break
             # hand the KEYBLOCK on without keeping it here

@@ -442,9 +442,15 @@ def handshake_core(role: str, proposal: HelloParams | None = None,
 # Key blocks
 # ---------------------------------------------------------------------------
 
-def pack_keyblock(cycle_index: int, levels, resolution_bits: int) -> bytearray:
-    payload = bytearray(4 + len(levels) * bytes_per_symbol(resolution_bits))
+def keyblock_payload(cycle_index: int, count: int, resolution_bits: int) -> bytearray:
+    """A KEYBLOCK payload of count levels, zero, for the sender to pack."""
+    payload = bytearray(4 + count * bytes_per_symbol(resolution_bits))
     struct.pack_into(">I", payload, 0, cycle_index)
+    return payload
+
+
+def pack_keyblock(cycle_index: int, levels, resolution_bits: int) -> bytearray:
+    payload = keyblock_payload(cycle_index, len(levels), resolution_bits)
     pack_levels(levels, resolution_bits, out=memoryview(payload)[4:])
     return payload
 
@@ -466,14 +472,15 @@ def send_keyblock(channel: Channel, cycle_index: int, levels,
 
 
 def recv_keyblock(resolution_bits: int, expected_count: int, payload: bytes):
-    """Core: parse a received KEYBLOCK payload of expected_count symbols.
+    """Core: a received KEYBLOCK payload's cycle index and level bytes (a view).
 
-    A block of another length is answered with an ERROR frame and raised.
+    A payload not of expected_count whole symbols is answered with ERROR and raised.
     """
-    cycle_index, levels = unpack_keyblock(payload, resolution_bits)
-    if len(levels) != expected_count:
-        yield (MessageType.ERROR,
-               f"expected {expected_count} symbols, got {len(levels)}".encode())
-        raise ProtocolError(
-            f"keyblock carries {len(levels)} symbols, expected {expected_count}")
-    return cycle_index, levels
+    count, ragged = divmod(len(payload) - 4, bytes_per_symbol(resolution_bits))
+    if count != expected_count or ragged:
+        whole = count >= 0 and not ragged
+        got = str(count) if whole else f"{len(payload)} bytes"
+        yield MessageType.ERROR, f"expected {expected_count} symbols, got {got}".encode()
+        raise ProtocolError(f"keyblock carries {got + ' symbols' if whole else got}, "
+                            f"expected {expected_count}")
+    return struct.unpack_from(">I", payload)[0], memoryview(payload)[4:]

@@ -192,13 +192,19 @@ def test_phase_noise_stream_equals_scaled_normal():
 
 
 def test_phase_noise_in_chunk_pieces_equals_one_draw():
-    # send_block draws a block's noise one 2^15-sample chunk at a time; the
-    # pieces, ragged tail included, must be the one draw the block used to make.
+    # A party draws noise in pieces: chunk by chunk, or ahead into one
+    # reused buffer after the samples a shortened block left over.  The
+    # pieces, ragged tail included, must be the one draw of a whole block.
     n = 2 * 2 ** 15 + 17
+    want = PhaseNoiseModel(0.0141, 5).sample(n).tobytes()
     pieces = PhaseNoiseModel(0.0141, 5)
     got = np.concatenate([pieces.sample(len(r))
                           for r in np.array_split(np.arange(n), [2 ** 15, 2 ** 16])])
-    assert got.tobytes() == PhaseNoiseModel(0.0141, 5).sample(n).tobytes()
+    assert got.tobytes() == want
+    into, buf = PhaseNoiseModel(0.0141, 5), np.empty(n)
+    for lo, hi in ((0, 13), (13, n)):
+        assert np.shares_memory(into.sample(hi - lo, out=buf[lo:hi]), buf)
+    assert buf.tobytes() == want
 
 
 def test_phase_noise_statistics():

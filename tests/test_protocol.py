@@ -55,7 +55,9 @@ from noisepad.transport import (
     drive,
     handshake,
     iter_frames,
+    keyblock_payload,
     pack_keyblock,
+    recv_keyblock,
     unpack_keyblock,
 )
 
@@ -202,6 +204,12 @@ def test_send_block_in_chunks_equals_one_pass():
     assert levels.dtype == np.uint64 and np.array_equal(levels, want)
     got = recover_block(levels, basis, PARAMS.constellation)
     assert got.dtype == np.uint8 and np.array_equal(got, fresh)
+    # the session's path: drawn noise in, KEYBLOCK payload out, and back
+    payload = send_block(fresh, ChainKey(0, basis), PARAMS,
+                         noise_model(PARAMS, 11).sample(n), keyblock_payload(3, n, 40))
+    assert payload == pack_keyblock(3, want, 40)
+    levels = memoryview(payload)[4:]
+    assert np.array_equal(recover_block(levels, basis, PARAMS.constellation), fresh)
 
 
 def _traced_peak(fn):
@@ -221,24 +229,25 @@ def _traced_peak(fn):
 
 def test_block_kernels_allocate_no_block_sized_temporaries():
     # numpy reports its buffers to tracemalloc, so these are exact byte
-    # counts.  A 2^18-symbol block at R = 40 is 2 MiB of uint64 levels and
-    # 0.25 MiB of bits.  On top, the sender's chunk temporaries peak at 1.25
-    # MiB and the receiver's at 0.38 MiB; one block-sized temporary adds
-    # 0.25 (bool) to 2 MiB (float).  Before chunking: 10.25 and 4.75 MiB.
+    # counts.  A 2^18-symbol block at R = 40 is 1.25 MiB of payload, and its
+    # bits 0.25 MiB; its noise is drawn beforehand, as the session draws it
+    # ahead.  The sender's chunk temporaries peak at 1 MiB and the
+    # receiver's at 0.63 MiB.  A block of uint64 levels on each side, as
+    # send_block and recv_keyblock once returned, read 3.25 and 2.63 MiB.
     mib = 1 << 20
     n = 1 << 18
     p = SessionParams(1e4, 2.0 ** -30, resolution_bits=40, block_length=n)
     rng = np.random.default_rng(7)
     fresh, basis = bits(rng, n), bits(rng, n)
-    model = noise_model(p, 12)
-    levels, peak = _traced_peak(
-        lambda: send_block(fresh, ChainKey(0, basis), p, model))
-    assert peak <= 4 * mib
-    payload = bytes(pack_keyblock(1, levels, 40))
-    del levels
-    _, peak = _traced_peak(lambda: recover_block(
-        unpack_keyblock(payload, 40)[1], basis, p.constellation))
-    assert peak <= 2.75 * mib
+    noise = noise_model(p, 12).sample(n)
+
+    payload, peak = _traced_peak(lambda: send_block(
+        fresh, ChainKey(0, basis), p, noise, keyblock_payload(1, n, 40)))
+    assert peak <= 3 * mib
+    got, peak = _traced_peak(lambda: recover_block(
+        drive(recv_keyblock(40, n, payload), None)[1], basis, p.constellation))
+    assert peak <= 1 * mib
+    assert np.array_equal(got, fresh)
 
 
 def test_recover_block_wrong_key_statistics():
@@ -680,6 +689,42 @@ def test_tape_keeps_a_half_cycle_cut_by_exhaustion(tmp_path):
     seeds = [_PA_SEED.unpack_from(p) for t, p in iter_frames(path.read_bytes())
              if t == MessageType.PA_SEED]
     assert seeds == [(1, A_TO_B), (1, B_TO_A), (2, A_TO_B)]
+
+
+def _count_noise(monkeypatch) -> dict:
+    """Samples drawn per PhaseNoiseModel, by id."""
+    drawn = {}
+    sample = PhaseNoiseModel.sample
+
+    def counted(self, count, out=None):
+        drawn[id(self)] = drawn.get(id(self), 0) + count
+        return sample(self, count, out)
+
+    monkeypatch.setattr(PhaseNoiseModel, "sample", counted)
+    return drawn
+
+
+@pytest.mark.parametrize("n, cycles", [(1024, 3), (1024, 1000), (160, 10)],
+                         ids=["cycles", "exhaustion", "exhaustion-mid-cycle"])
+def test_noise_is_drawn_ahead_only_for_blocks_a_party_sends(monkeypatch, n, cycles):
+    # Role A stops after its last cycle and draws nothing beyond its blocks;
+    # role B cannot know it was the last, and draws one block that goes
+    # unsent.  A chain run to exhaustion leaves neither party a block unsent.
+    drawn = _count_noise(monkeypatch)
+    params = SessionParams(1e4, 2.0 ** -30, 40, n, safety_bits=40)
+    k0 = np.random.default_rng(74).integers(0, 2, n, dtype=np.uint8)
+    parties = simulate_session(params, k0, 5, 6, cycles=cycles)
+    a, b = parties
+    assert a.chain.bits_equal(b.chain) and (a.early_stop is None) == (cycles == 3)
+    keys = a.chain.keys
+    for state in parties:
+        sent = sum(len(keys[j - 1].bits) for j in range(1, len(keys)) if state.sends(j))
+        unsent = drawn[id(state.noise)] - sent
+        if state.role == "B" and a.early_stop is None:
+            assert unsent == params.key_length(len(keys[-1].bits)) > 0
+        else:
+            assert unsent == 0
+        assert state.noise_ahead == unsent
 
 
 def test_simulate_session_progress_records():

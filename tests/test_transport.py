@@ -6,6 +6,7 @@ import time
 import numpy as np
 import pytest
 
+from noisepad.encode import unpack_levels
 from noisepad.errors import (
     BadMagicError,
     BadVersionError,
@@ -178,7 +179,7 @@ def test_tap_records_every_frame_sent_and_received_in_wire_order(tmp_path):
         return got
 
     out = socketpair_call(side_a, side_b)
-    assert np.array_equal(out["b"][1], levels)
+    assert np.array_equal(unpack_levels(out["b"][1], 16), levels)
     assert np.array_equal(out["a"][1], levels[::-1])
     frames = list(iter_frames(path.read_bytes()))
     assert [t for t, _ in frames] == [MessageType.KEYBLOCK, MessageType.PA_SEED,
@@ -195,6 +196,17 @@ def test_recv_keyblock_count_mismatch():
     error = (MessageType.ERROR, b"expected 9 symbols, got 4")
     with pytest.raises(ProtocolError, match="carries 4 symbols, expected 9"):
         drive(recv_keyblock(16, 9, payload), TapeChannel([error]))
+
+
+@pytest.mark.parametrize("payload", [
+    bytes(pack_keyblock(1, np.arange(4, dtype=np.uint64), 16)) + b"\x00",   # ragged
+    b"\x00\x01",                                                  # short of a cycle
+], ids=["4-symbols-and-a-byte", "2-bytes"])
+def test_recv_keyblock_answers_a_ragged_or_short_payload_with_error(payload):
+    error = (MessageType.ERROR, f"expected 4 symbols, got {len(payload)} bytes".encode())
+    with pytest.raises(ProtocolError, match=f"carries {len(payload)} bytes, expected 4"):
+        drive(recv_keyblock(16, 4, payload), TapeChannel([error]))
+
 
 
 def test_tape_channel_replays_received_frames_and_checks_sent_ones():
