@@ -9,7 +9,12 @@ delta_phi offset through the phase noise is what requires basis knowledge.
 Quantized phases are plain integer levels in [0, 2^R); array operations use
 numpy and accept scalars or arrays interchangeably.  quantize fuses two
 steps exactly: x / (2pi/2^R) equals x / 2pi * 2^R, since a power-of-two
-scale commutes with rounding, and frac + 1/2 >= 1/2 casts to its floor.
+scale commutes with rounding, and frac + 1/2, in [1/2, 2^56 + 1/2], casts
+to its floor through int64 (a cheaper cast than to uint64, same result).
+
+On the wire a level is ceil(R/8) little-endian bytes, seen as one
+power-of-two integer field per set bit of that count, low field first
+(R = 40: a <u4 at byte 0 and a u1 at byte 4), each packed by one shift.
 
 Decoding works on levels, not phases.  The bit-1 levels of each basis form
 one circular window of the 2^R-level ring: with q = 2^R/4 and
@@ -23,15 +28,12 @@ integer rule is the definition.
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 
 import numpy as np
 
 TWO_PI = 2.0 * math.pi
 PI = math.pi
-# A little-endian uint64 slot seen as one opaque field of its low n bytes.
-_SLOTS = {n: np.dtype({"names": ["low"], "formats": [f"V{n}"], "offsets": [0],
-                       "itemsize": 8}) for n in range(1, 9)}
 
 
 @dataclass(frozen=True)
@@ -60,13 +62,6 @@ class Constellation:
     @property
     def step(self) -> float:
         return TWO_PI / self.n_levels
-
-    @cached_property
-    def phases(self) -> np.ndarray:
-        """modulate(bit, basis) at index 2*bit + basis; read-only, computed once."""
-        phases = modulate(*np.divmod(np.arange(4), 2), self)
-        phases.flags.writeable = False
-        return phases
 
     @cached_property
     def windows(self) -> tuple:
@@ -111,7 +106,7 @@ def quantize(phase, resolution_bits: int):
         frac = np.asarray(np.mod(phase, TWO_PI))
     frac /= TWO_PI / n_levels
     frac += 0.5
-    level = frac.astype(np.uint64)     # frac >= 0.5: the cast is the floor
+    level = frac.astype(np.int64).view(np.uint64)
     level &= np.uint64(n_levels - 1)
     return int(level) if level.ndim == 0 else level
 
@@ -125,9 +120,8 @@ def dequantize(level, resolution_bits: int):
 
 def transmit_symbol(bit, basis, c: Constellation, noise):
     """Quantized on-air phase: quantize(modulate(bit, basis) + noise)."""
-    index = np.multiply(bit, 2, dtype=np.intp)
-    index += basis
-    phase = c.phases[index]
+    phase = np.multiply(np.bitwise_xor(bit, basis), PI)
+    phase += np.multiply(basis, c.delta_phi)    # modulate's float sum
     phase += noise
     return quantize(phase, c.resolution_bits)
 
@@ -168,6 +162,15 @@ def bytes_per_symbol(resolution_bits: int) -> int:
     return (resolution_bits + 7) // 8
 
 
+@cache
+def _fields(nbytes: int) -> np.dtype:
+    """The integer fields of a packed symbol (see the module docstring)."""
+    widths = [w for w in (8, 4, 2, 1) if nbytes & w]
+    return np.dtype({"names": [f"u{w}" for w in widths],
+                     "formats": [f"<u{w}" for w in widths],
+                     "offsets": [nbytes & -2 * w for w in widths], "itemsize": nbytes})
+
+
 def pack_levels(levels, resolution_bits: int, out=None):
     """Serialize levels as ceil(R/8) little-endian bytes each, concatenated,
     into new bytes or into `out`, a writable buffer of that size."""
@@ -175,11 +178,14 @@ def pack_levels(levels, resolution_bits: int, out=None):
     arr = np.ascontiguousarray(levels, dtype="<u8").reshape(-1)
     if arr.size and int(arr.max()) >> resolution_bits:
         raise ValueError("level out of range for resolution_bits")
-    low = arr.view(_SLOTS[nbytes])["low"]
-    if out is None:
-        return low.tobytes()
-    np.frombuffer(out, low.dtype)[...] = low
-    return out
+    packed = np.frombuffer(bytearray(arr.size * nbytes) if out is None else out,
+                           _fields(nbytes))
+    low, *high = packed.dtype.names
+    np.copyto(packed[low], arr, casting="unsafe")      # a shift by 0, cheaper
+    for name in high:
+        np.right_shift(arr, 8 * packed.dtype.fields[name][1], out=packed[name],
+                       casting="unsafe")
+    return packed.tobytes() if out is None else out
 
 
 def unpack_levels(data, resolution_bits: int) -> np.ndarray:
@@ -188,6 +194,10 @@ def unpack_levels(data, resolution_bits: int) -> np.ndarray:
     if len(data) % nbytes:
         raise ValueError(
             f"packed data length {len(data)} is not a multiple of {nbytes}")
-    levels = np.zeros(len(data) // nbytes, dtype="<u8")
-    levels.view(_SLOTS[nbytes])["low"] = np.frombuffer(data, dtype=f"V{nbytes}")
+    packed = np.frombuffer(data, _fields(nbytes))
+    *low, top = packed.dtype.names
+    levels = packed[top].astype(np.uint64)      # then Horner, in place
+    for name in reversed(low):
+        np.left_shift(levels, 8 * packed.dtype[name].itemsize, out=levels)
+        np.bitwise_or(levels, packed[name], out=levels)
     return levels

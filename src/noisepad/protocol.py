@@ -268,7 +268,7 @@ def recover_block(levels, basis_bits, constellation: Constellation, *,
 # ---------------------------------------------------------------------------
 
 def _parity(bits: np.ndarray) -> int:
-    return int(bits.sum()) & 1
+    return int(np.bitwise_xor.reduce(bits))    # 0/1 bits: sum & 1
 
 
 def _syndrome(bits: np.ndarray) -> int:

@@ -8,10 +8,10 @@ Frame layout (all integers big-endian):
     length  4 bytes  payload byte count, at most 16 MiB
     payload
 
-Packed symbol levels inside KEYBLOCK payloads are little-endian
-(ceil(R/8) bytes per symbol, see encode.pack_levels); everything else on
-the wire is big-endian.  The channel is deliberately open: no encryption
-beyond the protocol itself.
+Packed symbol levels inside KEYBLOCK payloads are little-endian, ceil(R/8)
+bytes per symbol, moved as power-of-two integer fields (see encode);
+everything else on the wire is big-endian.  The channel is deliberately
+open: no encryption beyond the protocol itself.
 
 Each frame exchange is written once, as a generator *core* that does no
 I/O: it yields `(msg_type, payload)` to send a frame, or `RECV` to get the

@@ -44,3 +44,22 @@ def test_a_session_returns_what_the_benchmark_reads():
     assert state_a.early_stop is not None and state_b.early_stop is not None
     assert state_a.cycles_completed == state_b.cycles_completed == len(records) > 1
     assert sessions.ledger_floor_violations(records, 256) == []
+
+
+def test_a_traced_session_times_every_symbol_kernel():
+    # A first block of more than two chunks: each kernel runs once per chunk
+    # on both sides, so a kernel fused into another or renamed reads 0 here.
+    n = (1 << 16) + 17
+    k0 = np.random.default_rng(4).integers(0, 2, n, dtype=np.uint8)
+    tracer = tracing.Tracer()
+    try:
+        tracing.install(tracer)
+        protocol.simulate_session(sessions.session_params(n), k0, 1, 2, cycles=1)
+    finally:
+        tracer.restore()
+    names = [span[0] for span in tracer.spans]
+    chunks = names.count("encode.modulate")
+    blocks = tracer.counts["A"]["protocol.blocks_sent"]
+    assert blocks == 2 and chunks > 2 * blocks
+    for kernel in ("encode.pack", "encode.unpack", "encode.decode"):
+        assert names.count(kernel) == chunks, kernel

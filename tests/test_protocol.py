@@ -250,6 +250,21 @@ def test_block_kernels_allocate_no_block_sized_temporaries():
     assert np.array_equal(got, fresh)
 
 
+def test_whole_block_keyblock_pack_and_unpack_allocate_only_their_result():
+    # Eve's read_tape and the benchmark's SlipChannel pack and unpack whole
+    # 2^18-symbol blocks; a field copied or widened to uint64 on the way adds a
+    # 0.25-2 MiB temporary.  The slack covers numpy's ufunc buffers (64 KiB).
+    n, slack = 1 << 18, 1 << 17
+    p = SessionParams(1e4, 2.0 ** -30, resolution_bits=40, block_length=n)
+    levels = send_block(bits(np.random.default_rng(8), n), ChainKey(0, bits(
+        np.random.default_rng(9), n)), p, noise_model(p, 13))
+    payload, peak = _traced_peak(lambda: pack_keyblock(1, levels, 40))
+    assert peak <= len(payload) + slack
+    (cycle, back), peak = _traced_peak(lambda: unpack_keyblock(payload, 40))
+    assert peak <= back.nbytes + slack
+    assert cycle == 1 and np.array_equal(back, levels)
+
+
 def test_recover_block_wrong_key_statistics():
     rng = np.random.default_rng(4)
     n = 10_000
@@ -296,6 +311,14 @@ def test_ledger_accounting():
 # ---------------------------------------------------------------------------
 # Reconciliation
 # ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("n", [0, 1, (1 << 18) + 1])
+def test_parity_is_the_bit_sum_mod_2(n):
+    rng = np.random.default_rng(n)
+    for data in (bits(rng, n), np.ones(n, np.uint8), np.zeros(n, np.uint8)):
+        got = protocol._parity(data)
+        assert type(got) is int and got == int(data.sum()) & 1
+
 
 def test_reconcile_identical_inputs_parity_count():
     rng = np.random.default_rng(21)
