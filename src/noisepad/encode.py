@@ -12,9 +12,9 @@ steps exactly: x / (2pi/2^R) equals x / 2pi * 2^R, since a power-of-two
 scale commutes with rounding, and frac + 1/2, in [1/2, 2^56 + 1/2], casts
 to its floor through int64 (a cheaper cast than to uint64, same result).
 
-On the wire a level is ceil(R/8) little-endian bytes, seen as one
-power-of-two integer field per set bit of that count, low field first
-(R = 40: a <u4 at byte 0 and a u1 at byte 4), each packed by one shift.
+On the wire a level is ceil(R/8) little-endian bytes: one power-of-two
+integer field per set bit of that count (R = 40: a <u4 at byte 0, a u1 at
+byte 4); the low field is the level cast, each higher one a strided copy.
 
 Decoding works on levels, not phases.  The bit-1 levels of each basis form
 one circular window of the 2^R-level ring: with q = 2^R/4 and
@@ -181,10 +181,10 @@ def pack_levels(levels, resolution_bits: int, out=None):
     packed = np.frombuffer(bytearray(arr.size * nbytes) if out is None else out,
                            _fields(nbytes))
     low, *high = packed.dtype.names
-    np.copyto(packed[low], arr, casting="unsafe")      # a shift by 0, cheaper
+    np.copyto(packed[low], arr, casting="unsafe")   # faster than a strided copy
     for name in high:
-        np.right_shift(arr, 8 * packed.dtype.fields[name][1], out=packed[name],
-                       casting="unsafe")
+        dtype, offset = packed.dtype.fields[name]
+        packed[name] = arr.view(dtype)[offset // dtype.itemsize::8 // dtype.itemsize]
     return packed.tobytes() if out is None else out
 
 
@@ -195,9 +195,9 @@ def unpack_levels(data, resolution_bits: int) -> np.ndarray:
         raise ValueError(
             f"packed data length {len(data)} is not a multiple of {nbytes}")
     packed = np.frombuffer(data, _fields(nbytes))
-    *low, top = packed.dtype.names
-    levels = packed[top].astype(np.uint64)      # then Horner, in place
-    for name in reversed(low):
-        np.left_shift(levels, 8 * packed.dtype[name].itemsize, out=levels)
-        np.bitwise_or(levels, packed[name], out=levels)
+    low, *high = packed.dtype.names
+    levels = packed[low].astype("<u8")
+    for name in high:
+        dtype, offset = packed.dtype.fields[name]
+        levels.view(dtype)[offset // dtype.itemsize::8 // dtype.itemsize] = packed[name]
     return levels
