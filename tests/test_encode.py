@@ -184,7 +184,7 @@ def test_pack_unpack_match_strided_formula(r):
     data = pack_levels(levels, r)
     assert data == oracles.strided_pack_levels(levels, r)
     payload = bytearray(b"abcd" + bytes(len(data)))
-    assert pack_levels(levels, r, out=memoryview(payload)[4:]) is not None
+    pack_levels(levels, r, out=memoryview(payload)[4:])
     assert payload == b"abcd" + data
     back = unpack_levels(data, r)
     assert back.dtype == np.uint64 and back.flags.writeable

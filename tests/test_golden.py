@@ -1,8 +1,9 @@
 """Golden wire: fixed-seed sessions must keep every byte role A sends.
 
 The digests pin role A's frames and its delivered keys for five in-process
-sessions (three at R = 40, one each at R = 16 and R = 56), so any change to a kernel (noise, modulation, packing, decoding,
-reconciliation, PA, tags) that alters one byte fails here.  The largest
+sessions (three at R = 40, one each at R = 16 and R = 56), so any change to
+a kernel (noise, modulation, packing, decoding, reconciliation, PA, tags)
+that alters one byte fails here.  The largest
 block, two full 2^15-symbol chunks and a 17-symbol tail, pins the chunk
 seams of send_block and recover_block.  The values
 were re-pinned when the PA seed moved onto the wire (every key changed);
@@ -46,9 +47,8 @@ class _RoleAEnd(transport.PeerChannel):
         if msg_type == MessageType.KEYBLOCK:
             if self.keyblocks == self.slip_block and self.slips:
                 cycle, levels = unpack_keyblock(payload, self.r)
-                half, top = 1 << (self.r - 1), (1 << self.r) - 1
                 for i in self.slips:
-                    levels[i] = (int(levels[i]) + half) & top
+                    levels[i] = (int(levels[i]) + (1 << (self.r - 1))) % (1 << self.r)
                 payload = pack_keyblock(cycle, levels, self.r)
             self.keyblocks += 1
         super().send(msg_type, payload)
@@ -83,21 +83,21 @@ def test_role_a_wire_and_keys_are_pinned(monkeypatch, n, cycles, slips,
                           cycles, slips, frames_sha, keys_sha)
 
 
-@pytest.mark.parametrize("r, delta_phi, slips, frames_sha, keys_sha", [
-    (16, 2.0 ** -10, (1234,),
+@pytest.mark.parametrize("r, delta_phi, frames_sha, keys_sha", [
+    (16, 2.0 ** -10,
      "b2fa629baabe4eb1da399154996e5adbc7154894ecb9654132686267c912f40b",
      "25fb47d1e076ebb5d1ef93c6dcbc16cb44ab61a83b5f277338e1b6ab892ff71c"),
-    (56, 2.0 ** -30, (1234,),
+    (56, 2.0 ** -30,
      "795b361edc1ac6b6ad8acb71dace66be65ec506cde15d0b4b3bfac49f8dcee4e",
      "6937f37f359a26847bc8af00e0e5224b77e3f782dd4433d99470dff4df90022f"),
 ], ids=["R16-4k-one-slip", "R56-4k-one-slip"])
 def test_role_a_wire_and_keys_are_pinned_at_other_widths(
-        monkeypatch, r, delta_phi, slips, frames_sha, keys_sha):
-    # Two more packed widths: one 2-byte symbol (R = 16) and a 7-byte one
-    # (R = 56), whose bytes a pack kernel may split into 4 + 2 + 1.
+        monkeypatch, r, delta_phi, frames_sha, keys_sha):
+    # Two more packed widths, 4 Ki, 2 cycles, one slip: a 2-byte symbol
+    # (R = 16) and a 7-byte one (R = 56), packed as fields of 4 + 2 + 1 bytes.
     monkeypatch.setattr(_RoleAEnd, "r", r)
     _check_pinned_session(monkeypatch, SessionParams(1e4, delta_phi, r, 4096),
-                          2, slips, frames_sha, keys_sha)
+                          2, (1234,), frames_sha, keys_sha)
 
 
 def _check_pinned_session(monkeypatch, params, cycles, slips, frames_sha, keys_sha):

@@ -252,8 +252,8 @@ def test_block_kernels_allocate_no_block_sized_temporaries():
 
 def test_whole_block_keyblock_pack_and_unpack_allocate_only_their_result():
     # Eve's read_tape and the benchmark's SlipChannel pack and unpack whole
-    # 2^18-symbol blocks; a field copied or widened to uint64 on the way adds a
-    # 0.25-2 MiB temporary.  The slack covers numpy's ufunc buffers (64 KiB).
+    # 2^18-symbol blocks; a field copied or widened to uint64 on the way
+    # adds a 0.25-2 MiB temporary.  The slack allows for numpy's cast buffers.
     n, slack = 1 << 18, 1 << 17
     p = SessionParams(1e4, 2.0 ** -30, resolution_bits=40, block_length=n)
     levels = send_block(bits(np.random.default_rng(8), n), ChainKey(0, bits(
