@@ -35,8 +35,8 @@ from .transport import (
     TapeChannel,
     drive,
     iter_frames,
+    keyblock_symbols,
     unpack_hello,
-    unpack_keyblock,
 )
 
 PI = math.pi
@@ -74,8 +74,8 @@ def read_tape(path) -> Tape:
     blocks = []
     for msg_type, payload in frames:
         if msg_type == MessageType.KEYBLOCK:
-            _, levels = unpack_keyblock(payload, params.resolution_bits)
-            blocks.append(TapedBlock(payload, len(levels)))
+            blocks.append(TapedBlock(payload, keyblock_symbols(
+                payload, params.resolution_bits)))
             continue
         if msg_type == MessageType.PA_SEED:
             if not blocks or blocks[-1].frames:
@@ -182,7 +182,8 @@ def chain_compromise(tape: Tape, known_key_index: int,
 
     Key K_{j-1} is the basis of block Y_j, so replaying the legitimate
     receiver's core over Y_j's frames with it yields K_j's reconciled bits;
-    block_charge and the public PA seed then give K_j, as for the parties.
+    amplify_block, with the parties' key_length, and the public PA seed then
+    give K_j, as for the parties.
     Every frame the receiver would send must be on the tape, so the taped
     parity and digest confirm or refute the guessed key.  A missing block,
     a frame the core rejects or would send that the tape does not hold, or
@@ -202,8 +203,7 @@ def chain_compromise(tape: Tape, known_key_index: int,
         core = receive_block(params, ChainKey(j - 1, current), j, block.keyblock)
         try:
             bits, pa_seed, located = drive(core, TapeChannel(block.frames))
-            current = amplify_block(params, bits, pa_seed,
-                                    params.block_charge(len(bits), located))
+            current = amplify_block(params, bits, pa_seed, located)
         except NoisepadError as exc:
             gaps.append(f"Y{j}: {exc}")
             break

@@ -1,8 +1,9 @@
 """Operator command line.
 
 Exit codes: 0 success, 1 flag/parameter validation failure, 2 protocol or
-runtime failure.  Every command is deterministic given --seed; delta_phi is
-always supplied as a power-of-two exponent (ADC resolution convention).
+runtime failure.  Every command is deterministic given --seed; without it,
+a party seed is drawn fresh and printed.  delta_phi is always supplied as
+a power-of-two exponent (ADC resolution convention).
 Set NOISEPAD_LOG=debug|info|... for diagnostics on stderr.
 """
 
@@ -13,6 +14,7 @@ import json
 import logging
 import os
 import re
+import secrets
 import socket
 import sys
 import tempfile
@@ -97,7 +99,7 @@ def _exponent(text: str) -> int:
 
 
 def _add_key_flags(p: argparse.ArgumentParser):
-    p.add_argument("--seed", type=_int_at_least(0), default=0, help="party seed")
+    p.add_argument("--seed", type=_int_at_least(0), help="party seed (default: fresh)")
     p.add_argument("--k0-bits", type=_int_at_least(1), default=1024)
     p.add_argument("--k0-seed", type=_int_at_least(0), default=7,
                    help="derive K0 from a seed (test only, insecure)")
@@ -282,11 +284,10 @@ def cmd_serve(args) -> int:
         try:
             if args.transcript_out:
                 transport.record_transcript(channel, args.transcript_out)
-            hello = transport.handshake(channel, "B",
-                                        expected_block_length=len(k0))
+            params = transport.handshake(channel, "B",
+                                         expected_block_length=len(k0))
             spent = True
-            state = protocol.PartyState.create(
-                "B", protocol.SessionParams.from_hello(hello), k0, args.seed)
+            state = protocol.PartyState.create("B", params, k0, args.seed)
             protocol.run_session(channel, state)
             _json_out(_summary(state, {"seed": args.seed, "k0_bits": len(k0)}))
             if channel.tap is not None:
@@ -409,7 +410,7 @@ def cmd_attack_kpa(args) -> int:
     report = attacker.AttackReport(
         symbols_observed=sum(block.symbols for block in tape.blocks),
         recovered_keys=[(args.known_key_index, recovered)],
-        notes={"mode": "demo", "recovered_exact": exact})
+        notes={"mode": "demo", "recovered_exact": exact, "seed": args.seed})
     print(report.to_json(indent=2))
     return EXIT_OK if exact else EXIT_RUNTIME
 
@@ -431,10 +432,9 @@ def cmd_attack_chain(args) -> int:
     notes = {"gaps": recovery.gaps}
     if truth is not None:
         keys = truth.chain.keys
-        notes["recovered_exact"] = all(
+        notes.update(chain_length=len(keys), seed=args.seed, recovered_exact=all(
             np.array_equal(bits, keys[idx].bits)
-            for idx, bits in recovery.recovered if idx < len(keys))
-        notes["chain_length"] = len(keys)
+            for idx, bits in recovery.recovered if idx < len(keys)))
     report = attacker.AttackReport(
         symbols_observed=sum(block.symbols for block in tape.blocks),
         recovered_keys=recovery.recovered, notes=notes)
@@ -528,6 +528,8 @@ def main(argv=None) -> int:
                             format="%(name)s %(levelname)s %(message)s")
     parser = build_parser()
     args = parser.parse_args(argv)
+    if getattr(args, "seed", 0) is None:    # party streams must never repeat
+        args.seed = secrets.randbits(64)
     try:
         return args.fn(args)
     except ValueError as exc:

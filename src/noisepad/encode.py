@@ -95,13 +95,11 @@ def quantize(phase, resolution_bits: int):
         raise ValueError(f"resolution_bits must lie in [8, 56], got {resolution_bits!r}")
     n_levels = 1 << resolution_bits
     phase = np.asarray(phase, dtype=float)
-    if phase.size and -TWO_PI < phase.min() and (top := phase.max()) < 2.0 * TWO_PI:
-        # np.mod(x, 2pi) is x + 2pi below 0 and x - 2pi (exact, by Sterbenz)
-        # from 2pi on; frac is a new array for the in-place steps below.
+    if phase.size and -TWO_PI < phase.min() and phase.max() < TWO_PI:
+        # np.mod(x, 2pi) is x + 2pi below 0, else x (a modulated phase stays
+        # below 2pi); frac is a new array for the in-place steps below.
         frac = np.asarray(np.multiply(phase < 0.0, TWO_PI))
         frac += phase
-        if top >= TWO_PI:
-            frac -= (phase >= TWO_PI) * TWO_PI
     else:
         frac = np.asarray(np.mod(phase, TWO_PI))
     frac /= TWO_PI / n_levels

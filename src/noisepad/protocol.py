@@ -6,9 +6,11 @@ turns, so the chain says whose turn it is: a chain of L keys is due block
 Y_L, and turn(L) gives its cycle, ceil(L/2), and direction, A to B for odd
 L.  Each block is parity-reconciled, charged to a leak ledger
 (SessionParams.block_charge), and compressed with a modified Toeplitz hash
-[I | T] (dual universal) before joining the key chain.  Its n-1 public
-seed bits are drawn by the sender and travel in PA_SEED; packed into one
-Python int, they make T x[m:] one shift and XOR per set bit.
+[I | T] (dual universal) to SessionParams.key_length, the one length rule
+(parties, pre-send check, read-ahead and Eve alike), before joining the
+key chain.  Its n-1 public seed bits are drawn by the sender and travel in
+PA_SEED; packed into one Python int, they make T x[m:] one shift and XOR
+per set bit.
 
 A block is one-way: the sender writes KEYBLOCK, then PA_SEED with the
 cycle, the direction, the parity and SHA-256 digest of its bits, and the
@@ -119,7 +121,7 @@ class SessionParams:
     @classmethod
     def from_hello(cls, hello: transport.HelloParams) -> "SessionParams":
         """The responder's parameters: the operating point a HELLO proposed."""
-        return cls(hello.avg_photon_number, hello.delta_phi,
+        return cls(hello.avg_photon_number, 2.0 ** hello.delta_phi_exp,
                    hello.resolution_bits, hello.block_length, hello.safety_bits)
 
     def block_charge(self, n: int, located: bool = False) -> "LeakLedger":
@@ -128,9 +130,10 @@ class SessionParams:
         return LeakLedger(n * self.per_symbol_leak,
                           _CHECK_BITS + (n.bit_length() if located else 0))
 
-    def key_length(self, n: int) -> int:
-        """The key an n-bit block leaves with no error located; <= 0: none."""
-        return n - math.ceil(self.block_charge(n).total) - self.safety_bits
+    def key_length(self, n: int, located: bool = False) -> int:
+        """The one length rule: the key an n-bit block leaves once its charge
+        and the safety margin are paid; <= 0: none."""
+        return n - math.ceil(self.block_charge(n, located).total) - self.safety_bits
 
     @property
     def reconciliation_block(self) -> int:
@@ -225,35 +228,33 @@ class LeakLedger:
 # Block transfer
 # ---------------------------------------------------------------------------
 
-def send_block(fresh_bits, basis_key: ChainKey, params: SessionParams, noise,
-               out=None, *, trusted: bool = False):
+def send_block(fresh_bits, basis_key: ChainKey, params: SessionParams,
+               noise: np.ndarray, out, *, trusted: bool = False):
     """Noise-mask fresh bits under a one-time basis key, CHUNK symbols at a time.
 
-    `noise` is the block's phase noise, or a model to draw it from.  Packs the
-    levels into the tail of `out` (a KEYBLOCK payload) and returns `out`, or
-    returns the levels.  Consumes the basis key; `trusted` bits go unchecked.
+    `noise` is the block's drawn phase noise.  Packs the levels into the tail
+    of `out`, a KEYBLOCK payload (transport.keyblock_payload), and returns
+    `out`.  Consumes the basis key; `trusted` bits go unchecked.
     """
     fresh = fresh_bits if trusted else _as_bits(fresh_bits)
     n, r = len(fresh), params.resolution_bits
     if n != len(basis_key.bits):
         raise ProtocolError(f"{n} fresh bits for a {len(basis_key.bits)}-bit basis key")
     key, size = basis_key.consume(), transport.bytes_per_symbol(r)
-    noise = noise if isinstance(noise, np.ndarray) else noise.sample(n)
-    view = memoryview(bytearray(n * size) if out is None else out)[-n * size:]
+    view = memoryview(out)[-n * size:]
     for i in range(0, n, CHUNK):
         transport.pack_levels(transmit_symbol(
             fresh[i:i + CHUNK], key[i:i + CHUNK], params.constellation,
             noise[i:i + CHUNK]), r, out=view[i * size:(i + CHUNK) * size])
-    return out if out is not None else transport.unpack_levels(view, r)
+    return out
 
 
 def recover_block(levels, basis_bits, constellation: Constellation, *,
                   trusted: bool = False) -> np.ndarray:
-    """Decode a block's packed level bytes (or its levels) with the shared basis
-    key, CHUNK symbols at a time; `trusted` basis bits go unchecked."""
+    """Decode a block's packed level bytes with the shared basis key, CHUNK
+    symbols at a time; `trusted` basis bits go unchecked."""
     basis = basis_bits if trusted else _as_bits(basis_bits)
     r = constellation.resolution_bits
-    levels = transport.pack_levels(levels, r) if isinstance(levels, np.ndarray) else levels
     size, bits = transport.bytes_per_symbol(r), np.empty(len(basis), np.uint8)
     if len(levels) != len(basis) * size:
         raise ProtocolError(f"{len(levels)} level bytes for a {len(basis)}-bit basis key")
@@ -350,17 +351,6 @@ def _sender_core(bits: np.ndarray):
 # Privacy amplification
 # ---------------------------------------------------------------------------
 
-def pa_output_length(n: int, ledger: LeakLedger, safety_bits: int) -> int:
-    """Bits left after charging the ledger and a safety margin to n bits.
-
-    Raises KeyExhaustedError when nothing would be left.
-    """
-    m = n - math.ceil(ledger.total) - safety_bits
-    if m <= 0:
-        raise KeyExhaustedError(_EXHAUSTED.format(m))
-    return m
-
-
 def _modified_toeplitz(seed: int, vec: np.ndarray, m: int) -> np.ndarray:
     """h(x) = x[:m] XOR T x[m:] over GF(2), with T[i, j] = seed[k-1+i-j], k = n-m.
 
@@ -377,9 +367,12 @@ def _modified_toeplitz(seed: int, vec: np.ndarray, m: int) -> np.ndarray:
 
 
 def amplify_block(params: SessionParams, bits: np.ndarray, pa_seed: bytes,
-                  charge: LeakLedger) -> np.ndarray:
-    """A block's key: its bits hashed down by its charge and the safety margin."""
-    m = pa_output_length(len(bits), charge, params.safety_bits)
+                  located: bool) -> np.ndarray:
+    """A block's key: its bits hashed down to params.key_length(n, located);
+    KeyExhaustedError if that is <= 0."""
+    m = params.key_length(len(bits), located)
+    if m <= 0:
+        raise KeyExhaustedError(_EXHAUSTED.format(m))
     return privacy_amplify(bits, m, pa_seed, trusted=True)
 
 
@@ -617,10 +610,9 @@ def session_core(state: PartyState, cycles: int | None = None, progress=None):
             # hand the KEYBLOCK on without keeping it here
             core, frame = receive_block(params, chain.tip, j, frame[1]), None
             bits, pa_seed, located = yield from core
-        charge = params.block_charge(n, located)
-        state.ledger.merge(charge)
+        state.ledger.merge(params.block_charge(n, located))
         try:
-            chain.append(amplify_block(params, bits, pa_seed, charge))
+            chain.append(amplify_block(params, bits, pa_seed, located))
         except KeyExhaustedError as exc:   # a syndrome's charge
             state.early_stop = str(exc)
             break
@@ -660,11 +652,9 @@ def simulate_session(params: SessionParams, k0_bits, seed_a: int, seed_b: int,
     proposal = params.hello()
 
     def role_b():
-        hello = yield from transport.handshake_core(
+        params_b = yield from transport.handshake_core(
             "B", expected_block_length=len(k0))
-        state_b = PartyState.create("B", SessionParams.from_hello(hello), k0,
-                                    seed_b)
-        return (yield from session_core(state_b))
+        return (yield from session_core(PartyState.create("B", params_b, k0, seed_b)))
 
     channel = transport.PeerChannel(role_b())
     if transcript_path is not None:

@@ -372,10 +372,6 @@ class HelloParams:
     block_length: int
     safety_bits: int
 
-    @property
-    def delta_phi(self) -> float:
-        return 2.0 ** self.delta_phi_exp
-
 
 def pack_hello(p: HelloParams) -> bytes:
     return _HELLO.pack(p.avg_photon_number, p.delta_phi_exp,
@@ -388,22 +384,8 @@ def unpack_hello(payload: bytes) -> HelloParams:
     return HelloParams(*_HELLO.unpack(payload))
 
 
-def _check_proposal(p: HelloParams,
-                    expected_block_length: int | None) -> str | None:
-    """Reason string if the proposal is unacceptable, else None."""
-    from .protocol import SessionParams     # protocol imports this module
-    try:
-        SessionParams.from_hello(p)
-    except ValueError as exc:
-        return str(exc)
-    if expected_block_length is not None and p.block_length != expected_block_length:
-        return (f"block_length {p.block_length} does not match this side's "
-                f"key length {expected_block_length}")
-    return None
-
-
 def handshake(channel: Channel, role: str, proposal: HelloParams | None = None,
-              expected_block_length: int | None = None) -> HelloParams:
+              expected_block_length: int | None = None):
     """Negotiate session parameters over a channel; see handshake_core."""
     return drive(handshake_core(role, proposal, expected_block_length), channel)
 
@@ -412,8 +394,8 @@ def handshake_core(role: str, proposal: HelloParams | None = None,
                    expected_block_length: int | None = None):
     """Core: the initiator proposes, the responder validates.
 
-    Returns the agreed HelloParams.  Raises HandshakeError when the
-    responder (or this side, as responder) rejects the proposal.
+    Returns A's proposal, or B's protocol.SessionParams of it, validated once
+    here.  Raises HandshakeError when the responder rejects the proposal.
     """
     if role == "A":
         if proposal is None:
@@ -427,14 +409,19 @@ def handshake_core(role: str, proposal: HelloParams | None = None,
             raise ProtocolError(f"expected HELLO_ACK, got {msg_type:#04x}")
         return proposal
     if role == "B":
+        from .protocol import SessionParams     # protocol imports this module
         _, payload = yield from expect(MessageType.HELLO)
         offered = unpack_hello(payload)
-        reason = _check_proposal(offered, expected_block_length)
-        if reason is not None:
-            yield MessageType.ERROR, reason.encode()
-            raise HandshakeError(f"rejected peer session: {reason}")
+        try:
+            params = SessionParams.from_hello(offered)
+            if expected_block_length not in (None, offered.block_length):
+                raise ValueError(f"block_length {offered.block_length} does not match "
+                                 f"this side's key length {expected_block_length}")
+        except ValueError as exc:
+            yield MessageType.ERROR, str(exc).encode()
+            raise HandshakeError(f"rejected peer session: {exc}") from None
         yield MessageType.HELLO_ACK, b""
-        return offered
+        return params
     raise ValueError(f"role must be 'A' or 'B', got {role!r}")
 
 
@@ -455,14 +442,21 @@ def pack_keyblock(cycle_index: int, levels, resolution_bits: int) -> bytearray:
     return payload
 
 
-def unpack_keyblock(payload: bytes, resolution_bits: int):
+def keyblock_symbols(payload: bytes, resolution_bits: int) -> int:
+    """A KEYBLOCK payload's level count; ProtocolError if it is short or ragged."""
     if len(payload) < 4:
         raise ProtocolError("KEYBLOCK payload shorter than its cycle index")
-    cycle_index = struct.unpack_from(">I", payload)[0]
-    try:
-        return cycle_index, unpack_levels(memoryview(payload)[4:], resolution_bits)
-    except ValueError as exc:
-        raise ProtocolError(f"KEYBLOCK levels: {exc}") from exc
+    count, ragged = divmod(len(payload) - 4, bytes_per_symbol(resolution_bits))
+    if ragged:
+        raise ProtocolError(f"KEYBLOCK levels: packed data length {len(payload) - 4} "
+                            f"is not a multiple of {bytes_per_symbol(resolution_bits)}")
+    return count
+
+
+def unpack_keyblock(payload: bytes, resolution_bits: int):
+    keyblock_symbols(payload, resolution_bits)
+    return (struct.unpack_from(">I", payload)[0],
+            unpack_levels(memoryview(payload)[4:], resolution_bits))
 
 
 def send_keyblock(channel: Channel, cycle_index: int, levels,

@@ -1,5 +1,6 @@
 import gc
 import json
+import math
 import os
 import socket
 import struct
@@ -11,7 +12,10 @@ import numpy as np
 import pytest
 
 from noisepad.analysis import entropy_leak, min_leak_length, security_point
+from noisepad.attacker import read_tape
+from noisepad.encode import dequantize
 from noisepad.phys import CoherentStateParams
+from noisepad.transport import unpack_keyblock
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 
@@ -394,6 +398,26 @@ def test_serve_connect_session(tmp_path, cycles):
     assert client_doc["confirm_tag"] == server_doc["confirm_tag"]
     assert client_doc["cycles_completed"] == cycles
     assert ts_server.read_bytes() == ts_client.read_bytes()
+
+
+def test_default_seeds_are_fresh_so_role_b_repeats_no_stream_of_role_a(tmp_path):
+    # Were both parties seeded alike, B's Y2 would carry A's Y1 noise and
+    # fresh bits, and Eve's Y2 - Y1 mod pi would be (K1 - K0) * delta_phi,
+    # at most 2^-30 rad; drawn fresh, the two noises leave a residual of
+    # order sigma
+    tape = tmp_path / "wire.bin"
+    server = ServeProc("--transcript-out", str(tape))
+    res = run_cli("connect", "--addr", f"127.0.0.1:{server.port}", "--cycles", "1")
+    code, out, _ = server.finish()
+    assert res.returncode == code == 0
+    client, served = json.loads(res.stdout), json.loads(out)
+    assert client["seed"] != served["seed"]
+    assert client["confirm_tag"] == served["confirm_tag"]
+    y1, y2 = (unpack_keyblock(block.keyblock, 40)[1] for block in read_tape(tape).blocks)
+    diff = dequantize(y2, 40) - dequantize(y1[:len(y2)], 40)
+    residual = np.mod(diff + math.pi / 2, math.pi) - math.pi / 2
+    sigma = CoherentStateParams(1e4).sigma_phi
+    assert sigma / 2 < np.std(residual) < 4 * sigma
 
 
 def test_loopback_and_socket_transcripts_identical(tmp_path):

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from noisepad import analysis, protocol
-from noisepad.attacker import read_tape
+from noisepad.attacker import chain_compromise, read_tape
 from noisepad.encode import quantize, transmit_symbol
 from noisepad.errors import (
     KeyExhaustedError,
@@ -32,8 +32,8 @@ from noisepad.protocol import (
     TAG_BITS,
     SessionParams,
     _modified_toeplitz,
+    amplify_block,
     authenticate_tag,
-    pa_output_length,
     pa_seed_bytes,
     privacy_amplify,
     recover_block,
@@ -149,13 +149,8 @@ def test_session_params_from_hello_round_trip():
 def test_send_block_single_symbol():
     params = SessionParams(1e4, 2.0 ** -10, 16, 1024)
     key = ChainKey(0, np.array([0], dtype=np.uint8))
-
-    class Silent:
-        def sample(self, n):
-            return np.zeros(n)
-
-    levels = send_block([0], key, params, Silent())
-    assert levels.tolist() == [quantize(0.0, 16)]
+    payload = send_block([0], key, params, np.zeros(1), keyblock_payload(0, 1, 16))
+    assert unpack_keyblock(payload, 16)[1].tolist() == [quantize(0.0, 16)]
     assert key.used_as_basis
 
 
@@ -165,20 +160,21 @@ def test_send_block_set_algebra():
     fresh, basis = bits(rng, n), bits(rng, n)
     key = ChainKey(0, basis)
     p = SessionParams(1e4, 2.0 ** -10, 16, n)
-    levels = send_block(fresh, key, p, noise_model(p, 1))
+    payload = send_block(fresh, key, p, noise_model(p, 1).sample(n),
+                         keyblock_payload(0, n, 16))
     from noisepad.encode import classify_set
-    sets = np.asarray(classify_set(levels, p.constellation))
+    sets = np.asarray(classify_set(unpack_keyblock(payload, 16)[1], p.constellation))
     assert np.array_equal(sets, np.bitwise_xor(fresh, basis))
 
 
 def test_send_block_contract_errors():
     rng = np.random.default_rng(2)
-    key = ChainKey(0, bits(rng, 1024))
+    key, noise = ChainKey(0, bits(rng, 1024)), np.zeros(1024)
     with pytest.raises(ProtocolError):
-        send_block(bits(rng, 100), key, PARAMS, noise_model(PARAMS))
-    send_block(bits(rng, 1024), key, PARAMS, noise_model(PARAMS))
+        send_block(bits(rng, 100), key, PARAMS, noise, keyblock_payload(1, 100, 40))
+    send_block(bits(rng, 1024), key, PARAMS, noise, keyblock_payload(1, 1024, 40))
     with pytest.raises(OneTimeViolationError):
-        send_block(bits(rng, 1024), key, PARAMS, noise_model(PARAMS))
+        send_block(bits(rng, 1024), key, PARAMS, noise, keyblock_payload(1, 1024, 40))
 
 
 def test_recover_block_round_trip():
@@ -186,30 +182,26 @@ def test_recover_block_round_trip():
     n = 10_000
     p = SessionParams(1e4, 2.0 ** -10, 16, n)
     fresh, basis = bits(rng, n), bits(rng, n)
-    levels = send_block(fresh, ChainKey(0, basis), p, noise_model(p, 9))
+    levels = memoryview(send_block(fresh, ChainKey(0, basis), p, noise_model(p, 9).sample(n),
+                                   keyblock_payload(0, n, 16)))[4:]
     assert np.array_equal(recover_block(levels, basis, p.constellation), fresh)
     with pytest.raises(ProtocolError):
         recover_block(levels, basis[:10], p.constellation)
 
 
 def test_send_block_in_chunks_equals_one_pass():
-    # Two full chunks and a ragged tail: the chunked levels are the one-pass
-    # kernel's on the one noise draw of an identically seeded model.
+    # Two full chunks and a ragged tail: the chunked payload packs the
+    # one-pass kernel's levels on the same noise, and decodes back.
     n = 2 * protocol.CHUNK + 17
     rng = np.random.default_rng(6)
     fresh, basis = bits(rng, n), bits(rng, n)
-    levels = send_block(fresh, ChainKey(0, basis), PARAMS, noise_model(PARAMS, 11))
-    twin = noise_model(PARAMS, 11)
-    want = transmit_symbol(fresh, basis, PARAMS.constellation, twin.sample(n))
-    assert levels.dtype == np.uint64 and np.array_equal(levels, want)
-    got = recover_block(levels, basis, PARAMS.constellation)
-    assert got.dtype == np.uint8 and np.array_equal(got, fresh)
-    # the session's path: drawn noise in, KEYBLOCK payload out, and back
-    payload = send_block(fresh, ChainKey(0, basis), PARAMS,
-                         noise_model(PARAMS, 11).sample(n), keyblock_payload(3, n, 40))
+    noise = noise_model(PARAMS, 11).sample(n)
+    payload = send_block(fresh, ChainKey(0, basis), PARAMS, noise,
+                         keyblock_payload(3, n, 40))
+    want = transmit_symbol(fresh, basis, PARAMS.constellation, noise)
     assert payload == pack_keyblock(3, want, 40)
-    levels = memoryview(payload)[4:]
-    assert np.array_equal(recover_block(levels, basis, PARAMS.constellation), fresh)
+    got = recover_block(memoryview(payload)[4:], basis, PARAMS.constellation)
+    assert got.dtype == np.uint8 and np.array_equal(got, fresh)
 
 
 def _traced_peak(fn):
@@ -251,18 +243,19 @@ def test_block_kernels_allocate_no_block_sized_temporaries():
 
 
 def test_whole_block_keyblock_pack_and_unpack_allocate_only_their_result():
-    # Eve's read_tape and the benchmark's SlipChannel pack and unpack whole
-    # 2^18-symbol blocks; a field copied or widened to uint64 on the way
-    # adds a 0.25-2 MiB temporary.  The slack allows for numpy's cast buffers.
+    # The benchmark's SlipChannel unpacks and repacks whole 2^18-symbol
+    # blocks; a field copied or widened to uint64 on the way adds a
+    # 0.25-2 MiB temporary.  The slack allows for numpy's cast buffers.
     n, slack = 1 << 18, 1 << 17
     p = SessionParams(1e4, 2.0 ** -30, resolution_bits=40, block_length=n)
-    levels = send_block(bits(np.random.default_rng(8), n), ChainKey(0, bits(
-        np.random.default_rng(9), n)), p, noise_model(p, 13))
-    payload, peak = _traced_peak(lambda: pack_keyblock(1, levels, 40))
-    assert peak <= len(payload) + slack
-    (cycle, back), peak = _traced_peak(lambda: unpack_keyblock(payload, 40))
-    assert peak <= back.nbytes + slack
-    assert cycle == 1 and np.array_equal(back, levels)
+    payload = send_block(bits(np.random.default_rng(8), n), ChainKey(0, bits(
+        np.random.default_rng(9), n)), p, noise_model(p, 13).sample(n),
+        keyblock_payload(1, n, 40))
+    (cycle, levels), peak = _traced_peak(lambda: unpack_keyblock(payload, 40))
+    assert peak <= levels.nbytes + slack
+    repacked, peak = _traced_peak(lambda: pack_keyblock(1, levels, 40))
+    assert peak <= len(repacked) + slack
+    assert cycle == 1 and repacked == payload
 
 
 def test_recover_block_wrong_key_statistics():
@@ -270,7 +263,8 @@ def test_recover_block_wrong_key_statistics():
     n = 10_000
     p = SessionParams(1e4, 2.0 ** -10, 16, n)
     fresh, basis = bits(rng, n), bits(rng, n)
-    levels = send_block(fresh, ChainKey(0, basis), p, noise_model(p, 10))
+    levels = memoryview(send_block(fresh, ChainKey(0, basis), p, noise_model(p, 10).sample(n),
+                                   keyblock_payload(0, n, 16)))[4:]
     # complemented key: decode flips every bit
     assert np.array_equal(recover_block(levels, 1 - basis, p.constellation),
                           1 - fresh)
@@ -413,15 +407,19 @@ def seed_bits(seed: bytes, n: int) -> np.ndarray:
 def test_privacy_amplify_lengths():
     rng = np.random.default_rng(31)
     data = bits(rng, 1024)
-    # no charge, no safety: identity
-    assert pa_output_length(1024, LeakLedger(), 0) == 1024
+    # out_len n: identity
     assert np.array_equal(privacy_amplify(data, 1024, seed_for(1024, 5)), data)
-    led = LeakLedger(statistical_leak=0.2, disclosed_parity_bits=10)
-    m = pa_output_length(1024, led, 32)
-    assert m == 1024 - 11 - 32
+    # the one length rule: ceil(parity + statistical leak [+ 11-bit syndrome])
+    # and the safety margin
+    assert PARAMS.key_length(1024, located=True) == 1024 - 13 - 32
+    m = PARAMS.key_length(1024)
+    assert m == 1024 - 2 - 32
+    assert np.array_equal(amplify_block(PARAMS, data, seed_for(1024, 5), False),
+                          privacy_amplify(data, m, seed_for(1024, 5)))
     assert len(privacy_amplify(data, m, seed_for(1024, 5))) == m
-    with pytest.raises(KeyExhaustedError):
-        pa_output_length(40, led, 32)
+    spent = SessionParams(1e4, 2.0 ** -30, 40, 64, safety_bits=62)
+    with pytest.raises(KeyExhaustedError, match="would leave 0 bits"):
+        amplify_block(spent, data[:64], seed_for(64, 5), False)
     for bad in (0, 1025):
         with pytest.raises(ValueError):
             privacy_amplify(data, bad, seed_for(1024, 5))
@@ -479,7 +477,8 @@ def test_bit_inputs_are_checked_at_the_public_entry_points():
     key = ChainKey(0, good.copy())
     calls = {
         "KeyChain": lambda: KeyChain(bad),
-        "send_block": lambda: send_block(bad, key, PARAMS, noise_model(PARAMS)),
+        "send_block": lambda: send_block(bad, key, PARAMS, np.zeros(16),
+                                         keyblock_payload(1, 16, 40)),
         "privacy_amplify": lambda: privacy_amplify(bad, 8, bytes(2)),
         "reconcile_receiver": lambda: reconcile_receiver(bad, None, _check(good)),
         "reconcile_sender": lambda: reconcile_sender(bad, None),
@@ -623,6 +622,21 @@ def test_session_core_exhaustion():
     # was never used as basis material
     assert not a.chain.tip.used_as_basis and not b.chain.tip.used_as_basis
     assert all(k.used_as_basis for k in a.chain.keys[:-1])
+
+
+@pytest.mark.parametrize("n", [64, 1024, 4096])
+@pytest.mark.parametrize("safety", [0, 32])
+@pytest.mark.parametrize("n_avg, exp, r", [(1e4, -10, 16), (1e2, -8, 16), (1e6, -14, 24)])
+def test_sessions_run_to_exhaustion_deliver_the_chain_key_length_predicts(
+        n_avg, exp, r, safety, n):
+    params = SessionParams(n_avg, 2.0 ** exp, r, n, safety)
+    predicted = [n]
+    while params.key_length(predicted[-1]) > 0:
+        predicted.append(params.key_length(predicted[-1]))
+    k0 = np.random.default_rng(n).integers(0, 2, n, dtype=np.uint8)
+    for state in simulate_session(params, k0, 1, 2, cycles=10 ** 9):
+        assert [len(k.bits) for k in state.chain.keys] == predicted
+        assert "would leave" in state.early_stop
 
 
 def test_session_core_param_mismatch():
@@ -915,7 +929,8 @@ def test_both_parties_stop_alike(monkeypatch, k0_bits, safety, slip, first,
 
 def test_turn_and_block_charge_match_a_slipped_tape(monkeypatch, tmp_path):
     # each PA_SEED names turn(j) of its block Y_j, and each party's ledger
-    # is the sum of its blocks' charges, with only the slipped Y_1 located
+    # is the sum of its blocks' charges, with only the slipped Y_1 located;
+    # both parties and Eve give K1 the length key_length(n, located=True)
     params = SessionParams(1e4, 2.0 ** -30, 40, 4096)
     k0 = np.random.default_rng(76).integers(0, 2, 4096, dtype=np.uint8)
     _slip_role_a_keyblock(monkeypatch, 1)
@@ -933,6 +948,13 @@ def test_turn_and_block_charge_match_a_slipped_tape(monkeypatch, tmp_path):
         assert state.ledger.statistical_leak == sum(c.statistical_leak for c in charges)
         assert state.ledger.disclosed_parity_bits == 4 + 13 == sum(
             c.disclosed_parity_bits for c in charges)
+    k1_bits = params.key_length(4096, located=True)
+    recovered = chain_compromise(read_tape(path), 0, k0).recovered
+    assert len(recovered[0][1]) == k1_bits == 4096 - 15 - 32   # ceil(1 + 13 + leak)
+    for state in parties:
+        assert len(state.chain.keys[1].bits) == k1_bits
+        assert [j for j, _ in recovered] == list(range(1, len(state.chain.keys)))
+        assert all(np.array_equal(bits, state.chain.keys[j].bits) for j, bits in recovered)
 
 
 SMALL = SessionParams(1e4, 2.0 ** -30, 40, 64)

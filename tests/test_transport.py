@@ -134,7 +134,8 @@ def test_handshake_accepts_valid_proposal():
         lambda ch: handshake(ch, "A", proposal),
         lambda ch: handshake(ch, "B", expected_block_length=1024))
     assert out["a"] == proposal
-    assert out["b"] == proposal
+    # the responder returns the parameters it validated
+    assert out["b"] == SessionParams(1e4, 2.0 ** -30, 40, 1024, 32)
 
 
 def test_handshake_rejects_bad_operating_point():
