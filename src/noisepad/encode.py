@@ -169,21 +169,17 @@ def _fields(nbytes: int) -> np.dtype:
                      "offsets": [nbytes & -2 * w for w in widths], "itemsize": nbytes})
 
 
-def pack_levels(levels, resolution_bits: int, out=None):
-    """Serialize levels as ceil(R/8) little-endian bytes each, concatenated,
-    into new bytes or into `out`, a writable buffer of that size."""
-    nbytes = bytes_per_symbol(resolution_bits)
+def pack_levels(levels, resolution_bits: int, out) -> None:
+    """Write levels into the writable buffer `out`, ceil(R/8) little-endian bytes each."""
     arr = np.ascontiguousarray(levels, dtype="<u8").reshape(-1)
     if arr.size and int(arr.max()) >> resolution_bits:
         raise ValueError("level out of range for resolution_bits")
-    packed = np.frombuffer(bytearray(arr.size * nbytes) if out is None else out,
-                           _fields(nbytes))
+    packed = np.frombuffer(out, _fields(bytes_per_symbol(resolution_bits)))
     low, *high = packed.dtype.names
     np.copyto(packed[low], arr, casting="unsafe")   # faster than a strided copy
     for name in high:
         dtype, offset = packed.dtype.fields[name]
         packed[name] = arr.view(dtype)[offset // dtype.itemsize::8 // dtype.itemsize]
-    return packed.tobytes() if out is None else out
 
 
 def unpack_levels(data, resolution_bits: int) -> np.ndarray:

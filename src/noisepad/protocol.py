@@ -642,9 +642,9 @@ def simulate_session(params: SessionParams, k0_bits, seed_a: int, seed_b: int,
     """Drive a full two-party session in process, on the calling thread.
 
     Returns (state_a, state_b).  The handshake, key blocks, parity
-    dialogue and confirmation cross a PeerChannel as framed bytes exactly
-    as they would a socket; a transcript tap may record the eavesdropper's
-    view, and raises OSError after the session if it lost a frame.
+    dialogue and confirmation cross a PeerChannel as (msg_type, payload)
+    pairs.  A transcript tap keeps the eavesdropper's view, the bytes a
+    socket would carry, and raises OSError after the session if it lost a frame.
     """
     k0 = _as_bits(k0_bits)
     if len(k0) != params.block_length:

@@ -19,9 +19,10 @@ next received `(msg_type, payload)` back, and returns its result.
 A core meets one of three drivers: `drive(core, channel)` runs it over a
 blocking channel (a socket); `PeerChannel(peer_core)` steps the peer's
 core in process instead; and `drive(core, TapeChannel(frames))` replays a
-recorded wire to it, checking every frame it sends against the record.  A
-TranscriptTap on one end keeps the eavesdropper's tape: every frame, in
-wire order.
+recorded wire to it, checking every frame it sends against the record.
+Inside the process a frame is that `(msg_type, payload)` pair; it becomes
+bytes only on a socket and on a TranscriptTap, which keeps the
+eavesdropper's tape on one end: every frame, in wire order.
 
 On TCP, Nagle is off: each frame leaves in its own write as a core
 yields it, and none waits for the peer's delayed ACK.
@@ -75,18 +76,22 @@ class MessageType(IntEnum):
 # Frames
 # ---------------------------------------------------------------------------
 
-def frame_encode(msg_type: int, payload: bytes) -> bytes:
+def _check_size(payload: bytes) -> None:
     if len(payload) > MAX_PAYLOAD:
         raise OversizeFrameError(
             f"payload of {len(payload)} bytes exceeds {MAX_PAYLOAD}")
+
+
+def frame_encode(msg_type: int, payload: bytes) -> bytes:
+    _check_size(payload)
     return _HEADER.pack(MAGIC, VERSION, int(msg_type), len(payload)) + payload
 
 
 def frame_decode(buf: bytes) -> tuple[int, bytes]:
     """Decode exactly one frame; the buffer must contain nothing else."""
-    msg_type, payload, raw = _decode_at(buf, 0)
-    if len(raw) != len(buf):
-        raise FrameError(f"{len(buf) - len(raw)} trailing bytes after frame")
+    msg_type, payload, end = _decode_at(buf, 0)
+    if end != len(buf):
+        raise FrameError(f"{len(buf) - end} trailing bytes after frame")
     return msg_type, payload
 
 
@@ -102,7 +107,8 @@ def _parse_header(buf: bytes, offset: int = 0) -> tuple[int, int]:
     return msg_type, length
 
 
-def _decode_at(buf: bytes, offset: int) -> tuple[int, bytes, bytes]:
+def _decode_at(buf: bytes, offset: int) -> tuple[int, bytes, int]:
+    """(msg_type, payload, end offset) of the frame at offset."""
     if len(buf) - offset < HEADER_LEN:
         raise TruncatedFrameError(
             f"need {HEADER_LEN} header bytes, have {len(buf) - offset}")
@@ -111,16 +117,15 @@ def _decode_at(buf: bytes, offset: int) -> tuple[int, bytes, bytes]:
     if len(buf) < end:
         raise TruncatedFrameError(
             f"declared {length} payload bytes, have {len(buf) - offset - HEADER_LEN}")
-    return msg_type, buf[offset + HEADER_LEN:end], buf[offset:end]
+    return msg_type, buf[offset + HEADER_LEN:end], end
 
 
 def iter_frames(buf: bytes):
     """Yield (msg_type, payload) for each frame in a concatenated buffer."""
     offset = 0
     while offset < len(buf):
-        msg_type, payload, raw = _decode_at(buf, offset)
+        msg_type, payload, offset = _decode_at(buf, offset)
         yield msg_type, payload
-        offset += len(raw)
 
 
 # ---------------------------------------------------------------------------
@@ -128,7 +133,7 @@ def iter_frames(buf: bytes):
 # ---------------------------------------------------------------------------
 
 class TranscriptTap:
-    """Records every raw frame, sent or received, in wire order, to a file.
+    """Records every frame, sent or received, in wire order, to a file.
 
     This is the eavesdropper's perfect record of the session.  A file that
     cannot be opened raises OSError at once; a later storage failure is
@@ -140,11 +145,11 @@ class TranscriptTap:
         self.error = None
         self._fh = open(path, "wb")
 
-    def observe(self, frame_bytes: bytes) -> None:
+    def observe(self, msg_type: int, payload: bytes) -> None:
         if self._fh is None:
             return
         try:
-            self._fh.write(frame_bytes)
+            self._fh.write(frame_encode(msg_type, payload))
             self._fh.flush()
         except OSError as exc:
             self.error = exc
@@ -165,29 +170,27 @@ class TranscriptTap:
 
 
 class Channel:
-    """Framed message channel with at most one tap, which close() also closes."""
+    """A (msg_type, payload) channel with at most one tap, which close() also closes."""
 
     def __init__(self):
         self.tap: TranscriptTap | None = None
 
     def send(self, msg_type: int, payload: bytes = b"") -> None:
-        frame = frame_encode(msg_type, payload)
+        _check_size(payload)
         if self.tap is not None:
-            self.tap.observe(frame)
-        self._send_frame(frame)
+            self.tap.observe(msg_type, payload)
+        self._send(msg_type, payload)
 
     def recv(self, timeout: float | None = None) -> tuple[int, bytes]:
-        msg_type, payload, raw = self._recv_frame(
-            DEFAULT_TIMEOUT if timeout is None else timeout)
+        frame = self._recv(DEFAULT_TIMEOUT if timeout is None else timeout)
         if self.tap is not None:
-            self.tap.observe(raw)
-        return msg_type, payload
+            self.tap.observe(*frame)
+        return frame
 
-    def _send_frame(self, frame: bytes) -> None:
+    def _send(self, msg_type: int, payload: bytes) -> None:
         raise NotImplementedError
 
-    def _recv_frame(self, timeout: float):
-        """(msg_type, payload, raw frame); the raw frame may be None without a tap."""
+    def _recv(self, timeout: float) -> tuple[int, bytes]:
         raise NotImplementedError
 
     def close(self) -> None:
@@ -208,7 +211,7 @@ class PeerChannel(Channel):
         super().__init__()
         self._inbox: deque = deque()
         self.peer_end = Channel()   # carries the peer's frames into the inbox
-        self.peer_end._send_frame = self._inbox.append
+        self.peer_end._send = lambda *frame: self._inbox.append(frame)
         self.result = None
         self.error: Exception | None = None
         self._core = peer_core
@@ -225,16 +228,15 @@ class PeerChannel(Channel):
         except Exception as exc:  # noqa: BLE001 - the caller re-raises .error
             self._core, self.error = None, exc
 
-    def _send_frame(self, frame: bytes) -> None:
+    def _send(self, msg_type: int, payload: bytes) -> None:
         if self._core is not None:
-            msg_type, payload, _ = _decode_at(frame, 0)
             self._step((msg_type, payload))
 
-    def _recv_frame(self, timeout: float):
+    def _recv(self, timeout: float) -> tuple[int, bytes]:
         if not self._inbox:   # no wait: nothing else can queue a frame
             state = "has stopped" if self._core is None else "is waiting too"
             raise ChannelError(f"no frame queued: the peer {state}") from self.error
-        return _decode_at(self._inbox.popleft(), 0)
+        return self._inbox.popleft()
 
 
 class SocketChannel(Channel):
@@ -244,9 +246,9 @@ class SocketChannel(Channel):
         if sock.family in (socket.AF_INET, socket.AF_INET6):
             sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
 
-    def _send_frame(self, frame: bytes) -> None:
+    def _send(self, msg_type: int, payload: bytes) -> None:
         try:
-            self._sock.sendall(frame)
+            self._sock.sendall(frame_encode(msg_type, payload))
         except OSError as exc:
             raise ChannelError(f"send failed: {exc}") from exc
 
@@ -270,12 +272,10 @@ class SocketChannel(Channel):
             got += part
         return buf
 
-    def _recv_frame(self, timeout: float):
+    def _recv(self, timeout: float) -> tuple[int, bytes]:
         self._sock.settimeout(timeout)
-        header = self._read_exact(HEADER_LEN, "header")
-        msg_type, length = _parse_header(header)
-        payload = self._read_exact(length, "payload") if length else b""
-        return msg_type, payload, None if self.tap is None else header + payload
+        msg_type, length = _parse_header(self._read_exact(HEADER_LEN, "header"))
+        return msg_type, self._read_exact(length, "payload") if length else b""
 
     def close(self) -> None:
         super().close()
@@ -297,18 +297,18 @@ class TapeChannel(Channel):
         super().__init__()
         self._frames = iter(frames)
 
-    def _send_frame(self, frame: bytes) -> None:
+    def _send(self, msg_type: int, payload: bytes) -> None:
         taped = next(self._frames, None)
-        if taped is None or frame != frame_encode(*taped):
+        if taped is None or (msg_type, payload) != taped:
             held = "ends" if taped is None else f"holds {_describe(*taped)}"
             raise ChannelError(
-                f"sent {_describe(*_decode_at(frame, 0)[:2])}, but the tape {held}")
+                f"sent {_describe(msg_type, payload)}, but the tape {held}")
 
-    def _recv_frame(self, timeout: float):
+    def _recv(self, timeout: float) -> tuple[int, bytes]:
         taped = next(self._frames, None)
         if taped is None:
             raise ChannelError("the tape ends before the next received frame")
-        return (*taped, frame_encode(*taped))
+        return taped
 
 
 def _describe(msg_type: int, payload: bytes) -> str:

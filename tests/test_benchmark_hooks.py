@@ -8,6 +8,7 @@ them, since the traced perfbench tests share one process with these.
 """
 
 import sys
+from collections import Counter
 from pathlib import Path
 
 ROOT = str(Path(__file__).resolve().parents[1])
@@ -63,3 +64,27 @@ def test_a_traced_session_times_every_symbol_kernel():
     assert blocks == 2 and chunks > 2 * blocks
     for kernel in ("encode.pack", "encode.unpack", "encode.decode"):
         assert names.count(kernel) == chunks, kernel
+
+
+def test_traced_loopback_counts_both_roles_frames():
+    # Role B's frames leave through its peer end's Channel.send, so the
+    # tracer counts them on the loopback as it does on a socket.  A frame
+    # that skips Channel.send, or passes it twice, moves these pinned counts.
+    k0 = np.random.default_rng(1024).integers(0, 2, 1024, dtype=np.uint8)
+    tracer = tracing.Tracer()
+    try:
+        tracing.install(tracer)
+        protocol.simulate_session(sessions.session_params(1024), k0, 1, 2, cycles=3)
+    finally:
+        tracer.restore()
+    counts = Counter()
+    for role in "AB":
+        counts.update({key: n for key, n in tracer.counts[role].items()
+                       if key.startswith("transport.")})
+    assert counts == {
+        "transport.frames.HELLO": 1, "transport.bytes.HELLO": 26,
+        "transport.frames.HELLO_ACK": 1, "transport.bytes.HELLO_ACK": 10,
+        "transport.frames.KEYBLOCK": 6, "transport.bytes.KEYBLOCK": 28254,
+        "transport.frames.PA_SEED": 6, "transport.bytes.PA_SEED": 994,
+        "transport.frames.CONFIRM": 2, "transport.bytes.CONFIRM": 84,
+    }

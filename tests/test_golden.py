@@ -29,7 +29,7 @@ class _RoleAEnd(transport.PeerChannel):
 
     The symbols listed in `slips` (by index in A's KEYBLOCK number
     `slip_block`, counted from 0) get a pi phase slip before the frame is
-    encoded.
+    sent; the hash covers each frame's bytes as a socket would carry them.
     """
 
     slips: tuple = ()
@@ -53,9 +53,9 @@ class _RoleAEnd(transport.PeerChannel):
             self.keyblocks += 1
         super().send(msg_type, payload)
 
-    def _send_frame(self, frame):
-        self.frames.update(frame)
-        super()._send_frame(frame)
+    def _send(self, msg_type, payload):
+        self.frames.update(transport.frame_encode(msg_type, payload))
+        super()._send(msg_type, payload)
 
 
 def _keys_sha256(chain) -> str:

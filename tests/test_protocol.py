@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from noisepad import analysis, protocol
+from noisepad import analysis, protocol, transport
 from noisepad.attacker import chain_compromise, read_tape
 from noisepad.encode import quantize, transmit_symbol
 from noisepad.errors import (
@@ -683,6 +683,20 @@ def test_simulate_session_round_trip(tmp_path):
     # block Y_j is masked under K_{j-1}, so it has that key's length
     assert [len(levels) for _, levels in blocks] == [
         len(k.bits) for k in res_a.chain.keys[:-1]]
+
+
+def test_an_untapped_session_builds_no_frame_bytes(monkeypatch):
+    # In process a frame stays a (msg_type, payload) pair: with no tap,
+    # nothing encodes a frame or parses a header.
+    def refuse(*args):
+        raise AssertionError("a frame was encoded or parsed in process")
+
+    monkeypatch.setattr(transport, "frame_encode", refuse)
+    monkeypatch.setattr(transport, "_parse_header", refuse)
+    k0 = np.random.default_rng(71).integers(0, 2, 1024, dtype=np.uint8)
+    res_a, res_b = simulate_session(PARAMS, k0, 5, 6, cycles=3)
+    assert res_a.cycles_completed == 3
+    assert res_a.chain.bits_equal(res_b.chain)
 
 
 def test_simulate_session_needs_k0_of_the_block_length():

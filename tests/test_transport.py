@@ -19,6 +19,7 @@ from noisepad.errors import (
 )
 from noisepad.protocol import PartyState, SessionParams, run_session
 from noisepad.transport import (
+    MAX_PAYLOAD,
     RECV,
     HelloParams,
     MessageType,
@@ -240,7 +241,7 @@ def test_tap_failure_does_not_break_sessions(tmp_path):
     with pytest.raises(OSError):
         TranscriptTap(tmp_path / "no" / "such" / "dir" / "f.bin")
     tap = TranscriptTap("/dev/full")             # every flush fails
-    tap.observe(b"data")                        # swallowed
+    tap.observe(MessageType.HELLO, b"data")     # swallowed
     assert tap.error is not None
     with pytest.raises(OSError, match="/dev/full is incomplete"):
         tap.finish()
@@ -267,6 +268,48 @@ def test_peer_channel_recv_while_peer_waits_raises_at_once():
     ch.send(MessageType.CONFIRM, b"tag")
     assert ch.recv() == (MessageType.CONFIRM, b"tag")
     assert ch.error is None
+    with pytest.raises(ChannelError, match="stopped"):
+        ch.recv()
+
+
+def test_every_channel_refuses_an_oversize_payload_before_anything_moves(tmp_path):
+    big = bytes(MAX_PAYLOAD + 1)
+    stepped = []
+
+    def peer():
+        while True:
+            stepped.append((yield RECV))
+
+    ch = PeerChannel(peer())
+    tap = record_transcript(ch, tmp_path / "tap.bin")
+    with pytest.raises(OversizeFrameError):
+        ch.send(MessageType.KEYBLOCK, big)
+    assert stepped == [] and ch.error is None       # the peer was not stepped
+    ch.send(MessageType.CONFIRM, b"tag")
+    assert stepped == [(MessageType.CONFIRM, b"tag")]
+    tap.finish()
+    assert list(iter_frames((tmp_path / "tap.bin").read_bytes())) == stepped
+
+    tape = TapeChannel([(MessageType.CONFIRM, b"tag")])
+    with pytest.raises(OversizeFrameError):
+        tape.send(MessageType.KEYBLOCK, big)
+    assert tape.recv() == (MessageType.CONFIRM, b"tag")    # the tape did not advance
+
+    ch_a, ch_b = socket_pair()
+    try:
+        with pytest.raises(OversizeFrameError):
+            ch_a.send(MessageType.KEYBLOCK, big)
+        ch_a.send(MessageType.CONFIRM, b"tag")
+        assert ch_b.recv(timeout=5.0) == (MessageType.CONFIRM, b"tag")   # its first byte
+    finally:
+        ch_a.close()
+        ch_b.close()
+
+    def loud_peer():
+        yield MessageType.KEYBLOCK, big
+
+    ch = PeerChannel(loud_peer())
+    assert isinstance(ch.error, OversizeFrameError)
     with pytest.raises(ChannelError, match="stopped"):
         ch.recv()
 
