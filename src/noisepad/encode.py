@@ -24,6 +24,12 @@ o - q < l < o + q (ties go to 0).  So a level decodes as
 and R <= 48 this equals the float nearest-point rule on every level
 tested; where a float64 phase cannot resolve one level (R > 48), the
 integer rule is the definition.
+
+decode_packed reads that rule off packed bytes.  A symbol's top field, its
+last min(2, ceil(R/8)) bytes, holds level bits s and up, T = 2^(R-s) values,
+shifted onto the uint16 ring (stray bits above R drop out).  From the centre
+of its basis's run of T/2 - 1 all-bit-1 values, |top - centre| < 2^14 is
+bit 1; at 2^14 a value may straddle an edge, so its chunk decodes full levels.
 """
 
 import math
@@ -75,6 +81,16 @@ class Constellation:
         lo, hi = math.floor(o), math.ceil(o)
         return ((q + 1, 2 * q - 1),
                 ((lo - q + 1) % self.n_levels, hi - lo + 2 * q - 1))
+
+    @cached_property
+    def top_rule(self) -> tuple:
+        """decode_packed's shift onto the uint16 ring, and minus the centre of the run of
+        T/2 - 1 all-bit-1 top values per basis: basis 0's, and basis 1's less 0's."""
+        s = 8 * max(bytes_per_symbol(self.resolution_bits) - 2, 0)  # bits below the top
+        k = 16 - self.resolution_bits + s
+        c0, c1 = ((-start >> s << k) + (1 << k) - (1 << 14) & 0xFFFF
+                  for start, _ in self.windows)
+        return k, np.uint16(c0), np.uint16(c1 - c0 & 0xFFFF)
 
 
 def wrap_pi(phase):
@@ -154,6 +170,19 @@ def decode_with_basis(level, basis, c: Constellation):
     out = offset < width0
     out |= (offset < width1) & (basis != 0)     # width1 >= width0
     return int(out) if out.ndim == 0 else out.view(np.uint8)
+
+
+def decode_packed(data, basis, c: Constellation, out) -> None:
+    """decode_with_basis(unpack_levels(data, R), basis, c), written into uint8 `out`."""
+    size, (k, c0, c1_c0) = bytes_per_symbol(c.resolution_bits), c.top_rule
+    top = np.ndarray(len(basis), f"<u{min(2, size)}", data, max(size - 2, 0), (size,))
+    y = np.multiply(basis, c1_c0, dtype=np.uint16)
+    y += np.left_shift(top, k, dtype=np.uint16) if k else top
+    y += c0
+    np.abs(y.view(np.int16), out=y.view(np.int16))   # -2^15 stays 2^15 as uint16
+    np.less(y, 1 << 14, out=out.view(bool))
+    if (y == 1 << 14).any():    # a symbol at a window edge: decode every full level
+        out[:] = decode_with_basis(unpack_levels(data, c.resolution_bits), basis, c)
 
 
 def bytes_per_symbol(resolution_bits: int) -> int:

@@ -40,7 +40,7 @@ A block leaves only its key: everything public about it is on the wire, and
 Eve replays receive_block, the receiver's own core, over her tape of it.
 Blocks stream CHUNK symbols at a time, noise to KEYBLOCK payload to bits.
 A party draws its next block's noise before it waits on the peer
-(_read_ahead); fresh bits stay one draw: a bounded uint8 draw buffers bytes.
+(_read_ahead); fresh bits are one draw of whole uint32s (_fresh_bits).
 """
 
 from __future__ import annotations
@@ -55,7 +55,8 @@ from functools import cached_property
 import numpy as np
 
 from . import analysis, transport
-from .encode import Constellation, decode_with_basis, transmit_symbol
+from .encode import Constellation, decode_packed, transmit_symbol
+from .encode import decode_with_basis  # noqa: F401 - perfbench/tracer.py wraps it by name
 from .errors import (
     KeyExhaustedError,
     ConfirmMismatchError,
@@ -254,13 +255,13 @@ def recover_block(levels, basis_bits, constellation: Constellation, *,
     """Decode a block's packed level bytes with the shared basis key, CHUNK
     symbols at a time; `trusted` basis bits go unchecked."""
     basis = basis_bits if trusted else _as_bits(basis_bits)
-    r = constellation.resolution_bits
-    size, bits = transport.bytes_per_symbol(r), np.empty(len(basis), np.uint8)
+    size = transport.bytes_per_symbol(constellation.resolution_bits)
+    bits = np.empty(len(basis), np.uint8)
     if len(levels) != len(basis) * size:
         raise ProtocolError(f"{len(levels)} level bytes for a {len(basis)}-bit basis key")
     for i in range(0, len(bits), CHUNK):
-        bits[i:i + CHUNK] = decode_with_basis(transport.unpack_levels(
-            levels[i * size:(i + CHUNK) * size], r), basis[i:i + CHUNK], constellation)
+        decode_packed(levels[i * size:(i + CHUNK) * size], basis[i:i + CHUNK],
+                      constellation, bits[i:i + CHUNK])
     return bits
 
 
@@ -503,6 +504,11 @@ def _read_ahead(state: PartyState, j: int, k: int, cycles: int | None) -> None:
         state.noise_ahead = n
 
 
+def _fresh_bits(rng: np.random.Generator, n: int) -> np.ndarray:
+    """rng.integers(0, 2, n, dtype=np.uint8), bits and state alike, from whole uint32s."""
+    return rng.integers(0, 1 << 32, -(-n // 4), dtype="<u4").view(np.uint8)[:n] >> 7
+
+
 def _send_direction(state: PartyState, j: int, cycles: int | None):
     """Core: the sender's half of block Y_j, up to privacy amplification.
 
@@ -511,7 +517,7 @@ def _send_direction(state: PartyState, j: int, cycles: int | None):
     PA seed, whether it answered one, the peer's next frame).
     """
     params, tip, n = state.params, state.chain.tip, len(state.chain.tip.bits)
-    bits = state.fresh_rng.integers(0, 2, n, dtype=np.uint8)
+    bits = _fresh_bits(state.fresh_rng, n)
     _read_ahead(state, j, j, cycles)
     yield MessageType.KEYBLOCK, send_block(       # no reference kept once sent
         bits, tip, params, state.noise_buf[:n],

@@ -247,8 +247,13 @@ class SocketChannel(Channel):
             sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
 
     def _send(self, msg_type: int, payload: bytes) -> None:
-        try:
-            self._sock.sendall(frame_encode(msg_type, payload))
+        header = _HEADER.pack(MAGIC, VERSION, int(msg_type), len(payload))
+        try:    # one sendmsg of both, no joined copy; sendall writes what it left
+            sent = self._sock.sendmsg([header, payload])
+            if sent < HEADER_LEN:
+                self._sock.sendall(header[sent:])
+            if sent < HEADER_LEN + len(payload):
+                self._sock.sendall(memoryview(payload)[max(sent - HEADER_LEN, 0):])
         except OSError as exc:
             raise ChannelError(f"send failed: {exc}") from exc
 

@@ -48,8 +48,10 @@ def test_a_session_returns_what_the_benchmark_reads():
 
 
 def test_a_traced_session_times_every_symbol_kernel():
-    # A first block of more than two chunks: each kernel runs once per chunk
-    # on both sides, so a kernel fused into another or renamed reads 0 here.
+    # A first block of more than two chunks: modulate and pack run once per
+    # chunk on both sides, so a kernel fused into another or renamed reads 0
+    # here.  The receive kernel decodes packed bytes inside recover_block:
+    # its time is protocol.block's, and the level-path spans stay unused.
     n = (1 << 16) + 17
     k0 = np.random.default_rng(4).integers(0, 2, n, dtype=np.uint8)
     tracer = tracing.Tracer()
@@ -62,8 +64,10 @@ def test_a_traced_session_times_every_symbol_kernel():
     chunks = names.count("encode.modulate")
     blocks = tracer.counts["A"]["protocol.blocks_sent"]
     assert blocks == 2 and chunks > 2 * blocks
-    for kernel in ("encode.pack", "encode.unpack", "encode.decode"):
-        assert names.count(kernel) == chunks, kernel
+    assert names.count("encode.pack") == chunks
+    assert names.count("encode.unpack") == names.count("encode.decode") == 0
+    # one send_block and one recover_block span per block, both roles on one thread
+    assert names.count("protocol.block") == 2 * blocks
 
 
 def test_traced_loopback_counts_both_roles_frames():

@@ -4,10 +4,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from noisepad import encode
 from noisepad.encode import (
     Constellation,
     bytes_per_symbol,
     classify_set,
+    decode_packed,
     decode_with_basis,
     dequantize,
     modulate,
@@ -375,3 +377,87 @@ def test_kernels_match_float_property(data):
     assert np.array_equal(
         transmit_symbol(bits, basis, c, noise),
         oracles.float_transmit_symbol(bits, basis, c.delta_phi, r, noise))
+
+
+# ---------------------------------------------------------------------------
+# Packed decode against the level decode
+# ---------------------------------------------------------------------------
+
+def pack(levels, r, stray=False) -> bytearray:
+    """Packed levels; `stray` sets the bits above R in every other top byte."""
+    data = bytearray(len(levels) * bytes_per_symbol(r))
+    pack_levels(levels, r, out=data)
+    if stray and r % 8:
+        np.frombuffer(data, np.uint8).reshape(len(levels), -1)[::2, -1] |= \
+            np.uint8(0xFF << r % 8 & 0xFF)
+    return data
+
+
+def assert_packed_decode_matches(levels, r, c, stray=True):
+    data = pack(levels, r, stray)
+    for basis in (np.zeros(len(levels), np.uint8), np.ones(len(levels), np.uint8),
+                  np.arange(len(levels), dtype=np.uint8) % 2):
+        got = np.empty(len(levels), np.uint8)
+        decode_packed(data, basis, c, got)
+        want = decode_with_basis(unpack_levels(pack(levels, r), r), basis, c)
+        bad = np.flatnonzero(got != want)
+        assert bad.size == 0, (r, c.delta_phi, levels[bad[:5]], basis[bad[:5]])
+
+
+def edge_levels(c: Constellation) -> np.ndarray:
+    """Each window edge +-3 levels, and as much either side of the top-field
+    cells (2^s levels) next to it: the straddling cells and their neighbours."""
+    r = c.resolution_bits
+    cell = 1 << 8 * max(bytes_per_symbol(r) - 2, 0)
+    near = [d + j * cell for j in (-2, -1, 0, 1, 2) for d in range(-3, 4)]
+    return np.array([(edge + d) % (1 << r) for start, width in c.windows
+                     for edge in (start, start + width) for d in near], np.uint64)
+
+
+@pytest.mark.parametrize("r", range(8, 57))
+def test_packed_decode_matches_the_level_decode(r):
+    # Every admissible delta_phi = 2^k at this R: its window edges, with
+    # stray bits above R set in the top byte; and 10^5 random levels.
+    # A few offsets that are no power of two check the rule's derivation.
+    rng = np.random.default_rng(300 + r)
+    exponents = admissible_exponents(r)
+    offsets = [2.0 ** k for k in exponents] + list(
+        rng.uniform(2.0 ** exponents[-1], PI / 8.0, 4))
+    for delta_phi in offsets:
+        c = Constellation(delta_phi, r)
+        assert_packed_decode_matches(edge_levels(c), r, c)
+    random_levels = rng.integers(0, 1 << r, 10 ** 5, dtype=np.uint64)
+    for k in (exponents[0], exponents[-1]):
+        assert_packed_decode_matches(random_levels, r, Constellation(2.0 ** k, r))
+
+
+def test_packed_decode_of_a_chunk_of_edge_symbols_falls_back_to_full_levels(monkeypatch):
+    # A chunk made only of edge symbols is decoded from its full levels, all
+    # of it; a chunk of honest symbols never is.
+    calls = []
+
+    def spy(level, basis, c):
+        calls.append(len(level))
+        return decode_with_basis(level, basis, c)
+    monkeypatch.setattr(encode, "decode_with_basis", spy)
+    c = Constellation(2.0 ** -30, 40)
+    cell = 1 << 24      # the levels of one top-field value at R = 40
+    # (basis, level) within 3 of an edge that lies inside a cell, in that cell
+    edges = [(b, edge + d) for b, (start, width) in enumerate(c.windows)
+             for edge in (start, start + width) if edge % cell
+             for d in range(-3, 4) if (edge + d) // cell == edge // cell]
+    n = 1 << 15
+    rng = np.random.default_rng(17)
+    basis, levels = np.array(edges, np.uint64)[rng.integers(0, len(edges), n)].T
+    levels %= np.uint64(1 << 40)
+    basis = basis.astype(np.uint8)
+    got = np.empty(n, np.uint8)
+    decode_packed(pack(levels, 40), basis, c, got)
+    assert calls == [n]
+    assert np.array_equal(got, decode_with_basis(levels, basis, c))
+    calls.clear()
+    bits, basis = rng.integers(0, 2, (2, n), dtype=np.uint8)
+    sigma = 0.05     # 3.5 times the CLI default operating point's 0.014
+    levels = transmit_symbol(bits, basis, c, rng.normal(0.0, sigma, n))
+    decode_packed(pack(levels, 40), basis, c, got)
+    assert calls == [] and np.array_equal(got, bits)

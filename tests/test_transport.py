@@ -6,6 +6,7 @@ import time
 import numpy as np
 import pytest
 
+from noisepad import transport
 from noisepad.encode import unpack_levels
 from noisepad.errors import (
     BadMagicError,
@@ -19,6 +20,7 @@ from noisepad.errors import (
 )
 from noisepad.protocol import PartyState, SessionParams, run_session
 from noisepad.transport import (
+    HEADER_LEN,
     MAX_PAYLOAD,
     RECV,
     HelloParams,
@@ -371,6 +373,37 @@ def test_socket_channel_reassembles_large_frame_from_small_pieces():
     assert not sender.is_alive()
 
 
+def test_socket_send_writes_a_frame_larger_than_the_send_buffer_unjoined(monkeypatch):
+    # sendmsg writes part of a frame this large; sendall sends the rest.
+    # Without a tap, no joined copy of header and payload is built.
+    def joined(*_):
+        raise AssertionError("frame_encode called on an untapped socket send")
+    monkeypatch.setattr(transport, "frame_encode", joined)
+    writes = []
+
+    class CountingSocket(socket.socket):
+        def sendmsg(self, buffers, *args):
+            writes.append(super().sendmsg(buffers, *args))
+            return writes[-1]
+
+    a, b = socket.socketpair()
+    sender = CountingSocket(fileno=a.detach())
+    sender.settimeout(10.0)     # as after a recv: a write takes what the buffer holds
+    ch_a, ch_b = SocketChannel(sender), SocketChannel(b)
+    payload = np.random.default_rng(8).integers(0, 256, 4 << 20, dtype=np.uint8).tobytes()
+    thread = threading.Thread(target=ch_a.send, args=(MessageType.KEYBLOCK, payload),
+                              daemon=True)
+    thread.start()
+    try:
+        assert ch_b.recv(timeout=10.0) == (MessageType.KEYBLOCK, payload)
+    finally:
+        thread.join(timeout=10.0)
+        ch_a.close()
+        ch_b.close()
+    assert not thread.is_alive()
+    assert len(writes) == 1 and HEADER_LEN < writes[0] < HEADER_LEN + len(payload)
+
+
 def test_socket_channel_truncation_reports_byte_count():
     ch_a, ch_b = socket_pair()
     frame = frame_encode(MessageType.HELLO, b"abcdef")
@@ -416,6 +449,11 @@ class _LoggedSocket:
     def sendall(self, data):
         self._log.append(("write", bytes(data)))
         self._sock.sendall(data)
+
+    def sendmsg(self, buffers):
+        sent = self._sock.sendmsg(buffers)
+        self._log.append(("write", b"".join(map(bytes, buffers))[:sent]))
+        return sent
 
     def recv_into(self, buf):
         got = self._sock.recv_into(buf)
