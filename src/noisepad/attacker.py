@@ -192,7 +192,7 @@ def chain_compromise(tape: Tape, known_key_index: int,
     if known_key_index < 0:
         raise ValueError(f"known key index must be >= 0, got {known_key_index}")
     params = tape.params
-    current = np.asarray(known_key, dtype=np.uint8)
+    key = ChainKey.from_bits(known_key, known_key_index)
     recovered, gaps = [], []
     for j in count(known_key_index + 1):
         if j > len(tape.blocks):
@@ -200,14 +200,14 @@ def chain_compromise(tape: Tape, known_key_index: int,
                         f"K{j - 1}")
             break
         block = tape.blocks[j - 1]
-        core = receive_block(params, ChainKey(j - 1, current), j, block.keyblock)
+        core = receive_block(params, key, j, block.keyblock)
         try:
             bits, pa_seed, located = drive(core, TapeChannel(block.frames))
-            current = amplify_block(params, bits, pa_seed, located)
+            key = amplify_block(params, bits, pa_seed, located)
         except NoisepadError as exc:
             gaps.append(f"Y{j}: {exc}")
             break
-        recovered.append((j, current))
+        recovered.append((j, key.bits))
     return ChainRecovery(recovered, gaps)
 
 

@@ -195,7 +195,7 @@ def _summary(state: protocol.PartyState, extra: dict | None = None) -> dict:
         "cycles_completed": state.cycles_completed,
         "delivered_bits": [list(d) for d in state.delivered],
         "total_delivered_bits": total,
-        "boost_factor_so_far": total / len(state.chain.keys[0].bits),
+        "boost_factor_so_far": total / len(state.chain.keys[0]),
         "ledger": {
             "statistical_leak": state.ledger.statistical_leak,
             "disclosed_parity_bits": state.ledger.disclosed_parity_bits,

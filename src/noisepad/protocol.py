@@ -89,6 +89,12 @@ def _as_bits(bits) -> np.ndarray:
     return arr
 
 
+def _unpack_bits(packed: bytes, start: int, stop: int) -> np.ndarray:
+    """Bits [start, stop) of little-endian packed bytes, one uint8 each; start % 8 == 0."""
+    return np.unpackbits(np.frombuffer(packed, np.uint8)[start // 8:-(-stop // 8)],
+                         count=stop - start, bitorder="little")
+
+
 # ---------------------------------------------------------------------------
 # Domain types
 # ---------------------------------------------------------------------------
@@ -164,45 +170,60 @@ class SessionParams:
                                      self.safety_bits)
 
 
-@dataclass
+@dataclass(slots=True)
 class ChainKey:
-    """One key of the chain, with its one-time usage state."""
+    """One key of the chain, its bits packed little-endian as the PA hash leaves
+    them (zero past `length`), with its one-time usage state."""
 
-    index: int
-    bits: np.ndarray
+    packed: bytes
+    length: int
+    index: int = 0      # set by KeyChain.append
     used_as_basis: bool = False
     tag_bits_used: int = 0
 
-    def consume(self) -> np.ndarray:
-        """Use this key as basis material, once; returns its bits."""
+    @classmethod
+    def from_bits(cls, bits, index: int = 0) -> "ChainKey":
+        bits = _as_bits(bits)
+        return cls(np.packbits(bits, bitorder="little").tobytes(), len(bits), index)
+
+    def __len__(self) -> int:
+        return self.length
+
+    @property
+    def bits(self) -> np.ndarray:
+        """The bits, one uint8 each, unpacked anew on each read; off the session path."""
+        return _unpack_bits(self.packed, 0, self.length)
+
+    def consume(self) -> bytes:
+        """Use this key as basis material, once; returns its packed bytes."""
         if self.used_as_basis:
             raise OneTimeViolationError(
                 f"key K{self.index} was already used as basis material")
         self.used_as_basis = True
-        return self.bits
+        return self.packed
 
 
 class KeyChain:
     """Ordered keys K0, K1, K2, ... of one party; append() takes PA output unchecked."""
 
     def __init__(self, k0_bits):
-        self.keys = [ChainKey(0, _as_bits(k0_bits))]
+        self.keys = [ChainKey.from_bits(k0_bits)]
 
     @property
     def tip(self) -> ChainKey:
         return self.keys[-1]
 
-    def append(self, bits: np.ndarray) -> ChainKey:
-        key = ChainKey(len(self.keys), bits)
+    def append(self, key: ChainKey) -> ChainKey:
+        key.index = len(self.keys)
         self.keys.append(key)
         return key
 
     def total_delivered(self) -> int:
-        return sum(len(k.bits) for k in self.keys[1:])
+        return sum(map(len, self.keys[1:]))
 
     def bits_equal(self, other: "KeyChain") -> bool:
         return (len(self.keys) == len(other.keys) and
-                all(np.array_equal(a.bits, b.bits)
+                all(a.length == b.length and a.packed == b.packed
                     for a, b in zip(self.keys, other.keys)))
 
 
@@ -239,29 +260,28 @@ def send_block(fresh_bits, basis_key: ChainKey, params: SessionParams,
     """
     fresh = fresh_bits if trusted else _as_bits(fresh_bits)
     n, r = len(fresh), params.resolution_bits
-    if n != len(basis_key.bits):
-        raise ProtocolError(f"{n} fresh bits for a {len(basis_key.bits)}-bit basis key")
+    if n != len(basis_key):
+        raise ProtocolError(f"{n} fresh bits for a {len(basis_key)}-bit basis key")
     key, size = basis_key.consume(), transport.bytes_per_symbol(r)
     view = memoryview(out)[-n * size:]
     for i in range(0, n, CHUNK):
+        basis = _unpack_bits(key, i, min(i + CHUNK, n))
         transport.pack_levels(transmit_symbol(
-            fresh[i:i + CHUNK], key[i:i + CHUNK], params.constellation,
-            noise[i:i + CHUNK]), r, out=view[i * size:(i + CHUNK) * size])
+            fresh[i:i + CHUNK], basis, params.constellation, noise[i:i + CHUNK]),
+            r, out=view[i * size:(i + CHUNK) * size])
     return out
 
 
-def recover_block(levels, basis_bits, constellation: Constellation, *,
-                  trusted: bool = False) -> np.ndarray:
-    """Decode a block's packed level bytes with the shared basis key, CHUNK
-    symbols at a time; `trusted` basis bits go unchecked."""
-    basis = basis_bits if trusted else _as_bits(basis_bits)
-    size = transport.bytes_per_symbol(constellation.resolution_bits)
-    bits = np.empty(len(basis), np.uint8)
-    if len(levels) != len(basis) * size:
-        raise ProtocolError(f"{len(levels)} level bytes for a {len(basis)}-bit basis key")
-    for i in range(0, len(bits), CHUNK):
-        decode_packed(levels[i * size:(i + CHUNK) * size], basis[i:i + CHUNK],
-                      constellation, bits[i:i + CHUNK])
+def recover_block(levels, basis_key: ChainKey, constellation: Constellation) -> np.ndarray:
+    """Decode packed levels with a one-time basis key, CHUNK symbols a pass; consumes it."""
+    n, size = len(basis_key), transport.bytes_per_symbol(constellation.resolution_bits)
+    if len(levels) != n * size:
+        raise ProtocolError(f"{len(levels)} level bytes for a {n}-bit basis key")
+    key, bits = basis_key.consume(), np.empty(n, np.uint8)
+    for i in range(0, n, CHUNK):
+        basis = _unpack_bits(key, i, min(i + CHUNK, n))
+        decode_packed(levels[i * size:(i + CHUNK) * size], basis, constellation,
+                      bits[i:i + CHUNK])
     return bits
 
 
@@ -352,23 +372,22 @@ def _sender_core(bits: np.ndarray):
 # Privacy amplification
 # ---------------------------------------------------------------------------
 
-def _modified_toeplitz(seed: int, vec: np.ndarray, m: int) -> np.ndarray:
+def _modified_toeplitz(seed: int, vec: np.ndarray, m: int) -> ChainKey:
     """h(x) = x[:m] XOR T x[m:] over GF(2), with T[i, j] = seed[k-1+i-j], k = n-m.
 
     `seed` packs the n-1 seed bits, bit t = seed[t]; column j of T is the
     low m bits of seed >> (k-1-j), so the product is one shift and XOR of
-    Python ints per set bit of x[m:].
+    Python ints per set bit of x[m:].  h(x) is returned as a key, packed.
     """
     k = len(vec) - m
     acc = int.from_bytes(np.packbits(vec, bitorder="little").tobytes(), "little")
     for j in np.flatnonzero(vec[m:]).tolist():
         acc ^= seed >> (k - 1 - j)
-    out = (acc & ((1 << m) - 1)).to_bytes(-(-m // 8), "little")
-    return np.unpackbits(np.frombuffer(out, np.uint8), count=m, bitorder="little")
+    return ChainKey((acc & ((1 << m) - 1)).to_bytes(-(-m // 8), "little"), m)
 
 
 def amplify_block(params: SessionParams, bits: np.ndarray, pa_seed: bytes,
-                  located: bool) -> np.ndarray:
+                  located: bool) -> ChainKey:
     """A block's key: its bits hashed down to params.key_length(n, located);
     KeyExhaustedError if that is <= 0."""
     m = params.key_length(len(bits), located)
@@ -392,8 +411,8 @@ def unpack_pa_seed(payload: bytes, n: int) -> tuple[int, int, bytes, bytes]:
     return cycle, direction, bytes(payload[_PA_SEED.size:head]), bytes(payload[head:])
 
 
-def privacy_amplify(bits, out_len: int, seed: bytes, *, trusted=False) -> np.ndarray:
-    """Compress bits to out_len bits with a modified Toeplitz hash [I | T].
+def privacy_amplify(bits, out_len: int, seed: bytes, *, trusted=False) -> ChainKey:
+    """Compress bits to an out_len-bit key with a modified Toeplitz hash [I | T].
 
     Seed bit t is bit t of int.from_bytes(seed, "little"); bits past n-2
     are unused.  The family is dual universal (Hayashi & Tsurumaru, IEEE
@@ -423,14 +442,14 @@ def tag_bytes(key_bits, message: bytes) -> bytes:
 
 def authenticate_tag(key: ChainKey, message: bytes) -> bytes:
     """Tag a message with TAG_BITS fresh bits of a chain key, consuming them."""
-    available = len(key.bits) - key.tag_bits_used
+    available = len(key) - key.tag_bits_used
     if available < TAG_BITS:
         raise KeyExhaustedError(
             f"key K{key.index} has {available} unconsumed bits, "
             f"tag needs {TAG_BITS}")
     start = key.tag_bits_used
     key.tag_bits_used += TAG_BITS
-    return tag_bytes(key.bits[start:start + TAG_BITS], message)
+    return tag_bytes(_unpack_bits(key.packed, start, start + TAG_BITS), message)
 
 
 # ---------------------------------------------------------------------------
@@ -487,7 +506,7 @@ class PartyState:
     def delivered(self) -> list:
         """The key lengths of each completed cycle, one pair per cycle."""
         keys = self.chain.keys
-        return [(len(keys[i].bits), len(keys[i + 1].bits))
+        return [(len(keys[i]), len(keys[i + 1]))
                 for i in range(1, 2 * self.cycles_completed, 2)]
 
 
@@ -495,7 +514,7 @@ def _read_ahead(state: PartyState, j: int, k: int, cycles: int | None) -> None:
     """Draw the noise of this party's block Y_k while the chain is due Y_j: as
     long as the key Y_j's base leaves k - j blocks on with no error located,
     and none if the pre-send check or role A's cycle count would stop Y_k."""
-    n, a = len(state.chain.tip.bits), state.noise_ahead
+    n, a = len(state.chain.tip), state.noise_ahead
     for _ in range(k - j):
         n = state.params.key_length(n)
     stops = state.role == "A" and turn(k)[0] > cycles
@@ -516,7 +535,7 @@ def _send_direction(state: PartyState, j: int, cycles: int | None):
     ahead (see _read_ahead) and answers a locate request.  Returns (bits,
     PA seed, whether it answered one, the peer's next frame).
     """
-    params, tip, n = state.params, state.chain.tip, len(state.chain.tip.bits)
+    params, tip, n = state.params, state.chain.tip, len(state.chain.tip)
     bits = _fresh_bits(state.fresh_rng, n)
     _read_ahead(state, j, j, cycles)
     yield MessageType.KEYBLOCK, send_block(       # no reference kept once sent
@@ -542,11 +561,10 @@ def receive_block(params: SessionParams, basis: ChainKey, j: int,
     """
     cycle = turn(j)[0]
     got_cycle, levels = yield from transport.recv_keyblock(
-        params.resolution_bits, len(basis.bits), keyblock)
+        params.resolution_bits, len(basis), keyblock)
     if got_cycle != cycle:
         raise ProtocolError(f"expected cycle {cycle}, peer sent {got_cycle}")
-    bits = recover_block(levels, basis.consume(), params.constellation,
-                         trusted=True)
+    bits = recover_block(levels, basis, params.constellation)
     del keyblock, levels   # a received block is dropped once decoded
     _, payload = yield from expect(MessageType.PA_SEED)
     *got, check, pa_seed = unpack_pa_seed(payload, len(bits))
@@ -557,18 +575,17 @@ def receive_block(params: SessionParams, basis: ChainKey, j: int,
 
 
 def _confirm_message(state: PartyState) -> bytes:
-    tip = state.chain.tip
     return (b"NOTP confirm" +
             struct.pack(">IQQdI", state.cycles_completed,
                         state.chain.total_delivered(),
                         state.ledger.disclosed_parity_bits,
                         state.ledger.statistical_leak,
-                        len(tip.bits)))
+                        len(state.chain.tip)))
 
 
 def _confirm_tag(state: PartyState) -> bytes:
     tip = state.chain.tip
-    if len(tip.bits) - tip.tag_bits_used < TAG_BITS:
+    if len(tip) - tip.tag_bits_used < TAG_BITS:
         return b""
     return authenticate_tag(tip, _confirm_message(state))
 
@@ -599,7 +616,7 @@ def session_core(state: PartyState, cycles: int | None = None, progress=None):
     frame = None
 
     while True:
-        j, n = len(chain.keys), len(chain.tip.bits)
+        j, n = len(chain.keys), len(chain.tip)
         if params.key_length(n) <= 0:   # a block is sent only if it leaves a key
             state.early_stop = _EXHAUSTED.format(params.key_length(n))
             break
@@ -625,10 +642,11 @@ def session_core(state: PartyState, cycles: int | None = None, progress=None):
         if turn(j)[1] == B_TO_A and progress is not None:
             led = state.ledger
             progress({"cycle": turn(j)[0],
-                      "delivered_bits": [len(k.bits) for k in chain.keys[-2:]],
+                      "delivered_bits": [len(k) for k in chain.keys[-2:]],
                       "statistical_leak": led.statistical_leak,
                       "disclosed_parity_bits": led.disclosed_parity_bits,
                       "ledger_total": led.total})
+    state.noise_buf = np.empty(0)   # unmaps the buffer; a [:0] view would keep it
 
     first = state.sends(len(chain.keys) + chain.tip.used_as_basis)
     tag = state.confirm_tag = _confirm_tag(state)

@@ -148,8 +148,9 @@ class TranscriptTap:
     def observe(self, msg_type: int, payload: bytes) -> None:
         if self._fh is None:
             return
-        try:
-            self._fh.write(frame_encode(msg_type, payload))
+        try:    # header, then payload: a KEYBLOCK is never joined into a copy
+            self._fh.write(_HEADER.pack(MAGIC, VERSION, int(msg_type), len(payload)))
+            self._fh.write(payload)
             self._fh.flush()
         except OSError as exc:
             self.error = exc
@@ -278,7 +279,8 @@ class SocketChannel(Channel):
         return buf
 
     def _recv(self, timeout: float) -> tuple[int, bytes]:
-        self._sock.settimeout(timeout)
+        if self._sock.gettimeout() != timeout:     # settimeout is a syscall
+            self._sock.settimeout(timeout)
         msg_type, length = _parse_header(self._read_exact(HEADER_LEN, "header"))
         return msg_type, self._read_exact(length, "payload") if length else b""
 

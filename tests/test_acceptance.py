@@ -121,10 +121,10 @@ def test_criterion_5_legitimate_round_trip_and_cycles():
     rng = np.random.default_rng(55)
     fresh = rng.integers(0, 2, 10_000, dtype=np.uint8)
     basis = rng.integers(0, 2, 10_000, dtype=np.uint8)
-    payload = send_block(fresh, ChainKey(0, basis), params10,
+    payload = send_block(fresh, ChainKey.from_bits(basis), params10,
                          PhaseNoiseModel(params10.coherent.sigma_phi, 56).sample(10_000),
                          transport.keyblock_payload(0, 10_000, 16))
-    errors = int(np.sum(recover_block(memoryview(payload)[4:], basis,
+    errors = int(np.sum(recover_block(memoryview(payload)[4:], ChainKey.from_bits(basis),
                                       params10.constellation) != fresh))
 
     # 100 full cycles (reconciliation + amplification) in the secure regime
@@ -179,9 +179,10 @@ def test_criterion_7_boost_claim():
     blocks = 0
     while symbols < 256_000:
         fresh = fresh_rng.integers(0, 2, 256, dtype=np.uint8)
-        payload = send_block(fresh, ChainKey(blocks, tip), params, noise_a.sample(256),
+        sent_with, key = ChainKey.from_bits(tip, blocks), ChainKey.from_bits(tip, blocks)
+        payload = send_block(fresh, sent_with, params, noise_a.sample(256),
                              transport.keyblock_payload(blocks + 1, 256, 40))
-        recovered = recover_block(memoryview(payload)[4:], tip, params.constellation)
+        recovered = recover_block(memoryview(payload)[4:], key, params.constellation)
         assert np.array_equal(recovered, fresh)     # chain must stay exact
         ledger.statistical_leak += params.block_charge(len(fresh)).statistical_leak
         delivered += len(fresh)

@@ -147,7 +147,7 @@ def test_every_chain_key_is_affine_in_k0(tmp_path):
     def chain(x):
         out = []
         for sets, m, seed in steps:
-            x = privacy_amplify(sets ^ x, m, seed)
+            x = privacy_amplify(sets ^ x, m, seed).bits
             out.append(x)
         return out
 

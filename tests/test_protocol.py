@@ -148,7 +148,7 @@ def test_session_params_from_hello_round_trip():
 
 def test_send_block_single_symbol():
     params = SessionParams(1e4, 2.0 ** -10, 16, 1024)
-    key = ChainKey(0, np.array([0], dtype=np.uint8))
+    key = ChainKey.from_bits([0])
     payload = send_block([0], key, params, np.zeros(1), keyblock_payload(0, 1, 16))
     assert unpack_keyblock(payload, 16)[1].tolist() == [quantize(0.0, 16)]
     assert key.used_as_basis
@@ -158,7 +158,7 @@ def test_send_block_set_algebra():
     rng = np.random.default_rng(1)
     n = 10_000
     fresh, basis = bits(rng, n), bits(rng, n)
-    key = ChainKey(0, basis)
+    key = ChainKey.from_bits(basis)
     p = SessionParams(1e4, 2.0 ** -10, 16, n)
     payload = send_block(fresh, key, p, noise_model(p, 1).sample(n),
                          keyblock_payload(0, n, 16))
@@ -169,7 +169,7 @@ def test_send_block_set_algebra():
 
 def test_send_block_contract_errors():
     rng = np.random.default_rng(2)
-    key, noise = ChainKey(0, bits(rng, 1024)), np.zeros(1024)
+    key, noise = ChainKey.from_bits(bits(rng, 1024)), np.zeros(1024)
     with pytest.raises(ProtocolError):
         send_block(bits(rng, 100), key, PARAMS, noise, keyblock_payload(1, 100, 40))
     send_block(bits(rng, 1024), key, PARAMS, noise, keyblock_payload(1, 1024, 40))
@@ -182,11 +182,16 @@ def test_recover_block_round_trip():
     n = 10_000
     p = SessionParams(1e4, 2.0 ** -10, 16, n)
     fresh, basis = bits(rng, n), bits(rng, n)
-    levels = memoryview(send_block(fresh, ChainKey(0, basis), p, noise_model(p, 9).sample(n),
+    sent_with, key = ChainKey.from_bits(basis), ChainKey.from_bits(basis)
+    levels = memoryview(send_block(fresh, sent_with, p, noise_model(p, 9).sample(n),
                                    keyblock_payload(0, n, 16)))[4:]
-    assert np.array_equal(recover_block(levels, basis, p.constellation), fresh)
+    assert np.array_equal(recover_block(levels, key, p.constellation), fresh)
+    with pytest.raises(OneTimeViolationError):
+        recover_block(levels, key, p.constellation)
+    short = ChainKey.from_bits(basis[:10])
     with pytest.raises(ProtocolError):
-        recover_block(levels, basis[:10], p.constellation)
+        recover_block(levels, short, p.constellation)
+    assert not short.used_as_basis   # checked before consuming
 
 
 def test_send_block_in_chunks_equals_one_pass():
@@ -196,16 +201,18 @@ def test_send_block_in_chunks_equals_one_pass():
     rng = np.random.default_rng(6)
     fresh, basis = bits(rng, n), bits(rng, n)
     noise = noise_model(PARAMS, 11).sample(n)
-    payload = send_block(fresh, ChainKey(0, basis), PARAMS, noise,
+    payload = send_block(fresh, ChainKey.from_bits(basis), PARAMS, noise,
                          keyblock_payload(3, n, 40))
     want = transmit_symbol(fresh, basis, PARAMS.constellation, noise)
     assert payload == pack_keyblock(3, want, 40)
-    got = recover_block(memoryview(payload)[4:], basis, PARAMS.constellation)
+    got = recover_block(memoryview(payload)[4:], ChainKey.from_bits(basis),
+                        PARAMS.constellation)
     assert got.dtype == np.uint8 and np.array_equal(got, fresh)
 
 
-def _traced_peak(fn):
-    """fn() and the bytes it held at its peak beyond what was live before."""
+def _traced(fn):
+    """fn() and the bytes it held at its peak and still holds at its end,
+    beyond what was live before."""
     tracing = tracemalloc.is_tracing()
     if not tracing:
         tracemalloc.start()
@@ -213,7 +220,8 @@ def _traced_peak(fn):
         before = tracemalloc.get_traced_memory()[0]
         tracemalloc.reset_peak()
         result = fn()
-        return result, tracemalloc.get_traced_memory()[1] - before
+        held, peak = tracemalloc.get_traced_memory()
+        return result, peak - before, held - before
     finally:
         if not tracing:
             tracemalloc.stop()
@@ -234,12 +242,13 @@ def test_block_kernels_allocate_no_block_sized_temporaries():
     rng = np.random.default_rng(7)
     fresh, basis = bits(rng, n), bits(rng, n)
     noise = noise_model(p, 12).sample(n)
+    send_key, recv_key = ChainKey.from_bits(basis), ChainKey.from_bits(basis)
 
-    payload, peak = _traced_peak(lambda: send_block(
-        fresh, ChainKey(0, basis), p, noise, keyblock_payload(1, n, 40)))
+    payload, peak, _ = _traced(lambda: send_block(
+        fresh, send_key, p, noise, keyblock_payload(1, n, 40)))
     assert peak <= 3 * mib
-    got, peak = _traced_peak(lambda: recover_block(
-        drive(recv_keyblock(40, n, payload), None)[1], basis, p.constellation))
+    got, peak, _ = _traced(lambda: recover_block(
+        drive(recv_keyblock(40, n, payload), None)[1], recv_key, p.constellation))
     assert peak <= mib // 2
     assert np.array_equal(got, fresh)
 
@@ -250,12 +259,12 @@ def test_whole_block_keyblock_pack_and_unpack_allocate_only_their_result():
     # 0.25-2 MiB temporary.  The slack allows for numpy's cast buffers.
     n, slack = 1 << 18, 1 << 17
     p = SessionParams(1e4, 2.0 ** -30, resolution_bits=40, block_length=n)
-    payload = send_block(bits(np.random.default_rng(8), n), ChainKey(0, bits(
+    payload = send_block(bits(np.random.default_rng(8), n), ChainKey.from_bits(bits(
         np.random.default_rng(9), n)), p, noise_model(p, 13).sample(n),
         keyblock_payload(1, n, 40))
-    (cycle, levels), peak = _traced_peak(lambda: unpack_keyblock(payload, 40))
+    (cycle, levels), peak, _ = _traced(lambda: unpack_keyblock(payload, 40))
     assert peak <= levels.nbytes + slack
-    repacked, peak = _traced_peak(lambda: pack_keyblock(1, levels, 40))
+    repacked, peak, _ = _traced(lambda: pack_keyblock(1, levels, 40))
     assert peak <= len(repacked) + slack
     assert cycle == 1 and repacked == payload
 
@@ -265,13 +274,14 @@ def test_recover_block_wrong_key_statistics():
     n = 10_000
     p = SessionParams(1e4, 2.0 ** -10, 16, n)
     fresh, basis = bits(rng, n), bits(rng, n)
-    levels = memoryview(send_block(fresh, ChainKey(0, basis), p, noise_model(p, 10).sample(n),
+    key = ChainKey.from_bits(basis)
+    levels = memoryview(send_block(fresh, key, p, noise_model(p, 10).sample(n),
                                    keyblock_payload(0, n, 16)))[4:]
     # complemented key: decode flips every bit
-    assert np.array_equal(recover_block(levels, 1 - basis, p.constellation),
-                          1 - fresh)
+    assert np.array_equal(recover_block(levels, ChainKey.from_bits(1 - basis),
+                                        p.constellation), 1 - fresh)
     # unrelated key: agreement indistinguishable from a coin flip
-    other = bits(np.random.default_rng(5), n)
+    other = ChainKey.from_bits(bits(np.random.default_rng(5), n))
     agree = float(np.mean(recover_block(levels, other, p.constellation) == fresh))
     assert abs(agree - 0.5) < oracles.binom_3sigma(0.5, n)
 
@@ -288,9 +298,25 @@ def test_keychain_discipline():
     assert k0.used_as_basis
     with pytest.raises(OneTimeViolationError):
         k0.consume()
-    k1 = chain.append(np.zeros(12, dtype=np.uint8))
+    k1 = chain.append(ChainKey.from_bits(np.zeros(12, dtype=np.uint8)))
     assert chain.tip is k1 and k1.index == 1
     assert chain.total_delivered() == 12
+
+
+@pytest.mark.parametrize("n", [1, 8, 13, 990])
+def test_chain_keys_hold_their_bits_packed(n):
+    # ceil(n / 8) bytes, little-endian as the PA hash leaves them, zero past
+    # n; .bits unpacks a copy on each read and consumes nothing
+    b = bits(np.random.default_rng(n), n)
+    key = ChainKey.from_bits(b)
+    assert len(key) == n and key.packed == np.packbits(b, bitorder="little").tobytes()
+    assert len(key.packed) == -(-n // 8)
+    key.bits[:] = 1 - b
+    assert np.array_equal(key.bits, b) and not key.used_as_basis
+    assert key.consume() == key.packed
+    with pytest.raises(OneTimeViolationError):
+        key.consume()
+    assert np.array_equal(key.bits, b)
 
 
 def test_ledger_accounting():
@@ -410,14 +436,14 @@ def test_privacy_amplify_lengths():
     rng = np.random.default_rng(31)
     data = bits(rng, 1024)
     # out_len n: identity
-    assert np.array_equal(privacy_amplify(data, 1024, seed_for(1024, 5)), data)
+    assert np.array_equal(privacy_amplify(data, 1024, seed_for(1024, 5)).bits, data)
     # the one length rule: ceil(parity + statistical leak [+ 11-bit syndrome])
     # and the safety margin
     assert PARAMS.key_length(1024, located=True) == 1024 - 13 - 32
     m = PARAMS.key_length(1024)
     assert m == 1024 - 2 - 32
-    assert np.array_equal(amplify_block(PARAMS, data, seed_for(1024, 5), False),
-                          privacy_amplify(data, m, seed_for(1024, 5)))
+    assert amplify_block(PARAMS, data, seed_for(1024, 5), False) == \
+        privacy_amplify(data, m, seed_for(1024, 5))
     assert len(privacy_amplify(data, m, seed_for(1024, 5))) == m
     spent = SessionParams(1e4, 2.0 ** -30, 40, 64, safety_bits=62)
     with pytest.raises(KeyExhaustedError, match="would leave 0 bits"):
@@ -435,7 +461,7 @@ def _dense_check(n, k, s, data_seed):
     data = bits(np.random.default_rng(data_seed), n)
     m = n - k
     seed = seed_for(n, s)
-    out = privacy_amplify(data, m, seed)
+    out = privacy_amplify(data, m, seed).bits
     assert np.array_equal(out, oracles.dense_modified_toeplitz(
         seed_bits(seed, n), data, m))
 
@@ -461,7 +487,7 @@ def test_pa_seed_bits_equal_default_rng_draw(base):
             seed = seed_for(c + 1, s)
             want = seed_bits(seed, c + 1)
             assert len(want) == c
-            assert np.array_equal(privacy_amplify(unit, c, seed), want), (c, s)
+            assert np.array_equal(privacy_amplify(unit, c, seed).bits, want), (c, s)
 
 
 @pytest.mark.parametrize("seed", [0, 5, 2 ** 63 - 1])
@@ -484,13 +510,13 @@ def test_privacy_amplify_matches_slice_loop_at_large_n(k):
     data = bits(np.random.default_rng(36), n)
     seed = seed_for(n, 123)
     want = oracles.slice_modified_toeplitz(seed_bits(seed, n), data, n - k)
-    assert np.array_equal(privacy_amplify(data, n - k, seed), want)
+    assert np.array_equal(privacy_amplify(data, n - k, seed).bits, want)
 
 
 def test_bit_inputs_are_checked_at_the_public_entry_points():
     bad = np.array([0, 1, 2] + [0] * 13, dtype=np.uint8)
     good = np.zeros(16, dtype=np.uint8)
-    key = ChainKey(0, good.copy())
+    key = ChainKey.from_bits(good)
     calls = {
         "KeyChain": lambda: KeyChain(bad),
         "send_block": lambda: send_block(bad, key, PARAMS, np.zeros(16),
@@ -514,7 +540,7 @@ def test_modified_toeplitz_is_universal2():
     n, m = 8, 5
     for d in range(1, 2 ** n):
         delta = np.array([(d >> i) & 1 for i in range(n)], dtype=np.uint8)
-        zeros = sum(not _modified_toeplitz(s, delta, m).any()
+        zeros = sum(not any(_modified_toeplitz(s, delta, m).packed)
                     for s in range(2 ** (n - 1)))
         assert zeros == (0 if not delta[m:].any() else 2 ** (n - 1 - m))
 
@@ -525,8 +551,8 @@ def test_privacy_amplify_deterministic_and_seed_sensitive():
     a = privacy_amplify(data, 500, seed_for(512, 99))
     b = privacy_amplify(data, 500, seed_for(512, 99))
     c = privacy_amplify(data, 500, seed_for(512, 100))
-    assert np.array_equal(a, b)
-    assert not np.array_equal(a, c)
+    assert a == b
+    assert a.packed != c.packed
 
 
 def test_privacy_amplify_monobit():
@@ -534,7 +560,7 @@ def test_privacy_amplify_monobit():
     collected = []
     for seed in range(13):
         data = bits(rng, 8192)
-        collected.append(privacy_amplify(data, 8190, seed_for(8192, seed)))
+        collected.append(privacy_amplify(data, 8190, seed_for(8192, seed)).bits)
     out = np.concatenate(collected)
     assert len(out) >= 100_000
     ones = float(np.mean(out))
@@ -548,8 +574,8 @@ def test_privacy_amplify_monobit():
 def test_authenticate_tag_agreement_and_consumption():
     rng = np.random.default_rng(41)
     material = bits(rng, 300)
-    k_a = ChainKey(1, material.copy())
-    k_b = ChainKey(1, material.copy())
+    k_a = ChainKey.from_bits(material, 1)
+    k_b = ChainKey.from_bits(material, 1)
     tag_a = authenticate_tag(k_a, b"session summary")
     tag_b = authenticate_tag(k_b, b"session summary")
     assert tag_a == tag_b and len(tag_a) == 32
@@ -652,7 +678,30 @@ def test_sessions_run_to_exhaustion_deliver_the_chain_key_length_predicts(
     k0 = np.random.default_rng(n).integers(0, 2, n, dtype=np.uint8)
     for state in simulate_session(params, k0, 1, 2, cycles=10 ** 9):
         assert [len(k.bits) for k in state.chain.keys] == predicted
+        assert all(len(k.packed) == -(-len(k) // 8) for k in state.chain.keys)
         assert "would leave" in state.early_stop
+
+
+def test_a_chain_run_to_exhaustion_holds_its_keys_packed():
+    # 16 Ki bits shrink by 34 a block: 482 keys, 3.8 MiB a party at one byte
+    # per bit.  Packed, both chains together hold less than a third of that.
+    n = 1 << 14
+    params = SessionParams(1e4, 2.0 ** -30, 40, n)
+    k0 = bits(np.random.default_rng(78), n)
+    states, _, held = _traced(lambda: simulate_session(params, k0, 1, 2, cycles=10 ** 9))
+    assert "would leave" in states[0].early_stop
+    one_byte_per_bit = sum(map(len, states[0].chain.keys))
+    assert one_byte_per_bit > 3.7 * (1 << 20)
+    assert held < 2 * one_byte_per_bit / 6
+
+
+def test_a_session_unmaps_its_noise_buffers_when_it_ends():
+    # a block of two 2^15-symbol chunks and a tail: 0.5 MiB of noise a party
+    n = 2 * protocol.CHUNK + 17
+    params = SessionParams(1e4, 2.0 ** -30, 40, n)
+    k0 = bits(np.random.default_rng(79), n)
+    for state in simulate_session(params, k0, 1, 2, cycles=1):
+        assert state.noise_buf.nbytes == 0 and state.noise_buf.base is None
 
 
 def test_session_core_param_mismatch():

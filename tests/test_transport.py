@@ -2,6 +2,7 @@ import os
 import socket
 import threading
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -257,6 +258,23 @@ def test_empty_transcript_file(tmp_path):
     assert list(iter_frames(path.read_bytes())) == []
 
 
+def test_tap_writes_a_keyblock_without_joining_it_to_its_header(tmp_path):
+    # a 2^18-symbol KEYBLOCK at R = 40 is 1.25 MiB; a joined frame would
+    # copy all of it for every tapped block
+    path = tmp_path / "tap.bin"
+    payload = bytearray(np.random.default_rng(9).bytes(4 + 5 * (1 << 18)))
+    tap = TranscriptTap(path)
+    tracemalloc.start()
+    try:
+        tap.observe(MessageType.KEYBLOCK, payload)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+        tap.finish()
+    assert peak < 64 << 10
+    assert path.read_bytes() == frame_encode(MessageType.KEYBLOCK, payload)
+
+
 def test_peer_channel_recv_while_peer_waits_raises_at_once():
     def peer():
         received = yield RECV
@@ -402,6 +420,33 @@ def test_socket_send_writes_a_frame_larger_than_the_send_buffer_unjoined(monkeyp
         ch_b.close()
     assert not thread.is_alive()
     assert len(writes) == 1 and HEADER_LEN < writes[0] < HEADER_LEN + len(payload)
+
+
+def test_socket_channel_sets_its_timeout_only_when_it_changes():
+    # settimeout is a syscall; a session receives every frame at one timeout
+    calls = []
+
+    class CountingSocket(socket.socket):
+        def settimeout(self, value):
+            calls.append(value)
+            super().settimeout(value)
+
+    a, b = socket.socketpair()
+    ch_a, ch_b = SocketChannel(a), SocketChannel(CountingSocket(fileno=b.detach()))
+    try:
+        for i in range(3):
+            ch_a.send(MessageType.HELLO, bytes([i]))
+            assert ch_b.recv() == (MessageType.HELLO, bytes([i]))
+        ch_a.send(MessageType.CONFIRM, b"tag")
+        assert ch_b.recv(timeout=5.0) == (MessageType.CONFIRM, b"tag")
+        with pytest.raises(ChannelError, match="timed out reading header"):
+            ch_b.recv(timeout=0.05)
+        with pytest.raises(ChannelError, match="timed out reading header"):
+            ch_b.recv(timeout=0.05)
+    finally:
+        ch_a.close()
+        ch_b.close()
+    assert calls == [transport.DEFAULT_TIMEOUT, 5.0, 0.05]
 
 
 def test_socket_channel_truncation_reports_byte_count():
