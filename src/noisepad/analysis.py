@@ -129,14 +129,6 @@ def emit_surface(n_values, exponents, quantity: str) -> str:
     return out.getvalue()
 
 
-def parse_surface(text: str):
-    """Rows of an emit_surface table as (n_avg, exponent, value) floats."""
-    lines = text.splitlines()
-    if not lines or lines[0] != "n_avg,delta_phi_exp2,value":
-        raise ValueError("not an emit_surface table")
-    return [tuple(float(x) for x in line.split(",")) for line in lines[1:]]
-
-
 def boost_factor(params: CoherentStateParams, c: Constellation,
                  seed_key_length: int, safety_bits: int) -> float:
     """Estimated deliverable fresh key bits per seed bit.

@@ -98,13 +98,6 @@ def wrap_pi(phase):
     return np.mod(np.asarray(phase, dtype=float) + PI, TWO_PI) - PI
 
 
-def modulate(bit, basis, c: Constellation):
-    """Phase of (bit, basis): basis*delta_phi + (bit XOR basis)*pi."""
-    bit = np.asarray(bit)
-    basis = np.asarray(basis)
-    return basis * c.delta_phi + np.bitwise_xor(bit, basis) * PI
-
-
 def quantize(phase, resolution_bits: int):
     """Round phase to the nearest of 2^R levels on [0, 2pi); ties round up."""
     if not 8 <= resolution_bits <= 56:
@@ -133,9 +126,9 @@ def dequantize(level, resolution_bits: int):
 
 
 def transmit_symbol(bit, basis, c: Constellation, noise):
-    """Quantized on-air phase: quantize(modulate(bit, basis) + noise)."""
+    """Quantized on-air phase: quantize((bit XOR basis)*pi + basis*delta_phi + noise)."""
     phase = np.multiply(np.bitwise_xor(bit, basis), PI)
-    phase += np.multiply(basis, c.delta_phi)    # modulate's float sum
+    phase += np.multiply(basis, c.delta_phi)
     phase += noise
     return quantize(phase, c.resolution_bits)
 
@@ -199,10 +192,9 @@ def _fields(nbytes: int) -> np.dtype:
 
 
 def pack_levels(levels, resolution_bits: int, out) -> None:
-    """Write levels into the writable buffer `out`, ceil(R/8) little-endian bytes each."""
+    """Write levels into the writable buffer `out`, ceil(R/8) little-endian bytes each.
+    Kernel: levels below 2^R, unchecked; transport.pack_keyblock checks outside ones."""
     arr = np.ascontiguousarray(levels, dtype="<u8").reshape(-1)
-    if arr.size and int(arr.max()) >> resolution_bits:
-        raise ValueError("level out of range for resolution_bits")
     packed = np.frombuffer(out, _fields(bytes_per_symbol(resolution_bits)))
     low, *high = packed.dtype.names
     np.copyto(packed[low], arr, casting="unsafe")   # faster than a strided copy

@@ -56,7 +56,7 @@ import numpy as np
 
 from . import analysis, transport
 from .encode import Constellation, decode_packed, transmit_symbol
-from .encode import decode_with_basis  # noqa: F401 - perfbench/tracer.py wraps it by name
+from .encode import decode_with_basis  # noqa: F401 - perfbench's tracer wraps it (item 7)
 from .errors import (
     KeyExhaustedError,
     ConfirmMismatchError,
@@ -142,7 +142,7 @@ class SessionParams:
         and the safety margin are paid; <= 0: none."""
         return n - math.ceil(self.block_charge(n, located).total) - self.safety_bits
 
-    @property
+    @property   # read by perfbench/sessions.py (ROADMAP item 7)
     def reconciliation_block(self) -> int:
         """The one parity block of reconciliation: the whole key."""
         return self.block_length
@@ -250,15 +250,15 @@ class LeakLedger:
 # Block transfer
 # ---------------------------------------------------------------------------
 
-def send_block(fresh_bits, basis_key: ChainKey, params: SessionParams,
-               noise: np.ndarray, out, *, trusted: bool = False):
+def send_block(fresh: np.ndarray, basis_key: ChainKey, params: SessionParams,
+               noise: np.ndarray, out):
     """Noise-mask fresh bits under a one-time basis key, CHUNK symbols at a time.
 
-    `noise` is the block's drawn phase noise.  Packs the levels into the tail
-    of `out`, a KEYBLOCK payload (transport.keyblock_payload), and returns
-    `out`.  Consumes the basis key; `trusted` bits go unchecked.
+    Kernel: `fresh` is a uint8 array of 0s and 1s, unchecked, and `noise`
+    the block's drawn phase noise.  Packs the levels into the tail of `out`,
+    a KEYBLOCK payload (transport.keyblock_payload), and returns `out`.
+    Consumes the basis key.
     """
-    fresh = fresh_bits if trusted else _as_bits(fresh_bits)
     n, r = len(fresh), params.resolution_bits
     if n != len(basis_key):
         raise ProtocolError(f"{n} fresh bits for a {len(basis_key)}-bit basis key")
@@ -266,6 +266,7 @@ def send_block(fresh_bits, basis_key: ChainKey, params: SessionParams,
     view = memoryview(out)[-n * size:]
     for i in range(0, n, CHUNK):
         basis = _unpack_bits(key, i, min(i + CHUNK, n))
+        # transport's binding, which perfbench/tracer.py wraps (ROADMAP item 7)
         transport.pack_levels(transmit_symbol(
             fresh[i:i + CHUNK], basis, params.constellation, noise[i:i + CHUNK]),
             r, out=view[i * size:(i + CHUNK) * size])
@@ -315,7 +316,7 @@ def _unpack(fmt: struct.Struct, payload: bytes, what: str) -> tuple:
 
 
 # The blocking wrappers are not on the session path; perfbench/tracer.py
-# wraps them by name.
+# wraps them by name (ROADMAP item 7).
 def reconcile_receiver(bits, channel: Channel, check: bytes) -> tuple:
     """Run _receiver_core over a channel on a copy of bits."""
     return transport.drive(_receiver_core(_as_bits(bits).copy(), check), channel)
@@ -393,7 +394,7 @@ def amplify_block(params: SessionParams, bits: np.ndarray, pa_seed: bytes,
     m = params.key_length(len(bits), located)
     if m <= 0:
         raise KeyExhaustedError(_EXHAUSTED.format(m))
-    return privacy_amplify(bits, m, pa_seed, trusted=True)
+    return privacy_amplify(bits, m, pa_seed)
 
 
 def pa_seed_bytes(n: int) -> int:
@@ -411,16 +412,15 @@ def unpack_pa_seed(payload: bytes, n: int) -> tuple[int, int, bytes, bytes]:
     return cycle, direction, bytes(payload[_PA_SEED.size:head]), bytes(payload[head:])
 
 
-def privacy_amplify(bits, out_len: int, seed: bytes, *, trusted=False) -> ChainKey:
+def privacy_amplify(bits: np.ndarray, out_len: int, seed: bytes) -> ChainKey:
     """Compress bits to an out_len-bit key with a modified Toeplitz hash [I | T].
 
-    Seed bit t is bit t of int.from_bytes(seed, "little"); bits past n-2
-    are unused.  The family is dual universal (Hayashi & Tsurumaru, IEEE
-    Trans. IT 2016) and universal_2 at the output length, so the
-    leftover-hash bound holds as for a full Toeplitz matrix; at out_len == n
-    it is the identity.  `trusted` bits go unchecked.
+    Kernel: `bits` is a uint8 array of 0s and 1s, unchecked.  Seed bit t is
+    bit t of int.from_bytes(seed, "little"); bits past n-2 are unused.  The
+    family is dual universal (Hayashi & Tsurumaru, IEEE Trans. IT 2016) and
+    universal_2 at the output length, so the leftover-hash bound holds as
+    for a full Toeplitz matrix; at out_len == n it is the identity.
     """
-    bits = bits if trusted else _as_bits(bits)
     n = len(bits)
     if not 0 < out_len <= n:
         raise ValueError(f"out_len must lie in [1, {n}], got {out_len}")
@@ -540,7 +540,7 @@ def _send_direction(state: PartyState, j: int, cycles: int | None):
     _read_ahead(state, j, j, cycles)
     yield MessageType.KEYBLOCK, send_block(       # no reference kept once sent
         bits, tip, params, state.noise_buf[:n],
-        transport.keyblock_payload(turn(j)[0], n, params.resolution_bits), trusted=True)
+        transport.keyblock_payload(turn(j)[0], n, params.resolution_bits))
     state.noise_ahead -= n      # samples left over start the next block
     state.noise_buf[:state.noise_ahead] = state.noise_buf[n:n + state.noise_ahead]
     pa_seed = state.pub_rng.bytes(pa_seed_bytes(n))
@@ -614,39 +614,40 @@ def session_core(state: PartyState, cycles: int | None = None, progress=None):
     if initiator and cycles is None:
         raise ValueError("initiator needs an explicit cycle count")
     frame = None
-
-    while True:
-        j, n = len(chain.keys), len(chain.tip)
-        if params.key_length(n) <= 0:   # a block is sent only if it leaves a key
-            state.early_stop = _EXHAUSTED.format(params.key_length(n))
-            break
-        if state.sends(j):
-            if initiator and turn(j)[0] > cycles:
+    try:
+        while True:
+            j, n = len(chain.keys), len(chain.tip)
+            if params.key_length(n) <= 0:   # a block is sent only if it leaves a key
+                state.early_stop = _EXHAUSTED.format(params.key_length(n))
                 break
-            bits, pa_seed, located, frame = yield from _send_direction(state, j, cycles)
-        else:
-            if frame is None:   # role B, before Y1
-                _read_ahead(state, j, j + 1, cycles)
-                frame = yield from expect(MessageType.KEYBLOCK, MessageType.CONFIRM)
-            if frame[0] == MessageType.CONFIRM:
+            if state.sends(j):
+                if initiator and turn(j)[0] > cycles:
+                    break
+                bits, pa_seed, located, frame = yield from _send_direction(state, j, cycles)
+            else:
+                if frame is None:   # role B, before Y1
+                    _read_ahead(state, j, j + 1, cycles)
+                    frame = yield from expect(MessageType.KEYBLOCK, MessageType.CONFIRM)
+                if frame[0] == MessageType.CONFIRM:
+                    break
+                # hand the KEYBLOCK on without keeping it here
+                core, frame = receive_block(params, chain.tip, j, frame[1]), None
+                bits, pa_seed, located = yield from core
+            state.ledger.merge(params.block_charge(n, located))
+            try:
+                chain.append(amplify_block(params, bits, pa_seed, located))
+            except KeyExhaustedError as exc:   # a syndrome's charge
+                state.early_stop = str(exc)
                 break
-            # hand the KEYBLOCK on without keeping it here
-            core, frame = receive_block(params, chain.tip, j, frame[1]), None
-            bits, pa_seed, located = yield from core
-        state.ledger.merge(params.block_charge(n, located))
-        try:
-            chain.append(amplify_block(params, bits, pa_seed, located))
-        except KeyExhaustedError as exc:   # a syndrome's charge
-            state.early_stop = str(exc)
-            break
-        if turn(j)[1] == B_TO_A and progress is not None:
-            led = state.ledger
-            progress({"cycle": turn(j)[0],
-                      "delivered_bits": [len(k) for k in chain.keys[-2:]],
-                      "statistical_leak": led.statistical_leak,
-                      "disclosed_parity_bits": led.disclosed_parity_bits,
-                      "ledger_total": led.total})
-    state.noise_buf = np.empty(0)   # unmaps the buffer; a [:0] view would keep it
+            if turn(j)[1] == B_TO_A and progress is not None:
+                led = state.ledger
+                progress({"cycle": turn(j)[0],
+                          "delivered_bits": [len(k) for k in chain.keys[-2:]],
+                          "statistical_leak": led.statistical_leak,
+                          "disclosed_parity_bits": led.disclosed_parity_bits,
+                          "ledger_total": led.total})
+    finally:    # unmaps the buffer on every exit; a [:0] view would keep it
+        state.noise_buf = np.empty(0)
 
     first = state.sends(len(chain.keys) + chain.tip.used_as_basis)
     tag = state.confirm_tag = _confirm_tag(state)

@@ -36,6 +36,8 @@ from collections import deque
 from dataclasses import dataclass
 from enum import IntEnum
 
+import numpy as np
+
 from .encode import bytes_per_symbol, pack_levels, unpack_levels
 from .errors import (
     BadMagicError,
@@ -82,9 +84,13 @@ def _check_size(payload: bytes) -> None:
             f"payload of {len(payload)} bytes exceeds {MAX_PAYLOAD}")
 
 
+def _header(msg_type: int, payload: bytes) -> bytes:
+    return _HEADER.pack(MAGIC, VERSION, int(msg_type), len(payload))
+
+
 def frame_encode(msg_type: int, payload: bytes) -> bytes:
     _check_size(payload)
-    return _HEADER.pack(MAGIC, VERSION, int(msg_type), len(payload)) + payload
+    return _header(msg_type, payload) + payload
 
 
 def frame_decode(buf: bytes) -> tuple[int, bytes]:
@@ -149,7 +155,7 @@ class TranscriptTap:
         if self._fh is None:
             return
         try:    # header, then payload: a KEYBLOCK is never joined into a copy
-            self._fh.write(_HEADER.pack(MAGIC, VERSION, int(msg_type), len(payload)))
+            self._fh.write(_header(msg_type, payload))
             self._fh.write(payload)
             self._fh.flush()
         except OSError as exc:
@@ -183,6 +189,7 @@ class Channel:
         self._send(msg_type, payload)
 
     def recv(self, timeout: float | None = None) -> tuple[int, bytes]:
+        # `timeout` keeps perfbench's SlipChannel.recv signature (ROADMAP item 2)
         frame = self._recv(DEFAULT_TIMEOUT if timeout is None else timeout)
         if self.tap is not None:
             self.tap.observe(*frame)
@@ -248,7 +255,7 @@ class SocketChannel(Channel):
             sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
 
     def _send(self, msg_type: int, payload: bytes) -> None:
-        header = _HEADER.pack(MAGIC, VERSION, int(msg_type), len(payload))
+        header = _header(msg_type, payload)
         try:    # one sendmsg of both, no joined copy; sendall writes what it left
             sent = self._sock.sendmsg([header, payload])
             if sent < HEADER_LEN:
@@ -444,6 +451,10 @@ def keyblock_payload(cycle_index: int, count: int, resolution_bits: int) -> byte
 
 
 def pack_keyblock(cycle_index: int, levels, resolution_bits: int) -> bytearray:
+    """A KEYBLOCK payload of levels from outside the session; ValueError if one is >= 2^R."""
+    levels = np.asarray(levels, dtype="<u8")
+    if levels.size and int(levels.max()) >> resolution_bits:
+        raise ValueError("level out of range for resolution_bits")
     payload = keyblock_payload(cycle_index, len(levels), resolution_bits)
     pack_levels(levels, resolution_bits, out=memoryview(payload)[4:])
     return payload
@@ -460,13 +471,13 @@ def keyblock_symbols(payload: bytes, resolution_bits: int) -> int:
     return count
 
 
-def unpack_keyblock(payload: bytes, resolution_bits: int):
+def unpack_keyblock(payload: bytes, resolution_bits: int):  # perfbench's SlipChannel (item 2)
     keyblock_symbols(payload, resolution_bits)
     return (struct.unpack_from(">I", payload)[0],
             unpack_levels(memoryview(payload)[4:], resolution_bits))
 
 
-def send_keyblock(channel: Channel, cycle_index: int, levels,
+def send_keyblock(channel: Channel, cycle_index: int, levels,  # perfbench/tests (item 7)
                   resolution_bits: int) -> None:
     channel.send(MessageType.KEYBLOCK,
                  pack_keyblock(cycle_index, levels, resolution_bits))

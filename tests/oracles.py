@@ -5,6 +5,8 @@ chains are evaluated with 50-digit Decimal arithmetic, Gaussian tails by
 numerical quadrature, and matrix hashes by explicit dense construction.
 """
 
+import csv
+import io
 from decimal import Decimal, getcontext
 
 import numpy as np
@@ -169,3 +171,10 @@ def strided_unpack_levels(data: bytes, resolution_bits: int) -> np.ndarray:
     padded = np.zeros((raw.shape[0], 8), dtype=np.uint8)
     padded[:, :nbytes] = raw
     return padded.view("<u8").reshape(-1).astype(np.uint64)
+
+
+def surface_rows(text: str) -> list:
+    """Rows of an analysis.emit_surface CSV as (n_avg, exponent, value) floats."""
+    reader = csv.reader(io.StringIO(text))
+    assert next(reader) == ["n_avg", "delta_phi_exp2", "value"]
+    return [tuple(map(float, row)) for row in reader]

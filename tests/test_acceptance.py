@@ -196,8 +196,8 @@ def test_criterion_7_boost_claim():
     # figure surfaces: monotone in <n>, limiting column exactly 1/2 (inf for L)
     ns = [1e2, 1e3, 1e4, 1e5, 1e6]
     exps = [-30, -24, -18, -12, -6, float("-inf")]
-    dh_rows = analysis.parse_surface(analysis.emit_surface(ns, exps, "delta_h"))
-    length_rows = analysis.parse_surface(
+    dh_rows = oracles.surface_rows(analysis.emit_surface(ns, exps, "delta_h"))
+    length_rows = oracles.surface_rows(
         analysis.emit_surface(ns, exps, "leak_length"))
     by_exp = {}
     for n, exp, v in dh_rows:

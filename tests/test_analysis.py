@@ -9,7 +9,6 @@ from noisepad.analysis import (
     entropy_leak,
     leak_length_for,
     min_leak_length,
-    parse_surface,
     security_point,
     validate_params,
 )
@@ -94,13 +93,13 @@ def test_emit_surface_single_point():
     lines = text.splitlines()
     assert lines[0] == "n_avg,delta_phi_exp2,value"
     assert len(lines) == 2
-    _, _, value = parse_surface(text)[0]
+    _, _, value = oracles.surface_rows(text)[0]
     assert value == entropy_leak(CoherentStateParams(1e4), 2.0 ** -6)
 
 
 def test_emit_surface_order_and_roundtrip():
     text = emit_surface([1e3, 10.0, 100.0], [-6, -10, -8], "delta_h")
-    rows = parse_surface(text)
+    rows = oracles.surface_rows(text)
     assert [r[0] for r in rows] == [10.0] * 3 + [100.0] * 3 + [1e3] * 3
     assert [r[1] for r in rows][:3] == [-10.0, -8.0, -6.0]
     for n, exp, value in rows:
@@ -115,9 +114,9 @@ def test_emit_surface_order_and_roundtrip():
 
 def test_emit_surface_zero_offset_column():
     text = emit_surface([10.0, 1e4], [float("-inf")], "delta_h")
-    assert all(v == 0.5 for _, _, v in parse_surface(text))
+    assert all(v == 0.5 for _, _, v in oracles.surface_rows(text))
     text = emit_surface([10.0, 1e4], [float("-inf")], "leak_length")
-    assert all(v == math.inf for _, _, v in parse_surface(text))
+    assert all(v == math.inf for _, _, v in oracles.surface_rows(text))
 
 
 def test_emit_surface_empty_and_bad_quantity():

@@ -12,12 +12,12 @@ from noisepad.encode import (
     decode_packed,
     decode_with_basis,
     dequantize,
-    modulate,
     pack_levels,
     quantize,
     transmit_symbol,
     unpack_levels,
 )
+from noisepad.transport import pack_keyblock
 
 import oracles
 
@@ -46,12 +46,19 @@ def test_constellation_invariants():
 
 
 def test_modulate_table():
-    assert modulate(0, 0, C16) == 0.0
-    assert modulate(1, 0, C16) == PI
-    assert modulate(1, 1, C16) == pytest.approx(C16.delta_phi, abs=0.0)
-    assert modulate(0, 1, C16) == pytest.approx(C16.delta_phi + PI)
+    modulate = oracles.float_modulate
+    dphi = C16.delta_phi
+    assert modulate(0, 0, dphi) == 0.0
+    assert modulate(1, 0, dphi) == PI
+    assert modulate(1, 1, dphi) == pytest.approx(dphi, abs=0.0)
+    assert modulate(0, 1, dphi) == pytest.approx(dphi + PI)
     # neighboring states of the two bases are separated by exactly delta_phi
-    assert abs(modulate(1, 1, C16) - modulate(0, 0, C16)) == C16.delta_phi
+    assert abs(modulate(1, 1, dphi) - modulate(0, 0, dphi)) == dphi
+    # transmit_symbol forms the same phases itself
+    for bit in (0, 1):
+        for basis in (0, 1):
+            assert transmit_symbol(bit, basis, C16, 0.0) == \
+                quantize(modulate(bit, basis, dphi), 16)
 
 
 def test_quantize_examples():
@@ -96,7 +103,7 @@ def test_transmit_symbols_cluster_around_constellation_points():
     noise = rng.normal(0.0, 0.01414, n)
     levels = transmit_symbol(bits, basis, C16, noise)
     phases = dequantize(levels, 16)
-    centers = np.asarray(modulate(bits, basis, C16))
+    centers = oracles.float_modulate(bits, basis, C16.delta_phi)
     dev = np.abs(np.mod(phases - centers + PI, 2.0 * PI) - PI)
     assert np.mean(dev < 5.0 * 0.01414) > 0.999
 
@@ -212,8 +219,11 @@ def test_pack_sizes_and_errors():
     pack_levels(np.array([1, 2, 3, 0xABCD], dtype=np.uint64), 16, out=out)
     assert out == bytes.fromhex("0100" "0200" "0300" "cdab")
     pack_levels(np.zeros(0, dtype=np.uint64), 16, out=bytearray())
-    with pytest.raises(ValueError):
-        pack_levels(np.array([1 << 20], dtype=np.uint64), 16, out=bytearray(2))
+    # levels from outside the session are checked where they enter a KEYBLOCK
+    for r in (16, 40):
+        with pytest.raises(ValueError, match="out of range"):
+            pack_keyblock(1, np.array([0, 1 << r], dtype=np.uint64), r)
+    assert pack_keyblock(1, [(1 << 16) - 1], 16) == bytes.fromhex("00000001" "ffff")
     with pytest.raises(ValueError):
         unpack_levels(b"\x00\x01\x02", 16)
 

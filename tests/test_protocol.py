@@ -149,7 +149,8 @@ def test_session_params_from_hello_round_trip():
 def test_send_block_single_symbol():
     params = SessionParams(1e4, 2.0 ** -10, 16, 1024)
     key = ChainKey.from_bits([0])
-    payload = send_block([0], key, params, np.zeros(1), keyblock_payload(0, 1, 16))
+    payload = send_block(np.zeros(1, np.uint8), key, params, np.zeros(1),
+                         keyblock_payload(0, 1, 16))
     assert unpack_keyblock(payload, 16)[1].tolist() == [quantize(0.0, 16)]
     assert key.used_as_basis
 
@@ -516,12 +517,12 @@ def test_privacy_amplify_matches_slice_loop_at_large_n(k):
 def test_bit_inputs_are_checked_at_the_public_entry_points():
     bad = np.array([0, 1, 2] + [0] * 13, dtype=np.uint8)
     good = np.zeros(16, dtype=np.uint8)
-    key = ChainKey.from_bits(good)
+    # Bits enter here; the kernels (send_block, privacy_amplify) take the
+    # session's own uint8 arrays unchecked.
     calls = {
         "KeyChain": lambda: KeyChain(bad),
-        "send_block": lambda: send_block(bad, key, PARAMS, np.zeros(16),
-                                         keyblock_payload(1, 16, 40)),
-        "privacy_amplify": lambda: privacy_amplify(bad, 8, bytes(2)),
+        "ChainKey.from_bits": lambda: ChainKey.from_bits(bad),
+        "simulate_session": lambda: simulate_session(PARAMS, bad, 1, 2, cycles=1),
         "reconcile_receiver": lambda: reconcile_receiver(bad, None, _check(good)),
         "reconcile_sender": lambda: reconcile_sender(bad, None),
         "tag_bytes": lambda: tag_bytes(bad, b"m"),
@@ -529,7 +530,6 @@ def test_bit_inputs_are_checked_at_the_public_entry_points():
     for name, call in calls.items():
         with pytest.raises(ValueError, match="only 0s and 1s"):
             call()
-    assert not key.used_as_basis   # send_block checked before consuming
 
 
 def test_modified_toeplitz_is_universal2():
@@ -702,6 +702,19 @@ def test_a_session_unmaps_its_noise_buffers_when_it_ends():
     k0 = bits(np.random.default_rng(79), n)
     for state in simulate_session(params, k0, 1, 2, cycles=1):
         assert state.noise_buf.nbytes == 0 and state.noise_buf.base is None
+
+
+def test_a_session_that_raises_unmaps_its_noise_buffer():
+    # Role B draws Y2's noise ahead, 2 MiB at 2^18, then meets the peer's
+    # ERROR instead of Y1: the session raises and still frees the map.
+    n = 1 << 18
+    params = SessionParams(1e4, 2.0 ** -30, 40, n)
+    state = PartyState.create("B", params, bits(np.random.default_rng(80), n), 2)
+    assert state.noise_buf.nbytes == 8 * n
+    tape = transport.TapeChannel([(MessageType.ERROR, b"stop")])
+    with pytest.raises(ProtocolError, match="peer reported error: stop"):
+        run_session(tape, state)
+    assert state.noise_buf.nbytes == 0 and state.noise_buf.base is None
 
 
 def test_session_core_param_mismatch():
